@@ -14,9 +14,10 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,11 +43,12 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self) -> None:
-        if self.theta is not None and any(t <= 0.0 for t in self.theta):
-            raise QdynError("all rates must be strictly positive")
+        # chained comparisons are False for NaN, so NaN is rejected too
+        if self.theta is not None and not all(0.0 < t < math.inf for t in self.theta):
+            raise QdynError("all rates must be finite and strictly positive")
         for name in ("tau_unit", "eps_conv", "r_escape", "bisect_tol"):
-            if getattr(self, name) <= 0.0:
-                raise QdynError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise QdynError(f"{name} must be finite and positive")
         if self.budget < 1:
             raise QdynError("budget must be >= 1")
         if self.seed < 0:
@@ -99,17 +101,44 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        known = {"theta", "seed", "tau_unit", "eps_conv", "r_escape", "bisect_tol", "budget", "format"}
-        unknown = set(overrides) - known
-        if unknown:
-            raise QdynError(f"unknown config keys: {sorted(unknown)}")
-        if "theta" in overrides:
-            overrides["theta"] = tuple(float(t) for t in overrides["theta"])
-        if "format" in overrides:
-            overrides["output_format"] = str(overrides.pop("format"))
-        cfg = replace(cfg, **overrides)
+            try:
+                overrides = json.load(fh)
+            except ValueError as exc:
+                raise QdynError(f"--config is not valid JSON: {exc}") from exc
+        cfg = replace(cfg, **_checked_overrides(overrides))
     return cfg
+
+
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list of numbers"}
+
+
+def _fits(value, kind: type) -> bool:
+    # bool is an int subclass in Python but never a valid number here
+    if kind is list:
+        return isinstance(value, list) and all(_fits(v, float) for v in value)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
+def _checked_overrides(overrides) -> dict:
+    """Config-file keys as RunConfig fields, each type-checked against the
+    field's default ("format" names output_format; theta is a list)."""
+    if not isinstance(overrides, dict):
+        raise QdynError("--config must hold a JSON object")
+    kinds = {"format" if f.name == "output_format" else f.name: type(f.default) for f in fields(RunConfig)}
+    kinds["theta"] = list  # the only field without a default
+    unknown = set(overrides) - set(kinds)
+    if unknown:
+        raise QdynError(f"unknown config keys: {sorted(unknown)}")
+    checked = {}
+    for key, value in overrides.items():
+        if not _fits(value, kinds[key]):
+            raise QdynError(f"config key {key!r} must be {_KIND_NAMES[kinds[key]]}, got {json.dumps(value)}")
+        try:
+            value = tuple(map(float, value)) if key == "theta" else float(value) if kinds[key] is float else value
+        except OverflowError as exc:
+            raise QdynError(f"config key {key!r} is out of range") from exc
+        checked["output_format" if key == "format" else key] = value
+    return checked
 
 
 def _point_record(rates: Rates, index: int, point: FixedPoint, tau_unit: float) -> dict:
@@ -251,6 +280,8 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise QdynError(f"verify requires 2 <= n <= 12, got n = {args.n}")
     if args.trials < 1:
         raise QdynError("--trials must be >= 1")
+    if cfg.output_format == "csv":
+        raise QdynError("verify prints text or --format json, not csv")
     summary = verification_sweep(args.n, args.trials, cfg.seed)
     if getattr(args, "format", None) == "json":
         payload = {
@@ -321,16 +352,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to sys.stderr as it is when a record is emitted, so the one
+    installed handler follows later redirections of stderr."""
+
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
 def _setup_logging() -> None:
     level_name = os.environ.get("QDYN_LOG", "").upper()
     if not level_name:
         return
     level = getattr(logging, level_name, logging.INFO)
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
     logger = logging.getLogger("qdyn")
-    logger.addHandler(handler)
-    logger.setLevel(level)
+    if not any(isinstance(h, _StderrHandler) for h in logger.handlers):
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
+        logger.addHandler(handler)
+    logger.setLevel(level if isinstance(level, int) else logging.INFO)
 
 
 def main(argv=None) -> int:

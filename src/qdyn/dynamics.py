@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, RegionNotApplicable, VerticalLineError
-from .fixed_points import enumerate_fixed_points, interior_fixed_point
+from .fixed_points import feasible_nonzero_points, interior_fixed_point
 from .model import Rates, _readonly, _step, as_state
 from .stability import StabilityTag, classify, spectrum_at
 
@@ -180,28 +180,41 @@ def classify_fate(
     region shortcut needs a strict margin because the nonzero fixed points
     sit exactly on the region boundaries.  The outcome is undetermined only
     when the iteration budget runs out.
+
+    Only the feasible nonzero fixed points are built as proximity targets,
+    from their closed-form supports (`feasible_nonzero_points`: supports are
+    grown while the deficit sum_{j in S} (1 - r_min(S)/r_j) stays at most
+    1/2), not all 2^n algebraic points.  A hit reports the target's support
+    mask, which is its index in the mask-ordered enumeration.
     """
+    x = as_state(x0, rates.n)
+    targets = _fate_targets(rates, proximity_rtol)
+    return _fate(rates, x, budget, targets, eps_conv, r_escape, region_margin)
+
+
+def _fate_targets(rates: Rates, proximity_rtol: float) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    # Coordinates, proximity radii and support masks of the fate targets.
+    masks, coords = feasible_nonzero_points(rates)
+    return coords, proximity_rtol * np.maximum(1.0, np.max(np.abs(coords), axis=1)), masks
+
+
+def _fate(
+    rates: Rates, x: np.ndarray, budget: int, targets, eps_conv: float, r_escape: float, region_margin: float
+) -> FateReport:
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    x = as_state(x0, rates.n)
-    points = enumerate_fixed_points(rates)
-    targets = [(i, p) for i, p in enumerate(points) if p.feasible and not p.is_origin]
-    target_coords = np.array([p.coords for _, p in targets]) if targets else np.empty((0, rates.n))
-    target_tols = np.array(
-        [proximity_rtol * max(1.0, float(np.max(np.abs(p.coords)))) for _, p in targets]
-    )
+    target_coords, target_tols, masks = targets
     bound = 2.0 / rates.values
 
     steps = 0
     while True:
-        if targets:
+        if masks:
             dist = np.max(np.abs(target_coords - x), axis=1)
             hits = np.nonzero(dist <= target_tols)[0]
             if hits.size:
-                idx = targets[int(hits[0])][0]
                 return FateReport(
                     FateOutcome.TO_FIXED_POINT, steps, _readonly(x),
-                    FateEvidence.FIXED_POINT_PROXIMITY, idx,
+                    FateEvidence.FIXED_POINT_PROXIMITY, masks[int(hits[0])],
                 )
         lhs = 2.0 * x.sum() - x
         if np.all(lhs < bound - region_margin):
@@ -286,20 +299,23 @@ def basin_boundary(
     it fails.  Samples whose final bracket ends do not show the
     origin/infinity fate pair (undetermined fates, or lines with no flip)
     are flagged, never fabricated.
+
+    Every fate follows the rules of `classify_fate` at its default margins.
+    The feasible nonzero fixed points it stops at are built once per call
+    (grown over the supports whose deficit stays at most 1/2) and shared by
+    all bracket, bisection, probe and straddle fates.
     """
     if rates.n != 2:
         raise DimensionMismatch(f"boundary extraction requires n=2, got n={rates.n}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     grid = np.atleast_1d(np.asarray(x1_grid, dtype=float))
     if np.any(grid < 0.0) or not np.all(np.isfinite(grid)):
         raise DomainError("x1 grid must be finite and nonnegative")
+    targets = _fate_targets(rates, PROXIMITY_RTOL)
 
     def fate(x1: float, x2: float) -> FateReport:
-        return classify_fate(
-            rates, np.array([x1, x2]), budget,
-            eps_conv=eps_conv, r_escape=r_escape,
-        )
+        return _fate(rates, np.array([x1, x2]), budget, targets, eps_conv, r_escape, REGION_MARGIN)
 
     samples = []
     for x1 in grid:

@@ -124,6 +124,42 @@ def enumerate_fixed_points(rates: Rates) -> list[FixedPoint]:
     ]
 
 
+def feasible_nonzero_points(rates: Rates) -> tuple[list[int], np.ndarray]:
+    """Masks and coordinates (one row each) of the feasible nonzero fixed
+    points, mask-ascending.
+
+    Bit for bit the feasible non-origin entries of `enumerate_fixed_points`,
+    without building the others.  On a support S the smallest-rate coordinate
+    has the sign of the slack 1/2 - sum_{j in S} (1 - r_min(S)/r_j); the
+    deficit sum only grows with S, so every subset of a feasible support is
+    feasible.  Supports are therefore grown depth-first in increasing index
+    order and a branch is dropped once its deficit exceeds 1/2 (plus a
+    round-off margin; the kept points pass the exact coordinate test).  The
+    cost is proportional to the points returned, which is 2^n - 1 for equal
+    rates, so the enumeration cap still applies.
+    """
+    n = rates.n
+    if n > MAX_ENUM_DIM:
+        raise DomainError(f"n={n} exceeds the enumeration cap ({MAX_ENUM_DIM})")
+    theta = rates.values
+    rate = theta.tolist()
+    found: list[tuple[int, np.ndarray]] = []
+    stack: list[tuple[list[int], int, float, float]] = [([], 0, 0.0, float("inf"))]
+    while stack:
+        idx, mask, recip_sum, r_min = stack.pop()
+        for k in range(idx[-1] + 1 if idx else 0, n):
+            sub, low, total = idx + [k], min(r_min, rate[k]), recip_sum + 1.0 / rate[k]
+            if len(sub) - low * total > 0.5 + 1e-9:
+                continue
+            coords = np.zeros(n)
+            coords[sub] = _interior_coords(theta[sub])
+            if np.all(coords >= 0.0):
+                found.append((mask | 1 << k, coords))
+            stack.append((sub, mask | 1 << k, total, low))
+    found.sort(key=lambda item: item[0])
+    return [mask for mask, _ in found], np.array([c for _, c in found]).reshape(len(found), n)
+
+
 def coefficient_determinant(n: int) -> float:
     """Determinant of the n x n matrix with 1 on the diagonal and 2 elsewhere.
 

@@ -28,9 +28,6 @@ class StabilityTag(enum.Enum):
     REPELLING = "repelling"
     SADDLE = "saddle"
     NONHYPERBOLIC = "nonhyperbolic"
-    # Reserved for parameter-regime boundary reporting; classify() never
-    # returns it (the four tags above are exhaustive).
-    BOUNDARY = "boundary"
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ def classify(eigenvalues, tol: float = TAU_UNIT) -> StabilityClass:
     Anything within `tol` of the circle is reported nonhyperbolic rather
     than guessed to a side.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     mods = np.abs(np.asarray(eigenvalues, dtype=complex).ravel())
     if mods.size == 0:

@@ -1,6 +1,8 @@
 import json
+import logging
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +212,28 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "fixed-points", "--theta", "1,1", "--config", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"budget": "10"}', '{"r_escape": null}', '{"budget": true}', '{"budget": 10.0}',
+            '{"seed": 1.5}', '{"eps_conv": false}', '{"theta": [1, "2"]}', '{"theta": 2}',
+            '{"format": 3}', '{"r_escape": NaN}', '{"r_escape": 1' + "0" * 400 + '}', '[1, 2]', '{"budget":',
+        ],
+    )
+    def test_bad_value_is_usage_error(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, "simulate", "--theta", "1,1", "--x0", "0.1,0.1", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_typed_values_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"theta": [1, 1], "budget": 5, "eps_conv": 1, "format": "json"}))
+        code, out, _ = run_cli(capsys, "simulate", "--theta", "2,2", "--x0", "0.1,0.1", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["theta"] == [1.0, 1.0]
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self, capsys):
@@ -224,6 +248,37 @@ class TestUsage:
         code, _, err = run_cli(capsys, "basin", "--theta", "1,1", "--x1-range", "0:1:2", "--tol", "0")
         assert code == 2
         assert "positive" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("basin", "--theta", "0.4,0.6", "--x1-range", "0.5:1.0:2", "--tol", "nan"),
+            ("fixed-points", "--theta", "0.4,0.6", "--tol", "nan"),
+            ("fixed-points", "--theta", "0.4,inf"),
+        ],
+    )
+    def test_nonfinite_values_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and "finite" in err
+
+    def test_verify_rejects_csv(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--trials", "1", "--format", "csv")
+        assert code == 2
+        assert out == "" and "csv" in err
+
+    def test_log_handler_installed_once(self, capsys, monkeypatch):
+        logger = logging.getLogger("qdyn")
+        monkeypatch.setattr(logger, "handlers", [])
+        monkeypatch.setenv("QDYN_LOG", "debug")
+        try:
+            # beyond 2/r1 = 2.5 the line escapes at x2 = 0, which is logged once
+            errs = [run_cli(capsys, "basin", "--theta", "0.8,0.2", "--x1-range", "3:3:1")[2] for _ in range(2)]
+            assert len(logger.handlers) == 1
+        finally:
+            logger.setLevel(logging.NOTSET)
+        for err in errs:
+            assert err.count("escapes already at x2=0") == 1
 
     def test_zero_budget_rejected(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--theta", "1,1", "--x0", "0.1,0.1", "--budget", "0")
@@ -244,3 +299,16 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert '"fixed_points"' in proc.stdout
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: case["argv"][0])
+def test_golden_stdout(capsys, case):
+    # Captured before fate targets came from the closed-form feasible
+    # supports: simulate at n = 2, 5, 10 (CSV and JSON, fixed-point hits
+    # included) and basin with one rate pair per regime.
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == 0
+    assert out == case["stdout"]

@@ -159,6 +159,14 @@ class TestClassifyFate:
         with pytest.raises(DomainError):
             classify_fate(rates_04_06, [0.1, 0.1], budget=0)
 
+    def test_degenerate_support_reports_first_mask(self):
+        # masks 2 and 3 share the coordinates (0, 1); the lower mask wins
+        assert classify_fate(Rates([1.0, 2.0]), [0.0, 1.0]).fixed_point_index == 2
+
+    def test_cap(self):
+        with pytest.raises(DomainError, match=r"n=21 exceeds the enumeration cap \(20\)"):
+            classify_fate(Rates(np.ones(21)), np.zeros(21))
+
 
 class TestUnstableLine:
     def test_slope_examples(self):
@@ -266,6 +274,19 @@ class TestBasinBoundary:
         sample = basin_boundary(rates_04_06, [6.0], tol=1e-6)[0]
         assert sample.flagged
         assert "no fate flip" in sample.note
+
+    def test_builds_fate_targets_once(self, rates_04_06, monkeypatch):
+        from qdyn import dynamics
+
+        calls = []
+        original = dynamics.feasible_nonzero_points
+        monkeypatch.setattr(dynamics, "feasible_nonzero_points", lambda r: calls.append(r) or original(r))
+        basin_boundary(rates_04_06, [0.0, 5.0 / 9.0, 6.0], tol=1e-6)
+        assert len(calls) == 1
+
+    def test_rejects_nan_tolerance(self, rates_04_06):
+        with pytest.raises(DomainError):
+            basin_boundary(rates_04_06, [0.5, 1.0], tol=float("nan"))
 
     def test_requires_n2(self, rates_ones3):
         with pytest.raises(Exception):

@@ -13,6 +13,7 @@ from qdyn import (
     fixed_point_for_support,
     interior_fixed_point,
 )
+from qdyn.fixed_points import feasible_nonzero_points
 from helpers import explicit_coefficient_matrix, newton_fixed_point_search
 
 
@@ -133,6 +134,29 @@ class TestEnumeration:
     def test_coords_match_unchecked_apply(self, rates_04_06):
         for fp in enumerate_fixed_points(rates_04_06):
             np.testing.assert_allclose(apply_unchecked(rates_04_06, fp.coords), fp.coords, atol=1e-12)
+
+
+class TestFeasibleNonzeroPoints:
+    @given(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=2, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_enumeration_filter(self, values):
+        # a small value set forces tied rates and deficits of exactly 1/2
+        rates = Rates(values)
+        kept = [p for p in enumerate_fixed_points(rates) if p.feasible and not p.is_origin]
+        masks, coords = feasible_nonzero_points(rates)
+        assert masks == [p.support.mask_int for p in kept]
+        assert np.array_equal(coords, np.array([p.coords for p in kept]).reshape(len(kept), rates.n))
+
+    def test_degenerate_support_keeps_exact_zero(self):
+        # rates (1, 2): the interior point (0, 1) has an exact zero and is
+        # feasible, so it shares its coordinates with the axis point
+        masks, coords = feasible_nonzero_points(Rates([1.0, 2.0]))
+        assert masks == [1, 2, 3]
+        assert np.array_equal(coords[1], [0.0, 1.0]) and np.array_equal(coords[2], [0.0, 1.0])
+
+    def test_cap(self):
+        with pytest.raises(DomainError, match=r"n=21 exceeds the enumeration cap \(20\)"):
+            feasible_nonzero_points(Rates(np.ones(21)))
 
 
 class TestCoefficientDeterminant:

@@ -87,6 +87,10 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify([1.0], tol=0.0)
 
+    def test_rejects_nan_tolerance(self):
+        with pytest.raises(DomainError):
+            classify([1.0], tol=float("nan"))
+
 
 class TestRootLocation:
     def test_examples(self):
