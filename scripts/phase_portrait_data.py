@@ -4,7 +4,8 @@ points with classes, the invariant-line slope, and basin boundary samples.
 
 Example:
     python3 scripts/phase_portrait_data.py --theta 0.4,0.6 --out portrait
-writes portrait_fates.csv and portrait_boundary.csv next to the repo root.
+writes portrait_fates.csv and portrait_boundary.csv; --out is a path prefix,
+so relative names land in the working directory.
 """
 
 import argparse

@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Subcommands: fixed-points, classify, simulate, basin, verify.  Output is
-JSON or CSV on stdout with shortest round-trip float formatting, so runs
-with identical configuration are byte-identical.  Exit codes: 0 success,
-1 verification failure, 2 usage or precondition error.  The QDYN_LOG
-environment variable sets diagnostic verbosity on stderr and never affects
-computed numbers.
+Subcommands: fixed-points, classify, simulate, basin, verify.  Each
+subparser declares the RunConfig fields its command reads and its output
+formats, the first being the default; --config keys override the flags.
+Output is JSON, CSV or (verify) text on stdout with shortest round-trip
+float formatting, so identical configurations give byte-identical runs.
+Exit codes: 0 success, 1 verification failure, 2 usage or precondition
+error.  QDYN_LOG sets diagnostic verbosity on stderr, never the numbers.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,14 +34,14 @@ DEFAULT_BISECT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class RunConfig:
-    theta: tuple[float, ...] | None
+    theta: tuple[float, ...] | None = None
     seed: int = 0
     tau_unit: float = TAU_UNIT
     eps_conv: float = EPS_CONV
     r_escape: float = R_ESCAPE
     bisect_tol: float = DEFAULT_BISECT_TOL
     budget: int = DEFAULT_BUDGET
-    output_format: str = "json"
+    format: str = "json"
 
     def __post_init__(self) -> None:
         # chained comparisons are False for NaN, so NaN is rejected too
@@ -53,8 +54,6 @@ class RunConfig:
             raise QdynError("budget must be >= 1")
         if self.seed < 0:
             raise QdynError("seed must be a nonnegative integer")
-        if self.output_format not in ("json", "csv"):
-            raise QdynError(f"unknown format {self.output_format!r}")
 
     def rates(self) -> Rates:
         if self.theta is None:
@@ -89,24 +88,20 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    tol = getattr(args, "tol", None)
-    budget = getattr(args, "budget", None)
-    cfg = RunConfig(
-        theta=_parse_floats(args.theta, "--theta") if getattr(args, "theta", None) else None,
-        seed=getattr(args, "seed", 0) or 0,
-        tau_unit=tol if args.command in ("fixed-points", "classify") and tol is not None else TAU_UNIT,
-        bisect_tol=tol if args.command == "basin" and tol is not None else DEFAULT_BISECT_TOL,
-        budget=budget if budget is not None else DEFAULT_BUDGET,
-        output_format=getattr(args, "format", None) or ("csv" if args.command in ("simulate", "basin") else "json"),
-    )
-    if getattr(args, "config", None):
+    """RunConfig from the flags the command declared, overridden by --config."""
+    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None}
+    if "theta" in settings:
+        settings["theta"] = _parse_floats(settings["theta"], "--theta")
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 overrides = json.load(fh)
             except ValueError as exc:
                 raise QdynError(f"--config is not valid JSON: {exc}") from exc
-        cfg = replace(cfg, **_checked_overrides(overrides))
-    return cfg
+        settings.update(_checked_overrides(overrides))
+    if settings["format"] not in args.formats:
+        raise QdynError(f"{args.command} prints {' or '.join(args.formats)}, not {settings['format']!r}")
+    return RunConfig(**settings)
 
 
 _KIND_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list of numbers"}
@@ -121,11 +116,11 @@ def _fits(value, kind: type) -> bool:
 
 def _checked_overrides(overrides) -> dict:
     """Config-file keys as RunConfig fields, each type-checked against the
-    field's default ("format" names output_format; theta is a list)."""
+    field's default (theta is a list)."""
     if not isinstance(overrides, dict):
         raise QdynError("--config must hold a JSON object")
-    kinds = {"format" if f.name == "output_format" else f.name: type(f.default) for f in fields(RunConfig)}
-    kinds["theta"] = list  # the only field without a default
+    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
+    kinds["theta"] = list  # the only field that defaults to None
     unknown = set(overrides) - set(kinds)
     if unknown:
         raise QdynError(f"unknown config keys: {sorted(unknown)}")
@@ -137,7 +132,7 @@ def _checked_overrides(overrides) -> dict:
             value = tuple(map(float, value)) if key == "theta" else float(value) if kinds[key] is float else value
         except OverflowError as exc:
             raise QdynError(f"config key {key!r} is out of range") from exc
-        checked["output_format" if key == "format" else key] = value
+        checked[key] = value
     return checked
 
 
@@ -188,19 +183,19 @@ def cmd_fixed_points(cfg: RunConfig, args: argparse.Namespace) -> int:
     rates = cfg.rates()
     points = enumerate_fixed_points(rates)
     records = [_point_record(rates, i, p, cfg.tau_unit) for i, p in enumerate(points)]
-    _emit_point_records(rates, records, cfg.output_format)
+    _emit_point_records(rates, records, cfg.format)
     return 0
 
 
 def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
     rates = cfg.rates()
-    bits = [int(round(b)) for b in _parse_floats(args.support, "--support")]
-    if len(bits) != rates.n or any(b not in (0, 1) for b in bits):
-        raise QdynError(f"--support expects {rates.n} bits (0 or 1)")
-    support = SupportMask.from_bits(bits)
+    bits = args.support.split(",")
+    if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
+        raise QdynError(f"--support expects {rates.n} bits (0 or 1), got {args.support!r}")
+    support = SupportMask.from_bits([int(b) for b in bits])
     point = fixed_point_for_support(rates, support)
     record = _point_record(rates, support.mask_int, point, cfg.tau_unit)
-    _emit_point_records(rates, [record], cfg.output_format)
+    _emit_point_records(rates, [record], cfg.format)
     return 0
 
 
@@ -219,7 +214,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     x0 = np.array(_parse_floats(args.x0, "--x0"))
     trajectory = iterate(rates, x0, args.steps, eps_conv=cfg.eps_conv, r_escape=cfg.r_escape)
     report = classify_fate(rates, x0, cfg.budget, eps_conv=cfg.eps_conv, r_escape=cfg.r_escape)
-    if cfg.output_format == "json":
+    if cfg.format == "json":
         payload = {
             "theta": [float(t) for t in rates.values],
             "trajectory": [[float(c) for c in row] for row in trajectory],
@@ -254,7 +249,7 @@ def cmd_basin(cfg: RunConfig, args: argparse.Namespace) -> int:
         rates, grid, tol=cfg.bisect_tol, budget=cfg.budget,
         eps_conv=cfg.eps_conv, r_escape=cfg.r_escape,
     )
-    if cfg.output_format == "json":
+    if cfg.format == "json":
         payload = {
             "theta": [float(t) for t in rates.values],
             "tol": cfg.bisect_tol,
@@ -278,12 +273,8 @@ def cmd_basin(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.n < 2 or args.n > 12:
         raise QdynError(f"verify requires 2 <= n <= 12, got n = {args.n}")
-    if args.trials < 1:
-        raise QdynError("--trials must be >= 1")
-    if cfg.output_format == "csv":
-        raise QdynError("verify prints text or --format json, not csv")
     summary = verification_sweep(args.n, args.trials, cfg.seed)
-    if getattr(args, "format", None) == "json":
+    if cfg.format == "json":
         payload = {
             "n": summary.n,
             "trials": summary.trials,
@@ -313,42 +304,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qdyn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, theta: bool = True) -> None:
+    def add_command(name, handler, help, formats, theta=True) -> argparse.ArgumentParser:
+        # the flags every command takes; formats[0] is the default format
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, formats=formats)
         if theta:
             p.add_argument("--theta", help="comma-separated positive rates, e.g. 0.4,0.6")
         p.add_argument("--config", help="JSON config file; its keys override flags")
-        p.add_argument("--format", choices=("json", "csv"), help="output format")
-        p.add_argument("--budget", type=int, help="iteration cap for fate classification")
+        p.add_argument("--format", choices=formats, default=formats[0], help=f"output format (default {formats[0]})")
+        return p
 
-    p = sub.add_parser("fixed-points", help="enumerate all 2^n fixed points with spectra and classes")
-    add_common(p)
-    p.add_argument("--tol", type=float, help="unit-circle tolerance for classification")
-    p.set_defaults(handler=cmd_fixed_points)
+    p = add_command("fixed-points", cmd_fixed_points, "enumerate all 2^n fixed points with spectra and classes",
+                    ("json", "csv"))
+    p.add_argument("--tol", dest="tau_unit", type=float, metavar="TOL", help="unit-circle tolerance for classification")
 
-    p = sub.add_parser("classify", help="one fixed point selected by its support bit list")
-    add_common(p)
+    p = add_command("classify", cmd_classify, "one fixed point selected by its support bit list", ("json", "csv"))
     p.add_argument("--support", required=True, help="bit list, e.g. 1,0,1")
-    p.add_argument("--tol", type=float, help="unit-circle tolerance for classification")
-    p.set_defaults(handler=cmd_classify)
+    p.add_argument("--tol", dest="tau_unit", type=float, metavar="TOL", help="unit-circle tolerance for classification")
 
-    p = sub.add_parser("simulate", help="iterate from an initial state and report the fate")
-    add_common(p)
+    p = add_command("simulate", cmd_simulate, "iterate from an initial state and report the fate", ("csv", "json"))
     p.add_argument("--x0", required=True, help="comma-separated initial state")
     p.add_argument("--steps", type=int, default=100, help="trajectory length to emit")
-    p.set_defaults(handler=cmd_simulate)
+    p.add_argument("--budget", type=int, help="iteration cap for fate classification")
 
-    p = sub.add_parser("basin", help="bisect the basin boundary on a grid of x1 values (n=2)")
-    add_common(p)
+    p = add_command("basin", cmd_basin, "bisect the basin boundary on a grid of x1 values (n=2)", ("csv", "json"))
     p.add_argument("--x1-range", dest="x1_range", required=True, help="lo:hi:count")
-    p.add_argument("--tol", type=float, help="bisection bracket width")
-    p.set_defaults(handler=cmd_basin)
+    p.add_argument("--tol", dest="bisect_tol", type=float, metavar="TOL", help="bisection bracket width")
+    p.add_argument("--budget", type=int, help="iteration cap for fate classification")
 
-    p = sub.add_parser("verify", help="randomized verification sweep over seeded rate draws")
-    add_common(p, theta=False)
+    p = add_command("verify", cmd_verify, "randomized verification sweep over seeded rate draws", ("text", "json"),
+                    theta=False)
     p.add_argument("--n", type=int, required=True, help="dimension (2..12)")
     p.add_argument("--trials", type=int, default=100, help="number of rate draws")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.set_defaults(handler=cmd_verify)
     return parser
 
 
@@ -382,10 +370,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return args.handler(cfg, args)
-    except QdynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QdynError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

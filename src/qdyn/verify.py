@@ -27,6 +27,16 @@ RESIDUAL_RTOL = 1e-9
 EIG_TWO_DISTANCE_TOL = 1e-6
 EIG_TWO_RESIDUAL_TOL = 1e-8
 
+# check name -> tolerance on its worst metric, in report order
+CHECK_TOLERANCES = {
+    "fixed-point residual (relative)": RESIDUAL_RTOL,
+    "fixed-point count == 2^n": 0.0,
+    "eigenvalue-2 distance min |lam - 2|": EIG_TWO_DISTANCE_TOL,
+    "eigenvalue-2 residual |det(J - 2I)| / ||J||^n": EIG_TWO_RESIDUAL_TOL,
+    "attracting only at the origin": 0.0,
+    "MBAR one-step invariance and monotonicity": 0.0,
+}
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -81,12 +91,9 @@ def sample_in_region(rng: np.random.Generator, rates: Rates, region: RegionKind)
     return s * u
 
 
-def _check_one_trial(rates: Rates, rng: np.random.Generator, points_per_region: int):
-    """Worst-case metrics for a single rate draw.
-
-    Returns (residual, count_err, eig_dist, eig_resid, attracting_err,
-    region_err); everything is 0-or-positive, bigger is worse.
-    """
+def _check_one_trial(rates: Rates, rng: np.random.Generator, points_per_region: int) -> dict[str, float]:
+    """Worst-case metric per check name (a key of CHECK_TOLERANCES) for a
+    single rate draw; everything is 0-or-positive, bigger is worse."""
     points = enumerate_fixed_points(rates)
     count_err = abs(len(points) - 2**rates.n)
 
@@ -117,7 +124,14 @@ def _check_one_trial(rates: Rates, rng: np.random.Generator, points_per_region: 
                 region_err += 1.0
             diff = x_next - x if region is RegionKind.MBAR1 else x - x_next
             region_err = max(region_err, float(np.max(diff)))
-    return residual, count_err, eig_dist, eig_resid, attracting_err, region_err
+    return {
+        "fixed-point residual (relative)": residual,
+        "fixed-point count == 2^n": count_err,
+        "eigenvalue-2 distance min |lam - 2|": eig_dist,
+        "eigenvalue-2 residual |det(J - 2I)| / ||J||^n": eig_resid,
+        "attracting only at the origin": attracting_err,
+        "MBAR one-step invariance and monotonicity": region_err,
+    }
 
 
 def verification_sweep(
@@ -133,27 +147,18 @@ def verification_sweep(
         raise DomainError(f"trials must be >= 1, got {trials}")
     rng = make_rng(seed)
 
-    names_tols = [
-        ("fixed-point residual (relative)", RESIDUAL_RTOL),
-        ("fixed-point count == 2^n", 0.0),
-        ("eigenvalue-2 distance min |lam - 2|", EIG_TWO_DISTANCE_TOL),
-        ("eigenvalue-2 residual |det(J - 2I)| / ||J||^n", EIG_TWO_RESIDUAL_TOL),
-        ("attracting only at the origin", 0.0),
-        ("MBAR one-step invariance and monotonicity", 0.0),
-    ]
-    worsts = [0.0] * len(names_tols)
-    failures: list[list[str]] = [[] for _ in names_tols]
+    worsts = dict.fromkeys(CHECK_TOLERANCES, 0.0)
+    failures: dict[str, list[str]] = {name: [] for name in CHECK_TOLERANCES}
 
     for _ in range(trials):
         rates = sample_rates(rng, n)
-        metrics = _check_one_trial(rates, rng, points_per_region)
-        for k, value in enumerate(metrics):
-            worsts[k] = max(worsts[k], value)
-            if value > names_tols[k][1] and len(failures[k]) < 5:
-                failures[k].append(repr(rates.values.tolist()))
+        for name, value in _check_one_trial(rates, rng, points_per_region).items():
+            worsts[name] = max(worsts[name], value)
+            if value > CHECK_TOLERANCES[name] and len(failures[name]) < 5:
+                failures[name].append(repr(rates.values.tolist()))
 
     checks = tuple(
-        CheckResult(name, worsts[k], tol, worsts[k] <= tol, tuple(failures[k]))
-        for k, (name, tol) in enumerate(names_tols)
+        CheckResult(name, worsts[name], tol, worsts[name] <= tol, tuple(failures[name]))
+        for name, tol in CHECK_TOLERANCES.items()
     )
     return VerificationSummary(n=n, trials=trials, seed=seed, checks=checks)

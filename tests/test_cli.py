@@ -68,6 +68,12 @@ class TestClassifyCommand:
         np.testing.assert_allclose(rec["coords"], [2.0 / 3.0, 0.0, 2.0 / 3.0])
         assert rec["class"] == "saddle"
 
+    @pytest.mark.parametrize("bits", ["nan,1", "inf,1", "0.7,0.4", "1.0,0", "2,1", "1,", " 1,0"])
+    def test_support_accepts_only_literal_bits(self, capsys, bits):
+        code, out, err = run_cli(capsys, "classify", "--theta", "1,1", "--support", bits)
+        assert code == 2
+        assert out == "" and err.startswith("error: --support") and err.count("\n") == 1
+
     def test_support_length_mismatch(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--theta", "1,1", "--support", "1,0,1")
         assert code == 2
@@ -233,6 +239,67 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "simulate", "--theta", "2,2", "--x0", "0.1,0.1", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["theta"] == [1.0, 1.0]
+
+
+def write_config(tmp_path, settings) -> str:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(settings))
+    return str(path)
+
+
+class TestSettingsPath:
+    VERIFY = ("verify", "--n", "2", "--trials", "2", "--seed", "4")
+
+    def test_verify_format_from_config(self, capsys, tmp_path):
+        _, flagged, _ = run_cli(capsys, *self.VERIFY, "--format", "json")
+        code, configured, _ = run_cli(capsys, *self.VERIFY, "--config", write_config(tmp_path, {"format": "json"}))
+        assert code == 0
+        assert configured == flagged
+        json.loads(configured)
+
+    def test_verify_text_is_the_default(self, capsys):
+        assert run_cli(capsys, *self.VERIFY, "--format", "text")[:2] == run_cli(capsys, *self.VERIFY)[:2]
+
+    @pytest.mark.parametrize(
+        "argv, fmt",
+        [
+            (VERIFY, "csv"),
+            (("fixed-points", "--theta", "0.4,0.6"), "text"),
+            (("simulate", "--theta", "1,1", "--x0", "0.1,0.1"), "text"),
+        ],
+    )
+    def test_config_format_outside_the_command_is_usage_error(self, capsys, tmp_path, argv, fmt):
+        code, out, err = run_cli(capsys, *argv, "--config", write_config(tmp_path, {"format": fmt}))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fixed-points", "--theta", "0.4,0.6"),
+            ("classify", "--theta", "1,1", "--support", "1,0"),
+            VERIFY,
+        ],
+    )
+    def test_budget_rejected_where_unused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--budget", "10")
+        assert code == 2
+        assert out == "" and "--budget" in err
+
+    @pytest.mark.parametrize(
+        "argv, tol, field",
+        [
+            (("fixed-points", "--theta", "0.4,0.6"), "0.5", "tau_unit"),
+            (("classify", "--theta", "1,1,1", "--support", "1,0,1"), "0.5", "tau_unit"),
+            (("basin", "--theta", "0.4,0.6", "--x1-range", "0:1:2"), "0.001", "bisect_tol"),
+        ],
+    )
+    def test_tol_flag_matches_config_field(self, capsys, tmp_path, argv, tol, field):
+        code, flagged, _ = run_cli(capsys, *argv, "--tol", tol)
+        assert code == 0
+        configured = run_cli(capsys, *argv, "--config", write_config(tmp_path, {field: float(tol)}))[1]
+        assert configured == flagged
+        assert run_cli(capsys, *argv)[1] != flagged  # the tolerance reached the output
 
 
 class TestUsage:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qdyn import DomainError, RegionKind, region_membership
-from qdyn.verify import make_rng, sample_in_region, sample_rates, verification_sweep
+from qdyn.verify import CHECK_TOLERANCES, _check_one_trial, make_rng, sample_in_region, sample_rates, verification_sweep
 
 
 def test_sample_rates_in_open_closed_interval():
@@ -34,6 +34,14 @@ def test_sweep_summary_shape_and_pass():
     assert summary.passed
     assert len(summary.checks) == 6
     assert summary.checks[0].worst <= summary.checks[0].tolerance
+
+
+def test_trial_metrics_are_named_by_the_checks():
+    rng = make_rng(5)
+    metrics = _check_one_trial(sample_rates(rng, 3), rng, points_per_region=2)
+    assert list(metrics) == list(CHECK_TOLERANCES)
+    summary = verification_sweep(n=3, trials=2, seed=5)
+    assert [(c.name, c.tolerance) for c in summary.checks] == list(CHECK_TOLERANCES.items())
 
 
 def test_sweep_is_reproducible():
