@@ -2,6 +2,8 @@
 orthant: exact fixed-point enumeration, stability classification, trajectory
 fates, basin-boundary extraction, and randomized structural verification."""
 
+import logging
+
 from .dynamics import (
     DEFAULT_BUDGET,
     EPS_CONV,
@@ -10,7 +12,6 @@ from .dynamics import (
     FateEvidence,
     FateOutcome,
     FateReport,
-    RayDirection,
     RegionKind,
     basin_boundary,
     classify_fate,
@@ -56,6 +57,10 @@ from .stability import (
     spectrum_at,
 )
 
+# Diagnostics reach stderr only through a handler the application installs
+# (the CLI installs one when QDYN_LOG is set), never logging's last resort.
+logging.getLogger("qdyn").addHandler(logging.NullHandler())
+
 __version__ = "0.1.0"
 
 __all__ = [
@@ -74,7 +79,6 @@ __all__ = [
     "QdynError",
     "R_ESCAPE",
     "Rates",
-    "RayDirection",
     "RegionKind",
     "RegionNotApplicable",
     "RootLocation",

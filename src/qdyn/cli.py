@@ -84,6 +84,8 @@ def _parse_range(text: str) -> np.ndarray:
         raise QdynError(f"--x1-range expects lo:hi:count, got {text!r}") from exc
     if count < 1:
         raise QdynError("--x1-range count must be >= 1")
+    if not math.isfinite(hi - lo):
+        raise QdynError(f"--x1-range ends and their span hi - lo must be finite, got {text!r}")
     return np.linspace(lo, hi, count)
 
 

@@ -13,6 +13,7 @@ no usable closed form and is extracted by bisection instead.
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -70,14 +71,6 @@ class FateReport:
 
 
 @dataclass(frozen=True)
-class RayDirection:
-    """Direction of the invariant ray through the origin and the interior
-    fixed point, normalized to unit inf-norm."""
-
-    direction: np.ndarray
-
-
-@dataclass(frozen=True)
 class BoundarySample:
     """One bisected point of the basin boundary on a vertical line.
 
@@ -131,6 +124,26 @@ def region_membership(rates: Rates, x, region: RegionKind) -> bool:
     return bool(lhs[1] <= bound[1]) if region is RegionKind.M5 else bool(lhs[0] >= bound[0])
 
 
+def _orbit(theta: np.ndarray, x: np.ndarray, eps_conv: float, r_escape: float):
+    """Yield (state, inf-norm) along the orbit of x, ending after the first
+    state whose norm leaves [eps_conv, r_escape] or before a nonfinite state.
+
+    The only place the map is stepped.  A nonfinite step (quadratic blow-up
+    past the float range, reachable only from enormous inputs or rates) is
+    logged and ends the orbit at the last finite state; callers walk it
+    under np.errstate so that numpy does not warn about it.
+    """
+    for states in itertools.count(1):
+        norm = float(np.abs(x).max())  # array methods: this runs once per step
+        yield x, norm
+        if norm < eps_conv or norm > r_escape:
+            return
+        x = _step(theta, x)
+        if not np.isfinite(x).all():
+            log.warning("overflow step; orbit truncated at %d states", states)
+            return
+
+
 def iterate(
     rates: Rates,
     x0,
@@ -147,19 +160,9 @@ def iterate(
     """
     if max_steps < 0:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
-    x = as_state(x0, rates.n)
-    out = [x]
-    for _ in range(max_steps):
-        norm = float(np.max(np.abs(x)))
-        if norm < eps_conv or norm > r_escape:
-            break
-        nxt = _step(rates.values, x)
-        if not np.all(np.isfinite(nxt)):
-            log.warning("overflow step; trajectory truncated at %d states", len(out))
-            break
-        out.append(nxt)
-        x = nxt
-    return np.array(out)
+    orbit = _orbit(rates.values, as_state(x0, rates.n), eps_conv, r_escape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([x for x, _ in itertools.islice(orbit, max_steps + 1)])
 
 
 def classify_fate(
@@ -169,16 +172,15 @@ def classify_fate(
     *,
     eps_conv: float = EPS_CONV,
     r_escape: float = R_ESCAPE,
-    region_margin: float = REGION_MARGIN,
-    proximity_rtol: float = PROXIMITY_RTOL,
 ) -> FateReport:
     """Asymptotic outcome of the trajectory starting at x0.
 
     Stopping rules, checked in order at every step (including step 0):
-    proximity to a feasible nonzero fixed point; strict interior of MBAR1
-    (to the origin) or MBAR2 (to infinity); the inf-norm thresholds.  The
-    region shortcut needs a strict margin because the nonzero fixed points
-    sit exactly on the region boundaries.  The outcome is undetermined only
+    proximity to a feasible nonzero fixed point (within PROXIMITY_RTOL of
+    max(1, |coords|)); strict interior of MBAR1 (to the origin) or MBAR2
+    (to infinity); the inf-norm thresholds.  The region shortcut needs the
+    strict margin REGION_MARGIN because the nonzero fixed points sit
+    exactly on the region boundaries.  The outcome is undetermined only
     when the iteration budget runs out.
 
     Only the feasible nonzero fixed points are built as proximity targets,
@@ -188,53 +190,43 @@ def classify_fate(
     mask, which is its index in the mask-ordered enumeration.
     """
     x = as_state(x0, rates.n)
-    targets = _fate_targets(rates, proximity_rtol)
-    return _fate(rates, x, budget, targets, eps_conv, r_escape, region_margin)
+    return _fate(rates, x, budget, _fate_targets(rates), eps_conv, r_escape)
 
 
-def _fate_targets(rates: Rates, proximity_rtol: float) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _fate_targets(rates: Rates) -> tuple[np.ndarray, np.ndarray, list[int]]:
     # Coordinates, proximity radii and support masks of the fate targets.
     masks, coords = feasible_nonzero_points(rates)
-    return coords, proximity_rtol * np.maximum(1.0, np.max(np.abs(coords), axis=1)), masks
+    return coords, PROXIMITY_RTOL * np.maximum(1.0, np.max(np.abs(coords), axis=1)), masks
 
 
-def _fate(
-    rates: Rates, x: np.ndarray, budget: int, targets, eps_conv: float, r_escape: float, region_margin: float
-) -> FateReport:
+def _fate(rates: Rates, x: np.ndarray, budget: int, targets, eps_conv: float, r_escape: float) -> FateReport:
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
     target_coords, target_tols, masks = targets
     bound = 2.0 / rates.values
-
-    steps = 0
-    while True:
-        if masks:
-            dist = np.max(np.abs(target_coords - x), axis=1)
-            hits = np.nonzero(dist <= target_tols)[0]
-            if hits.size:
-                return FateReport(
-                    FateOutcome.TO_FIXED_POINT, steps, _readonly(x),
-                    FateEvidence.FIXED_POINT_PROXIMITY, masks[int(hits[0])],
-                )
-        lhs = 2.0 * x.sum() - x
-        if np.all(lhs < bound - region_margin):
-            return FateReport(FateOutcome.TO_ORIGIN, steps, _readonly(x), FateEvidence.REGION_CONTAINMENT)
-        if np.all(lhs > bound + region_margin):
-            return FateReport(FateOutcome.TO_INFINITY, steps, _readonly(x), FateEvidence.REGION_CONTAINMENT)
-        norm = float(np.max(np.abs(x)))
-        if norm < eps_conv:
-            return FateReport(FateOutcome.TO_ORIGIN, steps, _readonly(x), FateEvidence.NORM_THRESHOLD)
-        if norm > r_escape:
-            return FateReport(FateOutcome.TO_INFINITY, steps, _readonly(x), FateEvidence.NORM_THRESHOLD)
-        if steps >= budget:
-            return FateReport(FateOutcome.UNDETERMINED, steps, _readonly(x), FateEvidence.ITERATION_CAP)
-        nxt = _step(rates.values, x)
-        steps += 1
-        if not np.all(np.isfinite(nxt)):
-            # Quadratic blow-up past the float range; only reachable from
-            # inputs already past r_escape by many orders of magnitude.
-            return FateReport(FateOutcome.TO_INFINITY, steps, _readonly(x), FateEvidence.NORM_THRESHOLD)
-        x = nxt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for steps, (x, norm) in enumerate(_orbit(rates.values, x, eps_conv, r_escape)):
+            if masks:
+                dist = np.max(np.abs(target_coords - x), axis=1)
+                hits = np.nonzero(dist <= target_tols)[0]
+                if hits.size:
+                    return FateReport(
+                        FateOutcome.TO_FIXED_POINT, steps, _readonly(x),
+                        FateEvidence.FIXED_POINT_PROXIMITY, masks[int(hits[0])],
+                    )
+            lhs = 2.0 * x.sum() - x
+            if np.all(lhs < bound - REGION_MARGIN):
+                return FateReport(FateOutcome.TO_ORIGIN, steps, _readonly(x), FateEvidence.REGION_CONTAINMENT)
+            if np.all(lhs > bound + REGION_MARGIN):
+                return FateReport(FateOutcome.TO_INFINITY, steps, _readonly(x), FateEvidence.REGION_CONTAINMENT)
+            if norm < eps_conv:
+                return FateReport(FateOutcome.TO_ORIGIN, steps, _readonly(x), FateEvidence.NORM_THRESHOLD)
+            if norm > r_escape:
+                return FateReport(FateOutcome.TO_INFINITY, steps, _readonly(x), FateEvidence.NORM_THRESHOLD)
+            if steps >= budget:
+                return FateReport(FateOutcome.UNDETERMINED, steps, _readonly(x), FateEvidence.ITERATION_CAP)
+    # The orbit ended before a nonfinite state: the next step overflowed.
+    return FateReport(FateOutcome.TO_INFINITY, steps + 1, _readonly(x), FateEvidence.NORM_THRESHOLD)
 
 
 def unstable_line_slope(rates: Rates) -> float:
@@ -249,8 +241,9 @@ def unstable_line_slope(rates: Rates) -> float:
     return float((2.0 * t2 - t1) / denom)
 
 
-def unstable_ray(rates: Rates) -> RayDirection:
-    """Direction of the invariant ray through the interior fixed point.
+def unstable_ray(rates: Rates) -> np.ndarray:
+    """Direction of the invariant ray through the interior fixed point,
+    normalized to unit inf-norm (read-only).
 
     Coordinate ratios along the ray are preserved by the map, so it is the
     unstable manifold of the interior point whenever that point is feasible.
@@ -261,7 +254,7 @@ def unstable_ray(rates: Rates) -> RayDirection:
     top = float(np.max(point.coords))
     if top <= 0.0:
         raise DomainError("degenerate interior fixed point at the origin")
-    return RayDirection(_readonly(point.coords / top))
+    return _readonly(point.coords / top)
 
 
 def stable_tangent_n2(rates: Rates) -> np.ndarray:
@@ -300,7 +293,7 @@ def basin_boundary(
     origin/infinity fate pair (undetermined fates, or lines with no flip)
     are flagged, never fabricated.
 
-    Every fate follows the rules of `classify_fate` at its default margins.
+    Every fate follows the rules of `classify_fate`.
     The feasible nonzero fixed points it stops at are built once per call
     (grown over the supports whose deficit stays at most 1/2) and shared by
     all bracket, bisection, probe and straddle fates.
@@ -312,15 +305,12 @@ def basin_boundary(
     grid = np.atleast_1d(np.asarray(x1_grid, dtype=float))
     if np.any(grid < 0.0) or not np.all(np.isfinite(grid)):
         raise DomainError("x1 grid must be finite and nonnegative")
-    targets = _fate_targets(rates, PROXIMITY_RTOL)
+    targets = _fate_targets(rates)
 
     def fate(x1: float, x2: float) -> FateReport:
-        return _fate(rates, np.array([x1, x2]), budget, targets, eps_conv, r_escape, REGION_MARGIN)
+        return _fate(rates, np.array([x1, x2]), budget, targets, eps_conv, r_escape)
 
-    samples = []
-    for x1 in grid:
-        samples.append(_bisect_line(rates, float(x1), fate, tol))
-    return samples
+    return [_bisect_line(rates, float(x1), fate, tol) for x1 in grid]
 
 
 def _bisect_line(rates: Rates, x1: float, fate, tol: float) -> BoundarySample:
@@ -351,11 +341,15 @@ def _bisect_line(rates: Rates, x1: float, fate, tol: float) -> BoundarySample:
         report = fate(x1, mid)
         if report.outcome is FateOutcome.TO_FIXED_POINT:
             # The midpoint landed on the boundary curve itself (inside the
-            # proximity radius of a fixed point).  Straddle the hit just
-            # outside that radius to certify an origin/infinity bracket.
-            straddled = _straddle_fixed_point(x1, mid, low, high, fate, tol)
-            if straddled is not None:
-                return straddled
+            # proximity radius of a fixed point).  Straddle the hit by a
+            # quarter of the requested width, far outside that radius, to
+            # certify an origin/infinity bracket; flag it if that fails.
+            lo_try, hi_try = mid - 0.25 * tol, mid + 0.25 * tol
+            # (low >= 0, so a straddle inside the bracket stays positive)
+            if (low < lo_try and hi_try < high
+                    and fate(x1, lo_try).outcome is FateOutcome.TO_ORIGIN
+                    and fate(x1, hi_try).outcome is FateOutcome.TO_INFINITY):
+                return BoundarySample(x1, lo_try, hi_try, hi_try - lo_try, False, "")
             return BoundarySample(
                 x1, low, high, high - low, True,
                 f"bisection landed on a fixed point at x2={mid!r}",
@@ -381,22 +375,3 @@ def _bisect_line(rates: Rates, x1: float, fate, tol: float) -> BoundarySample:
     note = "; ".join(notes)
     return BoundarySample(x1, low, high, high - low, bool(note), note)
 
-
-def _straddle_fixed_point(
-    x1: float, hit: float, low: float, high: float, fate, tol: float
-) -> BoundarySample | None:
-    """Certified bracket around a bisection midpoint that sits on a fixed point.
-
-    Offsets by a quarter of the requested width, which is far outside the
-    proximity radius at default settings; returns None when the straddle
-    cannot certify the origin/infinity fate pair.
-    """
-    offset = 0.25 * tol
-    lo_try, hi_try = hit - offset, hit + offset
-    if lo_try <= low or hi_try >= high or lo_try <= 0.0:
-        return None
-    if fate(x1, lo_try).outcome is not FateOutcome.TO_ORIGIN:
-        return None
-    if fate(x1, hi_try).outcome is not FateOutcome.TO_INFINITY:
-        return None
-    return BoundarySample(x1, lo_try, hi_try, hi_try - lo_try, False, "")

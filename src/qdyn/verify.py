@@ -26,6 +26,7 @@ RATE_HIGH = 3.0
 RESIDUAL_RTOL = 1e-9
 EIG_TWO_DISTANCE_TOL = 1e-6
 EIG_TWO_RESIDUAL_TOL = 1e-8
+POINTS_PER_REGION = 2  # MBAR1 and MBAR2 samples per rate draw
 
 # check name -> tolerance on its worst metric, in report order
 CHECK_TOLERANCES = {
@@ -134,12 +135,7 @@ def _check_one_trial(rates: Rates, rng: np.random.Generator, points_per_region: 
     }
 
 
-def verification_sweep(
-    n: int,
-    trials: int,
-    seed: int,
-    points_per_region: int = 2,
-) -> VerificationSummary:
+def verification_sweep(n: int, trials: int, seed: int) -> VerificationSummary:
     """Run all randomized checks over `trials` seeded rate draws."""
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
@@ -152,7 +148,7 @@ def verification_sweep(
 
     for _ in range(trials):
         rates = sample_rates(rng, n)
-        for name, value in _check_one_trial(rates, rng, points_per_region).items():
+        for name, value in _check_one_trial(rates, rng, POINTS_PER_REGION).items():
             worsts[name] = max(worsts[name], value)
             if value > CHECK_TOLERANCES[name] and len(failures[name]) < 5:
                 failures[name].append(repr(rates.values.tolist()))

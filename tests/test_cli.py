@@ -1,7 +1,9 @@
 import json
 import logging
+import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +145,14 @@ class TestBasinCommand:
         assert code == 0
         row = out.strip().splitlines()[1].split(",")
         assert 0.5 * (float(row[1]) + float(row[2])) == pytest.approx(10.0, abs=1e-4)
+
+    @pytest.mark.parametrize("spec", ["0:inf:2", "nan:1:2", "1e308:-1e308:3"])
+    def test_nonfinite_range_is_one_line_usage_error(self, capsys, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "basin", "--theta", "1,1", "--x1-range", spec)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_requires_two_rates(self, capsys):
         code, _, err = run_cli(capsys, "basin", "--theta", "1,1,1", "--x1-range", "0:1:2")
@@ -356,6 +366,29 @@ class TestUsage:
         monkeypatch.setenv("QDYN_LOG", "DEBUG")
         _, logged, _ = run_cli(capsys, "fixed-points", "--theta", "0.4,0.6")
         assert plain == logged
+
+    def run_overflowing_simulate(self, **env):
+        # the first step from x0 overflows the float range
+        env = {k: v for k, v in os.environ.items() if k != "QDYN_LOG"} | env
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        argv = ("simulate", "--theta", "1e-300,1e300", "--x0", "1e5,1e5", "--steps", "3")
+        return subprocess.run([sys.executable, "-m", "qdyn.cli", *argv], capture_output=True, text=True, env=env)
+
+    def test_overflow_is_silent_without_qdyn_log(self):
+        proc = self.run_overflowing_simulate()
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[1:] == [
+            "0,100000.0,100000.0",
+            "# fate=to_infinity steps_used=1 evidence=norm_threshold fixed_point_index=None final=100000.0,100000.0",
+        ]
+
+    def test_overflow_is_noted_with_qdyn_log(self):
+        quiet = self.run_overflowing_simulate()
+        logged = self.run_overflowing_simulate(QDYN_LOG="debug")
+        assert logged.returncode == 0
+        assert logged.stdout == quiet.stdout
+        assert "overflow" in logged.stderr
 
     def test_module_invocation(self):
         # console entry point semantics via python -m style execution

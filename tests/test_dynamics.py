@@ -167,6 +167,32 @@ class TestClassifyFate:
         with pytest.raises(DomainError, match=r"n=21 exceeds the enumeration cap \(20\)"):
             classify_fate(Rates(np.ones(21)), np.zeros(21))
 
+    def test_overflowing_step_escapes_from_the_last_finite_state(self):
+        # no region or threshold holds at x0, and the first step overflows
+        rates = Rates([1e-300, 1e300])
+        report = classify_fate(rates, [1e5, 1e5])
+        assert report.outcome is FateOutcome.TO_INFINITY
+        assert report.steps_used == 1
+        assert report.evidence is FateEvidence.NORM_THRESHOLD
+        np.testing.assert_array_equal(report.final_state, [1e5, 1e5])
+        np.testing.assert_array_equal(iterate(rates, [1e5, 1e5], 3), [[1e5, 1e5]])
+
+    def test_final_state_lies_on_the_iterated_orbit(self):
+        # starts between the scales where the MBAR1 and MBAR2 constraints
+        # bind along a random direction, so the fate takes real steps
+        rng = make_rng(4)
+        for draw in range(200):
+            n = 2 + draw % 7
+            rates = sample_rates(rng, n)
+            u = -np.log(1.0 - rng.random(n))
+            u /= u.sum()
+            critical = 2.0 / (rates.values * (2.0 - u))
+            x0 = (critical.min() + (critical.max() - critical.min()) * rng.random()) * u
+            report = classify_fate(rates, x0)
+            traj = iterate(rates, x0, report.steps_used)
+            assert len(traj) == report.steps_used + 1
+            np.testing.assert_array_equal(traj[-1], report.final_state)
+
 
 class TestUnstableLine:
     def test_slope_examples(self):
@@ -185,10 +211,10 @@ class TestUnstableLine:
 
 class TestUnstableRay:
     def test_symmetric_direction(self, rates_ones3):
-        np.testing.assert_allclose(unstable_ray(rates_ones3).direction, [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(unstable_ray(rates_ones3), [1.0, 1.0, 1.0])
 
     def test_direction_04_06(self, rates_04_06):
-        np.testing.assert_allclose(unstable_ray(rates_04_06).direction, [0.25, 1.0], atol=1e-12)
+        np.testing.assert_allclose(unstable_ray(rates_04_06), [0.25, 1.0], atol=1e-12)
 
     def test_infeasible_interior_rejected(self):
         with pytest.raises(DomainError):
@@ -198,7 +224,7 @@ class TestUnstableRay:
         # note r3 = 2*r1 makes the interior point degenerate: (0, 0, 1/2);
         # the ray collapses onto the x3 axis but stays invariant
         rates = Rates([1.0, 1.0, 2.0])
-        direction = unstable_ray(rates).direction
+        direction = unstable_ray(rates)
         np.testing.assert_allclose(direction, [0.0, 0.0, 1.0])
         for scale in (0.3, 1.7):
             x = scale * direction
@@ -210,7 +236,7 @@ class TestUnstableRay:
 
     def test_ratio_preserved_generic_triple(self):
         rates = Rates([1.0, 1.1, 0.9])
-        direction = unstable_ray(rates).direction
+        direction = unstable_ray(rates)
         assert np.all(direction > 0.0)
         for scale in (0.3, 1.7):
             x = scale * direction
@@ -253,6 +279,15 @@ class TestBasinBoundary:
         assert not sample.flagged
         assert sample.midpoint == pytest.approx(10.0 / 3.0, abs=1e-4)
         assert sample.width <= 1e-6
+
+    def test_bisection_straddles_a_fixed_point_hit(self, rates_04_06):
+        # at x1 = 0 the first midpoint is the axis fixed point (0, 2/r2); the
+        # bracket straddles it by a quarter of tol on each side
+        tol = 1e-6
+        sample = basin_boundary(rates_04_06, [0.0], tol=tol)[0]
+        assert not sample.flagged
+        assert sample.x2_low < 10.0 / 3.0 < sample.x2_high
+        assert sample.width == pytest.approx(tol / 2, rel=1e-6)
 
     def test_interior_anchor(self, rates_04_06):
         sample = basin_boundary(rates_04_06, [5.0 / 9.0], tol=1e-6)[0]
