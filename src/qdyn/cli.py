@@ -3,7 +3,9 @@
 Subcommands: fixed-points, classify, simulate, basin, verify.  Each
 subparser declares the RunConfig fields its command reads and its output
 formats, the first being the default; --config keys override the flags.
-Output is JSON, CSV or (verify) text on stdout with shortest round-trip
+Handlers print nothing: each returns its exit code, a JSON payload and its
+CSV rows or text lines (a lazy iterable, read only if printed), and `main`
+prints the one the format names once, on stdout, with shortest round-trip
 float formatting, so identical configurations give byte-identical runs.
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error.  QDYN_LOG sets diagnostic verbosity on stderr, never the numbers.
@@ -13,16 +15,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from typing import Iterable
 
 import numpy as np
 
-from .dynamics import DEFAULT_BUDGET, EPS_CONV, R_ESCAPE, basin_boundary, classify_fate, iterate
+from .dynamics import DEFAULT_BUDGET, basin_boundary, classify_fate, iterate
 from .errors import QdynError
 from .fixed_points import FixedPoint, SupportMask, enumerate_fixed_points, fixed_point_for_support
 from .model import Rates
@@ -37,8 +41,6 @@ class RunConfig:
     theta: tuple[float, ...] | None = None
     seed: int = 0
     tau_unit: float = TAU_UNIT
-    eps_conv: float = EPS_CONV
-    r_escape: float = R_ESCAPE
     bisect_tol: float = DEFAULT_BISECT_TOL
     budget: int = DEFAULT_BUDGET
     format: str = "json"
@@ -47,7 +49,7 @@ class RunConfig:
         # chained comparisons are False for NaN, so NaN is rejected too
         if self.theta is not None and not all(0.0 < t < math.inf for t in self.theta):
             raise QdynError("all rates must be finite and strictly positive")
-        for name in ("tau_unit", "eps_conv", "r_escape", "bisect_tol"):
+        for name in ("tau_unit", "bisect_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise QdynError(f"{name} must be finite and positive")
         if self.budget < 1:
@@ -58,13 +60,7 @@ class RunConfig:
     def rates(self) -> Rates:
         if self.theta is None:
             raise QdynError("--theta is required for this command")
-        if len(self.theta) < 2:
-            raise QdynError(f"n must be >= 2, got {len(self.theta)} rate(s)")
         return Rates(np.array(self.theta))
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -129,7 +125,7 @@ def _checked_overrides(overrides) -> dict:
     checked = {}
     for key, value in overrides.items():
         if not _fits(value, kinds[key]):
-            raise QdynError(f"config key {key!r} must be {_KIND_NAMES[kinds[key]]}, got {json.dumps(value)}")
+            raise QdynError(f"config key {key!r} must be {_KIND_NAMES[kinds[key]]}, got {value!r}")
         try:
             value = tuple(map(float, value)) if key == "theta" else float(value) if kinds[key] is float else value
         except OverflowError as exc:
@@ -138,7 +134,7 @@ def _checked_overrides(overrides) -> dict:
     return checked
 
 
-def _point_record(rates: Rates, index: int, point: FixedPoint, tau_unit: float) -> dict:
+def _point_record(rates: Rates, point: FixedPoint, tau_unit: float) -> dict:
     spectrum = spectrum_at(rates, point)
     cls = classify(spectrum, tau_unit)
     return {
@@ -152,154 +148,126 @@ def _point_record(rates: Rates, index: int, point: FixedPoint, tau_unit: float) 
         "inside": cls.inside,
         "outside": cls.outside,
         "on_unit": cls.on_unit,
-        "index": index,
+        "index": point.support.mask_int,  # the position in the mask-ordered enumeration
     }
 
 
-def _emit_point_records(rates: Rates, records: list[dict], fmt: str) -> None:
-    if fmt == "json":
-        payload = {
-            "theta": [float(t) for t in rates.values],
-            "n": rates.n,
-            "fixed_points": records,
-        }
-        print(json.dumps(payload, indent=2))
-        return
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    header = ["mask", "support", "feasible", "residual"]
-    header += [f"x{k + 1}" for k in range(rates.n)]
-    for k in range(rates.n):
-        header += [f"eig{k + 1}_re", f"eig{k + 1}_im"]
-    header.append("class")
-    writer.writerow(header)
-    for rec in records:
-        row = [rec["mask"], "".join(str(b) for b in rec["support"]), str(rec["feasible"]).lower(), _fmt(rec["residual"])]
-        row += [_fmt(c) for c in rec["coords"]]
-        for re_part, im_part in rec["eigenvalues"]:
-            row += [_fmt(re_part), _fmt(im_part)]
-        row.append(rec["class"])
-        writer.writerow(row)
+def _points_output(rates: Rates, points: list[FixedPoint], tau_unit: float) -> tuple[int, dict, Iterable]:
+    records = [_point_record(rates, p, tau_unit) for p in points]
+    payload = {"theta": rates.values.tolist(), "n": rates.n, "fixed_points": records}
+    header = ["mask", "support", "feasible", "residual", *(f"x{k + 1}" for k in range(rates.n))]
+    header += [f"eig{k + 1}_{part}" for k in range(rates.n) for part in ("re", "im")] + ["class"]
+    rows = (
+        [rec["mask"], "".join(map(str, rec["support"])), str(rec["feasible"]).lower(), rec["residual"],
+         *rec["coords"], *itertools.chain.from_iterable(rec["eigenvalues"]), rec["class"]]
+        for rec in records
+    )
+    return 0, payload, itertools.chain([header], rows)
 
 
-def cmd_fixed_points(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_fixed_points(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
     rates = cfg.rates()
-    points = enumerate_fixed_points(rates)
-    records = [_point_record(rates, i, p, cfg.tau_unit) for i, p in enumerate(points)]
-    _emit_point_records(rates, records, cfg.format)
-    return 0
+    return _points_output(rates, enumerate_fixed_points(rates), cfg.tau_unit)
 
 
-def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
     rates = cfg.rates()
     bits = args.support.split(",")
     if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
         raise QdynError(f"--support expects {rates.n} bits (0 or 1), got {args.support!r}")
     support = SupportMask.from_bits([int(b) for b in bits])
-    point = fixed_point_for_support(rates, support)
-    record = _point_record(rates, support.mask_int, point, cfg.tau_unit)
-    _emit_point_records(rates, [record], cfg.format)
-    return 0
+    return _points_output(rates, [fixed_point_for_support(rates, support)], cfg.tau_unit)
 
 
-def _fate_dict(report) -> dict:
-    return {
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
+    rates = cfg.rates()
+    x0 = np.array(_parse_floats(args.x0, "--x0"))
+    trajectory = iterate(rates, x0, args.steps).tolist()
+    report = classify_fate(rates, x0, cfg.budget)
+    fate = {
         "outcome": report.outcome.value,
         "steps_used": report.steps_used,
         "evidence": report.evidence.value,
         "fixed_point_index": report.fixed_point_index,
-        "final_state": [float(c) for c in report.final_state],
+        "final_state": report.final_state.tolist(),
     }
-
-
-def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    rates = cfg.rates()
-    x0 = np.array(_parse_floats(args.x0, "--x0"))
-    trajectory = iterate(rates, x0, args.steps, eps_conv=cfg.eps_conv, r_escape=cfg.r_escape)
-    report = classify_fate(rates, x0, cfg.budget, eps_conv=cfg.eps_conv, r_escape=cfg.r_escape)
-    if cfg.format == "json":
-        payload = {
-            "theta": [float(t) for t in rates.values],
-            "trajectory": [[float(c) for c in row] for row in trajectory],
-            "fate": _fate_dict(report),
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["step"] + [f"x{k + 1}" for k in range(rates.n)])
-    for step, row in enumerate(trajectory):
-        writer.writerow([step] + [_fmt(c) for c in row])
-    fate = _fate_dict(report)
-    print(
+    payload = {"theta": rates.values.tolist(), "trajectory": trajectory, "fate": fate}
+    trailer = (
         "# fate={outcome} steps_used={steps_used} evidence={evidence} "
-        "fixed_point_index={fixed_point_index} final={final}".format(
-            outcome=fate["outcome"],
-            steps_used=fate["steps_used"],
-            evidence=fate["evidence"],
-            fixed_point_index=fate["fixed_point_index"],
-            final=",".join(_fmt(c) for c in fate["final_state"]),
-        )
-    )
-    return 0
+        "fixed_point_index={fixed_point_index} final={final}"
+    ).format(**fate, final=",".join(map(repr, fate["final_state"])))
+    header = ["step", *(f"x{k + 1}" for k in range(rates.n))]
+    rows = ([step, *row] for step, row in enumerate(trajectory))
+    return 0, payload, itertools.chain([header], rows, [trailer])
 
 
-def cmd_basin(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_basin(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
     rates = cfg.rates()
     if rates.n != 2:
         raise QdynError(f"basin requires n = 2, got n = {rates.n}")
     grid = _parse_range(args.x1_range)
-    samples = basin_boundary(
-        rates, grid, tol=cfg.bisect_tol, budget=cfg.budget,
-        eps_conv=cfg.eps_conv, r_escape=cfg.r_escape,
-    )
-    if cfg.format == "json":
-        payload = {
-            "theta": [float(t) for t in rates.values],
-            "tol": cfg.bisect_tol,
-            "samples": [
-                {
-                    "x1": s.x1, "x2_low": s.x2_low, "x2_high": s.x2_high,
-                    "width": s.width, "flagged": s.flagged, "note": s.note,
-                }
-                for s in samples
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["x1", "x2_low", "x2_high", "width", "flagged"])
-    for s in samples:
-        writer.writerow([_fmt(s.x1), _fmt(s.x2_low), _fmt(s.x2_high), _fmt(s.width), str(s.flagged).lower()])
-    return 0
+    samples = basin_boundary(rates, grid, tol=cfg.bisect_tol, budget=cfg.budget)
+    payload = {
+        "theta": rates.values.tolist(),
+        "tol": cfg.bisect_tol,
+        "samples": [
+            {
+                "x1": s.x1, "x2_low": s.x2_low, "x2_high": s.x2_high,
+                "width": s.width, "flagged": s.flagged, "note": s.note,
+            }
+            for s in samples
+        ],
+    }
+    header = ["x1", "x2_low", "x2_high", "width", "flagged"]
+    rows = ([s.x1, s.x2_low, s.x2_high, s.width, str(s.flagged).lower()] for s in samples)
+    return 0, payload, itertools.chain([header], rows)
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
     if args.n < 2 or args.n > 12:
         raise QdynError(f"verify requires 2 <= n <= 12, got n = {args.n}")
     summary = verification_sweep(args.n, args.trials, cfg.seed)
-    if cfg.format == "json":
-        payload = {
-            "n": summary.n,
-            "trials": summary.trials,
-            "seed": summary.seed,
-            "passed": summary.passed,
-            "checks": [
-                {
-                    "name": c.name, "worst": c.worst, "tolerance": c.tolerance,
-                    "passed": c.passed, "failures": list(c.failures),
-                }
-                for c in summary.checks
-            ],
-        }
+    payload = {
+        "n": summary.n,
+        "trials": summary.trials,
+        "seed": summary.seed,
+        "passed": summary.passed,
+        "checks": [
+            {
+                "name": c.name, "worst": c.worst, "tolerance": c.tolerance,
+                "passed": c.passed, "failures": list(c.failures),
+            }
+            for c in summary.checks
+        ],
+    }
+    return (0 if summary.passed else 1), payload, _verify_lines(summary)
+
+
+def _verify_lines(summary) -> Iterable[str]:
+    for c in summary.checks:
+        status = "PASS" if c.passed else "FAIL"
+        yield f"{c.name}: max = {c.worst:.3e} (tol {c.tolerance:.1e}): {status}"
+        for theta in c.failures:
+            yield f"  offending theta: {theta}"
+    verdict = "all checks passed" if summary.passed else "FAILURES above"
+    yield f"verified {summary.trials} draws at n={summary.n}, seed={summary.seed}: {verdict}"
+
+
+def _emit(fmt: str, payload: dict, rows: Iterable) -> None:
+    """Print the payload as JSON, or else the rows: a str row verbatim (text
+    lines, simulate's fate trailer), any other row as a CSV record.
+
+    csv writes a float cell (numpy float64 included) with float's repr, the
+    shortest round-trip form, as json.dumps does."""
+    if fmt == "json":
         print(json.dumps(payload, indent=2))
-    else:
-        for c in summary.checks:
-            status = "PASS" if c.passed else "FAIL"
-            print(f"{c.name}: max = {c.worst:.3e} (tol {c.tolerance:.1e}): {status}")
-            for theta in c.failures:
-                print(f"  offending theta: {theta}")
-        verdict = "all checks passed" if summary.passed else "FAILURES above"
-        print(f"verified {summary.trials} draws at n={summary.n}, seed={summary.seed}: {verdict}")
-    return 0 if summary.passed else 1
+        return
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    for row in rows:
+        if isinstance(row, str):
+            print(row)
+        else:
+            writer.writerow(row)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,7 +339,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
-        return args.handler(cfg, args)
+        code, payload, rows = args.handler(cfg, args)
+        _emit(cfg.format, payload, rows)
+        return code
     except (QdynError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

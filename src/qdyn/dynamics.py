@@ -92,8 +92,10 @@ class BoundarySample:
 
 
 def _constraints(rates: Rates, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # lhs_k = x_k + 2*sum_{i != k} x_i, bound_k = 2/r_k
-    lhs = 2.0 * x.sum() - x
+    # lhs_k = x_k + 2*sum_{i != k} x_i, bound_k = 2/r_k; a sum past the
+    # float range is inf, which lies above every bound
+    with np.errstate(over="ignore"):
+        lhs = 2.0 * x.sum() - x
     return lhs, 2.0 / rates.values
 
 
@@ -124,9 +126,9 @@ def region_membership(rates: Rates, x, region: RegionKind) -> bool:
     return bool(lhs[1] <= bound[1]) if region is RegionKind.M5 else bool(lhs[0] >= bound[0])
 
 
-def _orbit(theta: np.ndarray, x: np.ndarray, eps_conv: float, r_escape: float):
+def _orbit(theta: np.ndarray, x: np.ndarray):
     """Yield (state, inf-norm) along the orbit of x, ending after the first
-    state whose norm leaves [eps_conv, r_escape] or before a nonfinite state.
+    state whose norm leaves [EPS_CONV, R_ESCAPE] or before a nonfinite state.
 
     The only place the map is stepped.  A nonfinite step (quadratic blow-up
     past the float range, reachable only from enormous inputs or rates) is
@@ -136,7 +138,7 @@ def _orbit(theta: np.ndarray, x: np.ndarray, eps_conv: float, r_escape: float):
     for states in itertools.count(1):
         norm = float(np.abs(x).max())  # array methods: this runs once per step
         yield x, norm
-        if norm < eps_conv or norm > r_escape:
+        if norm < EPS_CONV or norm > R_ESCAPE:
             return
         x = _step(theta, x)
         if not np.isfinite(x).all():
@@ -144,35 +146,21 @@ def _orbit(theta: np.ndarray, x: np.ndarray, eps_conv: float, r_escape: float):
             return
 
 
-def iterate(
-    rates: Rates,
-    x0,
-    max_steps: int,
-    *,
-    eps_conv: float = EPS_CONV,
-    r_escape: float = R_ESCAPE,
-) -> np.ndarray:
+def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
     """Trajectory [x0, H(x0), ...] as an array of shape (steps+1, n).
 
-    Stops early once the inf-norm leaves [eps_conv, r_escape]; the crossing
+    Stops early once the inf-norm leaves [EPS_CONV, R_ESCAPE]; the crossing
     state is included.  A nonfinite iterate (possible only from enormous
     inputs) truncates the trajectory at the last finite state.
     """
     if max_steps < 0:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
-    orbit = _orbit(rates.values, as_state(x0, rates.n), eps_conv, r_escape)
+    orbit = _orbit(rates.values, as_state(x0, rates.n))
     with np.errstate(over="ignore", invalid="ignore"):
         return np.array([x for x, _ in itertools.islice(orbit, max_steps + 1)])
 
 
-def classify_fate(
-    rates: Rates,
-    x0,
-    budget: int = DEFAULT_BUDGET,
-    *,
-    eps_conv: float = EPS_CONV,
-    r_escape: float = R_ESCAPE,
-) -> FateReport:
+def classify_fate(rates: Rates, x0, budget: int = DEFAULT_BUDGET) -> FateReport:
     """Asymptotic outcome of the trajectory starting at x0.
 
     Stopping rules, checked in order at every step (including step 0):
@@ -190,7 +178,7 @@ def classify_fate(
     mask, which is its index in the mask-ordered enumeration.
     """
     x = as_state(x0, rates.n)
-    return _fate(rates, x, budget, _fate_targets(rates), eps_conv, r_escape)
+    return _fate(rates, x, budget, _fate_targets(rates))
 
 
 def _fate_targets(rates: Rates) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -199,13 +187,13 @@ def _fate_targets(rates: Rates) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return coords, PROXIMITY_RTOL * np.maximum(1.0, np.max(np.abs(coords), axis=1)), masks
 
 
-def _fate(rates: Rates, x: np.ndarray, budget: int, targets, eps_conv: float, r_escape: float) -> FateReport:
+def _fate(rates: Rates, x: np.ndarray, budget: int, targets) -> FateReport:
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
     target_coords, target_tols, masks = targets
     bound = 2.0 / rates.values
     with np.errstate(over="ignore", invalid="ignore"):
-        for steps, (x, norm) in enumerate(_orbit(rates.values, x, eps_conv, r_escape)):
+        for steps, (x, norm) in enumerate(_orbit(rates.values, x)):
             if masks:
                 dist = np.max(np.abs(target_coords - x), axis=1)
                 hits = np.nonzero(dist <= target_tols)[0]
@@ -219,9 +207,9 @@ def _fate(rates: Rates, x: np.ndarray, budget: int, targets, eps_conv: float, r_
                 return FateReport(FateOutcome.TO_ORIGIN, steps, _readonly(x), FateEvidence.REGION_CONTAINMENT)
             if np.all(lhs > bound + REGION_MARGIN):
                 return FateReport(FateOutcome.TO_INFINITY, steps, _readonly(x), FateEvidence.REGION_CONTAINMENT)
-            if norm < eps_conv:
+            if norm < EPS_CONV:
                 return FateReport(FateOutcome.TO_ORIGIN, steps, _readonly(x), FateEvidence.NORM_THRESHOLD)
-            if norm > r_escape:
+            if norm > R_ESCAPE:
                 return FateReport(FateOutcome.TO_INFINITY, steps, _readonly(x), FateEvidence.NORM_THRESHOLD)
             if steps >= budget:
                 return FateReport(FateOutcome.UNDETERMINED, steps, _readonly(x), FateEvidence.ITERATION_CAP)
@@ -272,15 +260,7 @@ def stable_tangent_n2(rates: Rates) -> np.ndarray:
     return np.array([1.0, -t2 / t1])
 
 
-def basin_boundary(
-    rates: Rates,
-    x1_grid,
-    tol: float = 1e-8,
-    budget: int = DEFAULT_BUDGET,
-    *,
-    eps_conv: float = EPS_CONV,
-    r_escape: float = R_ESCAPE,
-) -> list[BoundarySample]:
+def basin_boundary(rates: Rates, x1_grid, tol: float = 1e-8, budget: int = DEFAULT_BUDGET) -> list[BoundarySample]:
     """Bisect the basin boundary on vertical lines x1 = const (n = 2).
 
     For each abscissa the escape side is bracketed by doubling x2 upward
@@ -308,7 +288,7 @@ def basin_boundary(
     targets = _fate_targets(rates)
 
     def fate(x1: float, x2: float) -> FateReport:
-        return _fate(rates, np.array([x1, x2]), budget, targets, eps_conv, r_escape)
+        return _fate(rates, np.array([x1, x2]), budget, targets)
 
     return [_bisect_line(rates, float(x1), fate, tol) for x1 in grid]
 

@@ -104,7 +104,9 @@ def fixed_point_for_support(rates: Rates, support: SupportMask) -> FixedPoint:
     if support.nonzero:
         idx = list(support.indices())
         coords[idx] = _interior_coords(rates.values[idx])
-    residual = float(np.max(np.abs(apply_unchecked(rates, coords) - coords)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # extreme rates can overflow the step; the residual is then inf or nan
+        residual = float(np.max(np.abs(apply_unchecked(rates, coords) - coords)))
     feasible = bool(np.all(coords >= 0.0))
     return FixedPoint(_readonly(coords), support, feasible, residual)
 

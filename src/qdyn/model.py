@@ -14,6 +14,7 @@ share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,6 +45,10 @@ class Rates:
             raise DomainError("rates must be finite")
         if np.any(values <= 0.0):
             raise DomainError("rates must be strictly positive")
+        # 4*n*sum(1/r_k) bounds every intermediate of the closed-form fixed
+        # points; Python floats overflow to inf without a warning
+        if not math.isfinite(4.0 * values.size * sum(1.0 / r for r in values.tolist())):
+            raise DomainError("rates too small: 4*n*sum(1/r_k) overflows")
         object.__setattr__(self, "values", _readonly(values))
 
     @property
@@ -123,6 +128,8 @@ def jacobian(rates: Rates, x) -> np.ndarray:
         raise DimensionMismatch(f"state has shape {arr.shape}, expected ({rates.n},)")
     if not np.all(np.isfinite(arr)):
         raise DomainError("state must be finite")
-    jac = np.repeat((rates.values * arr)[:, None], rates.n, axis=1)
-    np.fill_diagonal(jac, rates.values * arr.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        # entries past the float range become inf; the eigensolver rejects them
+        jac = np.repeat((rates.values * arr)[:, None], rates.n, axis=1)
+        np.fill_diagonal(jac, rates.values * arr.sum())
     return jac

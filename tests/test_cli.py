@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import logging
+import re
 import os
 import subprocess
 import sys
@@ -224,6 +227,13 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config keys" in err
 
+    def test_fate_thresholds_are_not_config_keys(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"eps_conv": 1e-12}))
+        code, out, err = run_cli(capsys, "simulate", "--theta", "1,1", "--x0", "0.1,0.1", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and err == "error: unknown config keys: ['eps_conv']\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "fixed-points", "--theta", "1,1", "--config", "/nonexistent.json")
         assert code == 2
@@ -231,9 +241,9 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "text",
         [
-            '{"budget": "10"}', '{"r_escape": null}', '{"budget": true}', '{"budget": 10.0}',
-            '{"seed": 1.5}', '{"eps_conv": false}', '{"theta": [1, "2"]}', '{"theta": 2}',
-            '{"format": 3}', '{"r_escape": NaN}', '{"r_escape": 1' + "0" * 400 + '}', '[1, 2]', '{"budget":',
+            '{"budget": "10"}', '{"tau_unit": null}', '{"budget": true}', '{"budget": 10.0}',
+            '{"seed": 1.5}', '{"bisect_tol": false}', '{"theta": [1, "2"]}', '{"theta": 2}',
+            '{"format": 3}', '{"tau_unit": NaN}', '{"bisect_tol": 1' + "0" * 400 + '}', '[1, 2]', '{"budget":',
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, tmp_path, text):
@@ -245,7 +255,7 @@ class TestConfigFile:
 
     def test_typed_values_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"theta": [1, 1], "budget": 5, "eps_conv": 1, "format": "json"}))
+        cfg.write_text(json.dumps({"theta": [1, 1], "budget": 5, "tau_unit": 1, "format": "json"}))
         code, out, _ = run_cli(capsys, "simulate", "--theta", "2,2", "--x0", "0.1,0.1", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["theta"] == [1.0, 1.0]
@@ -321,6 +331,20 @@ class TestUsage:
         assert code == 2
         assert "comma-separated" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--theta", "1,1e-309", "--x0", "0.1,0.1"),
+            ("basin", "--theta", "1e308,1e-308", "--x1-range", "0:1:2"),
+            ("basin", "--theta", "1e308,1e-308", "--x1-range", "0:1:2", "--format", "json"),
+        ],
+    )
+    def test_rates_too_small_for_finite_fixed_points(self, capsys, argv):
+        # 2/r_k is inf or near it: no fate or bracket may be reported
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: rates too small") and err.count("\n") == 1
+
     def test_zero_tolerance_rejected(self, capsys):
         code, _, err = run_cli(capsys, "basin", "--theta", "1,1", "--x1-range", "0:1:2", "--tol", "0")
         assert code == 2
@@ -367,12 +391,21 @@ class TestUsage:
         _, logged, _ = run_cli(capsys, "fixed-points", "--theta", "0.4,0.6")
         assert plain == logged
 
-    def run_overflowing_simulate(self, **env):
-        # the first step from x0 overflows the float range
+    def run_module(self, *argv, **env):
         env = {k: v for k, v in os.environ.items() if k != "QDYN_LOG"} | env
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-        argv = ("simulate", "--theta", "1e-300,1e300", "--x0", "1e5,1e5", "--steps", "3")
         return subprocess.run([sys.executable, "-m", "qdyn.cli", *argv], capture_output=True, text=True, env=env)
+
+    def run_overflowing_simulate(self, **env):
+        # the first step from x0 overflows the float range
+        return self.run_module("simulate", "--theta", "1e-300,1e300", "--x0", "1e5,1e5", "--steps", "3", **env)
+
+    def test_overflowing_fixed_points_print_one_error_line(self):
+        # residuals and Jacobian entries overflow; only the solver's refusal is reported
+        proc = self.run_module("fixed-points", "--theta", "1e-300,1e300")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: eigenvalue iteration failed") and proc.stderr.count("\n") == 1
 
     def test_overflow_is_silent_without_qdyn_log(self):
         proc = self.run_overflowing_simulate()
@@ -399,6 +432,102 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert '"fixed_points"' in proc.stdout
+
+
+def csv_rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+class TestFormatsAgree:
+    """Every format of one run carries the same values: CSV cells and text
+    lines are compared with the JSON payload of the same argv."""
+
+    def both(self, capsys, argv, other="csv"):
+        code, text, _ = run_cli(capsys, *argv, "--format", other)
+        json_code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == json_code
+        return json.loads(out), text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("fixed-points", "--theta", "0.4,0.6,0.9"), ("classify", "--theta", "1,1,1", "--support", "1,0,1")],
+    )
+    def test_fixed_point_rows(self, capsys, argv):
+        payload, text = self.both(capsys, argv)
+        header, *rows = csv_rows(text)
+        n = payload["n"]
+        assert header[: 4 + n] == ["mask", "support", "feasible", "residual", *(f"x{k + 1}" for k in range(n))]
+        assert header[4 + n:] == [f"eig{k + 1}_{part}" for k in range(n) for part in ("re", "im")] + ["class"]
+        assert len(rows) == len(payload["fixed_points"])
+        for row, rec in zip(rows, payload["fixed_points"]):
+            assert int(row[0]) == rec["mask"] == rec["index"]
+            assert row[1:3] == ["".join(map(str, rec["support"])), str(rec["feasible"]).lower()]
+            assert float(row[3]) == rec["residual"]
+            assert [float(v) for v in row[4:4 + n]] == rec["coords"]
+            assert [float(v) for v in row[4 + n:-1]] == [part for eig in rec["eigenvalues"] for part in eig]
+            assert row[-1] == rec["class"]
+
+    @pytest.mark.parametrize(
+        "x0", ["0.1,0.1", "0.6666666666666666,0.6666666666666666", "2,2"],
+    )
+    def test_simulate_rows_and_trailer(self, capsys, x0):
+        payload, text = self.both(capsys, ("simulate", "--theta", "1,1", "--x0", x0, "--steps", "5"))
+        *lines, trailer = text.splitlines()
+        header, *rows = csv_rows("\n".join(lines))
+        assert header == ["step", "x1", "x2"]
+        assert [int(row[0]) for row in rows] == list(range(len(payload["trajectory"])))
+        assert [[float(v) for v in row[1:]] for row in rows] == payload["trajectory"]
+        assert trailer.startswith("# ")
+        fields = dict(item.split("=") for item in trailer[2:].split())
+        fate = payload["fate"]
+        assert fields["fate"] == fate["outcome"] and fields["evidence"] == fate["evidence"]
+        assert int(fields["steps_used"]) == fate["steps_used"]
+        assert fields["fixed_point_index"] == str(fate["fixed_point_index"])
+        assert [float(v) for v in fields["final"].split(",")] == fate["final_state"]
+
+    @pytest.mark.parametrize("theta, x1_range", [("0.4,0.6", "0:1:3"), ("0.8,0.2", "2:3:2")])
+    def test_basin_rows(self, capsys, theta, x1_range):
+        payload, text = self.both(capsys, ("basin", "--theta", theta, "--x1-range", x1_range, "--tol", "1e-6"))
+        header, *rows = csv_rows(text)
+        assert header == ["x1", "x2_low", "x2_high", "width", "flagged"]
+        assert len(rows) == len(payload["samples"])
+        for row, sample in zip(rows, payload["samples"]):
+            assert [float(v) for v in row[:4]] == [sample[key] for key in header[:4]]
+            assert row[4] == str(sample["flagged"]).lower()
+        assert any(s["flagged"] for s in payload["samples"]) == (theta == "0.8,0.2")
+
+    def check_verify_lines(self, payload, text):
+        *lines, verdict = text.splitlines()
+        pattern = re.compile(r"(.+): max = (\S+) \(tol (\S+)\): (PASS|FAIL)")
+        for check in payload["checks"]:
+            name, worst, tol, status = pattern.fullmatch(lines.pop(0)).groups()
+            assert name == check["name"] and status == ("PASS" if check["passed"] else "FAIL")
+            assert float(worst) == pytest.approx(check["worst"], rel=1e-3)
+            assert float(tol) == pytest.approx(check["tolerance"], rel=1e-1)
+            for theta in check["failures"]:
+                assert lines.pop(0) == f"  offending theta: {theta}"
+        assert lines == []
+        outcome = "all checks passed" if payload["passed"] else "FAILURES above"
+        assert verdict == f"verified {payload['trials']} draws at n={payload['n']}, seed={payload['seed']}: {outcome}"
+
+    def test_verify_lines(self, capsys):
+        self.check_verify_lines(*self.both(capsys, ("verify", "--n", "3", "--trials", "3", "--seed", "5"), "text"))
+
+    def test_failed_verify_lines(self, capsys, monkeypatch):
+        from qdyn import cli as cli_module
+        from qdyn.verify import CheckResult, VerificationSummary
+
+        failing = VerificationSummary(
+            n=2, trials=1, seed=0,
+            checks=(
+                CheckResult("eigenvalue-2 residual", 1.0, 1e-8, False, ("[0.1, 0.2]", "[0.3, 0.4]")),
+                CheckResult("fixed-point residual", 1e-17, 1e-10, True, ()),
+            ),
+        )
+        monkeypatch.setattr(cli_module, "verification_sweep", lambda *a, **k: failing)
+        payload, text = self.both(capsys, ("verify", "--n", "2", "--trials", "1"), "text")
+        assert not payload["passed"]
+        self.check_verify_lines(payload, text)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())

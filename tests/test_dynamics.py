@@ -72,6 +72,12 @@ class TestRegionMembership:
     def test_origin_in_mbar1_any_n(self, rates_ones3):
         assert region_membership(rates_ones3, [0.0, 0.0, 0.0], RegionKind.MBAR1)
 
+    def test_overflowing_constraint_is_above_every_bound(self):
+        # the constraint sum overflows to inf: outside MBAR1, inside MBAR2, no warning
+        rates = Rates([1.0, 1.0])
+        assert not region_membership(rates, [1e308, 1e308], RegionKind.MBAR1)
+        assert region_membership(rates, [1e308, 1e308], RegionKind.MBAR2)
+
     def test_regime_gating(self):
         balanced = Rates([0.4, 0.6])
         lopsided = Rates([0.8, 0.2])

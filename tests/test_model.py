@@ -37,6 +37,15 @@ class TestRates:
         with pytest.raises(DomainError):
             Rates([1.0, np.inf])
 
+    @pytest.mark.parametrize("values", [[1.0, 1e-309], [1e308, 1e-308]])
+    def test_rejects_rates_whose_fixed_points_overflow(self, values):
+        # 4*n*sum(1/r_k) bounds every intermediate of the closed-form points
+        with pytest.raises(DomainError, match="rates too small"):
+            Rates(values)
+
+    def test_accepts_extreme_rates_with_finite_fixed_points(self):
+        assert Rates([1e-300, 1e300]).n == 2
+
     def test_values_are_readonly(self):
         r = Rates([1.0, 2.0])
         with pytest.raises(ValueError):
