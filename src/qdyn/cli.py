@@ -28,9 +28,9 @@ import numpy as np
 
 from .dynamics import DEFAULT_BUDGET, basin_boundary, classify_fate, iterate
 from .errors import QdynError
-from .fixed_points import FixedPoint, SupportMask, enumerate_fixed_points, fixed_point_for_support
-from .model import Rates
-from .stability import TAU_UNIT, classify, spectrum_at
+from .fixed_points import SupportMask, _all_masks, _points, _support_bits
+from .model import Rates, _jacobians
+from .stability import TAU_UNIT, _classes, _spectra
 from .verify import verification_sweep
 
 DEFAULT_BISECT_TOL = 1e-8
@@ -134,26 +134,21 @@ def _checked_overrides(overrides) -> dict:
     return checked
 
 
-def _point_record(rates: Rates, point: FixedPoint, tau_unit: float) -> dict:
-    spectrum = spectrum_at(rates, point)
-    cls = classify(spectrum, tau_unit)
-    return {
-        "mask": point.support.mask_int,
-        "support": list(point.support.bits()),
-        "coords": [float(c) for c in point.coords],
-        "feasible": point.feasible,
-        "residual": point.residual,
-        "eigenvalues": [[float(e.real), float(e.imag)] for e in spectrum],
-        "class": cls.tag.value,
-        "inside": cls.inside,
-        "outside": cls.outside,
-        "on_unit": cls.on_unit,
-        "index": point.support.mask_int,  # the position in the mask-ordered enumeration
-    }
-
-
-def _points_output(rates: Rates, points: list[FixedPoint], tau_unit: float) -> tuple[int, dict, Iterable]:
-    records = [_point_record(rates, p, tau_unit) for p in points]
+def _points_output(rates: Rates, masks: np.ndarray, tau_unit: float) -> tuple[int, dict, Iterable]:
+    # one record per support mask, read off the columns of the fixed-point table
+    coords, residual = _points(rates.values, masks)
+    spectra = _spectra(_jacobians(rates.values, coords))
+    columns = zip(
+        masks.tolist(), _support_bits(masks, rates.n).tolist(), coords.tolist(),
+        np.all(coords >= 0.0, axis=1).tolist(), residual.tolist(),
+        np.stack([spectra.real, spectra.imag], axis=-1).tolist(), _classes(spectra, tau_unit),
+    )
+    # "index" is the position in the mask-ordered enumeration
+    records = [
+        {"mask": mask, "support": bits, "coords": x, "feasible": feasible, "residual": res, "eigenvalues": eigs,
+         "class": cls.tag.value, "inside": cls.inside, "outside": cls.outside, "on_unit": cls.on_unit, "index": mask}
+        for mask, bits, x, feasible, res, eigs, cls in columns
+    ]
     payload = {"theta": rates.values.tolist(), "n": rates.n, "fixed_points": records}
     header = ["mask", "support", "feasible", "residual", *(f"x{k + 1}" for k in range(rates.n))]
     header += [f"eig{k + 1}_{part}" for k in range(rates.n) for part in ("re", "im")] + ["class"]
@@ -167,7 +162,7 @@ def _points_output(rates: Rates, points: list[FixedPoint], tau_unit: float) -> t
 
 def cmd_fixed_points(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
     rates = cfg.rates()
-    return _points_output(rates, enumerate_fixed_points(rates), cfg.tau_unit)
+    return _points_output(rates, _all_masks(rates), cfg.tau_unit)
 
 
 def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
@@ -176,7 +171,7 @@ def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, I
     if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
         raise QdynError(f"--support expects {rates.n} bits (0 or 1), got {args.support!r}")
     support = SupportMask.from_bits([int(b) for b in bits])
-    return _points_output(rates, [fixed_point_for_support(rates, support)], cfg.tau_unit)
+    return _points_output(rates, np.array([support.mask_int]), cfg.tau_unit)
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
@@ -342,7 +337,7 @@ def main(argv=None) -> int:
         code, payload, rows = args.handler(cfg, args)
         _emit(cfg.format, payload, rows)
         return code
-    except (QdynError, OSError) as exc:
+    except (QdynError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,12 +10,12 @@ infeasible, since stability analysis needs the full algebraic set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .model import Rates, _readonly, apply_unchecked
+from .model import Rates
 
 MAX_ENUM_DIM = 20  # enumeration is 2^n points; hard cap
 
@@ -80,15 +80,45 @@ class FixedPoint:
         return not self.support.nonzero
 
 
-def _interior_coords(theta: np.ndarray) -> np.ndarray:
-    # Reduced form of the Cramer solution: avoids the product of all rates,
-    # which overflows for large subsystems.  Singleton subsystems are the
-    # plain 2/r case.
-    m = theta.size
-    if m == 1:
-        return np.array([2.0 / theta[0]])
-    recip = 1.0 / theta
-    return (4.0 * recip.sum() - (4.0 * m - 2.0) * recip) / (2.0 * m - 1.0)
+def _all_masks(rates: Rates) -> np.ndarray:
+    # Every support mask, 0 .. 2^n - 1, under the enumeration cap.
+    if rates.n > MAX_ENUM_DIM:
+        raise DomainError(f"n={rates.n} exceeds the enumeration cap ({MAX_ENUM_DIM})")
+    return np.arange(1 << rates.n)
+
+
+def _support_bits(masks: Sequence[int], n: int) -> np.ndarray:
+    # One row per mask: 1 where the coordinate is in the support, else 0.
+    return (np.asarray(masks, dtype=np.int64).reshape(-1, 1) >> np.arange(n)) & 1
+
+
+def _points(theta: np.ndarray, masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (one row per support mask) and residuals |H(x) - x|_inf.
+
+    The nonzero coordinates are the reduced form of the Cramer solution on
+    the support, 4*sum_S(1/r) - (4m - 2)/r_k over 2m - 1 for a support S of
+    m coordinates, which avoids the product of all rates (it overflows for
+    large subsystems).  Supports of one size are solved in one broadcast, so
+    each row's sums are the ones a 1-d solve on that support would give.
+    """
+    bits = _support_bits(masks, theta.size)
+    sizes = bits.sum(axis=1)
+    coords = np.zeros(bits.shape)
+    for m in set(sizes.tolist()) - {0}:  # the origin's row stays zero
+        rows = np.nonzero(sizes == m)[0]
+        idx = np.nonzero(bits[rows])[1].reshape(rows.size, m)
+        recip = 1.0 / theta[idx]
+        # a singleton is the plain 2/r case, exact also where 1/r is subnormal
+        coords[rows[:, None], idx] = 2.0 / theta[idx] if m == 1 else (
+            (4.0 * recip.sum(axis=1, keepdims=True) - (4.0 * m - 2.0) * recip) / (2.0 * m - 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # model._step on every row (_step itself stays 1-d: a row-wise sum
+        # slows the orbit loop); extreme rates can overflow it, and the
+        # residual is then inf or nan
+        step = 0.5 * theta * coords * (2.0 * coords.sum(axis=1, keepdims=True) - coords)
+        residual = np.max(np.abs(step - coords), axis=1)
+    coords.flags.writeable = False
+    return coords, residual
 
 
 def fixed_point_for_support(rates: Rates, support: SupportMask) -> FixedPoint:
@@ -100,15 +130,8 @@ def fixed_point_for_support(rates: Rates, support: SupportMask) -> FixedPoint:
     """
     if support.n != rates.n:
         raise DimensionMismatch(f"support is for n={support.n}, rates have n={rates.n}")
-    coords = np.zeros(rates.n)
-    if support.nonzero:
-        idx = list(support.indices())
-        coords[idx] = _interior_coords(rates.values[idx])
-    with np.errstate(over="ignore", invalid="ignore"):
-        # extreme rates can overflow the step; the residual is then inf or nan
-        residual = float(np.max(np.abs(apply_unchecked(rates, coords) - coords)))
-    feasible = bool(np.all(coords >= 0.0))
-    return FixedPoint(_readonly(coords), support, feasible, residual)
+    coords, residual = _points(rates.values, [support.mask_int])
+    return FixedPoint(coords[0], support, bool(np.all(coords[0] >= 0.0)), float(residual[0]))
 
 
 def interior_fixed_point(rates: Rates) -> FixedPoint:
@@ -118,11 +141,12 @@ def interior_fixed_point(rates: Rates) -> FixedPoint:
 
 def enumerate_fixed_points(rates: Rates) -> list[FixedPoint]:
     """All 2^n algebraic fixed points, ordered by support mask ascending."""
-    if rates.n > MAX_ENUM_DIM:
-        raise DomainError(f"n={rates.n} exceeds the enumeration cap ({MAX_ENUM_DIM})")
+    masks = _all_masks(rates)
+    coords, residual = _points(rates.values, masks)
+    feasible = np.all(coords >= 0.0, axis=1).tolist()
     return [
-        fixed_point_for_support(rates, SupportMask.from_mask_int(rates.n, mask))
-        for mask in range(1 << rates.n)
+        FixedPoint(x, SupportMask.from_mask_int(rates.n, mask), ok, res)
+        for x, mask, ok, res in zip(coords, masks.tolist(), feasible, residual.tolist())
     ]
 
 
@@ -143,30 +167,29 @@ def feasible_nonzero_points(rates: Rates) -> tuple[list[int], np.ndarray]:
     n = rates.n
     if n > MAX_ENUM_DIM:
         raise DomainError(f"n={n} exceeds the enumeration cap ({MAX_ENUM_DIM})")
-    theta = rates.values
-    rate = theta.tolist()
-    found: list[tuple[int, np.ndarray]] = []
-    stack: list[tuple[list[int], int, float, float]] = [([], 0, 0.0, float("inf"))]
+    rate = rates.values.tolist()
+    masks: list[int] = []
+    # (first index to add, support size, mask, sum of 1/r_j, smallest rate)
+    stack: list[tuple[int, int, int, float, float]] = [(0, 0, 0, 0.0, float("inf"))]
     while stack:
-        idx, mask, recip_sum, r_min = stack.pop()
-        for k in range(idx[-1] + 1 if idx else 0, n):
-            sub, low, total = idx + [k], min(r_min, rate[k]), recip_sum + 1.0 / rate[k]
-            if len(sub) - low * total > 0.5 + 1e-9:
+        first, size, mask, recip_sum, r_min = stack.pop()
+        for k in range(first, n):
+            low, total = min(r_min, rate[k]), recip_sum + 1.0 / rate[k]
+            if size + 1 - low * total > 0.5 + 1e-9:
                 continue
-            coords = np.zeros(n)
-            coords[sub] = _interior_coords(theta[sub])
-            if np.all(coords >= 0.0):
-                found.append((mask | 1 << k, coords))
-            stack.append((sub, mask | 1 << k, total, low))
-    found.sort(key=lambda item: item[0])
-    return [mask for mask, _ in found], np.array([c for _, c in found]).reshape(len(found), n)
+            masks.append(mask | 1 << k)
+            stack.append((k + 1, size + 1, mask | 1 << k, total, low))
+    masks.sort()
+    coords, _ = _points(rates.values, masks)
+    feasible = np.all(coords >= 0.0, axis=1)
+    return [mask for mask, ok in zip(masks, feasible.tolist()) if ok], coords[feasible]
 
 
 def coefficient_determinant(n: int) -> float:
     """Determinant of the n x n matrix with 1 on the diagonal and 2 elsewhere.
 
     Closed form (-1)^(n-1) * (2n - 1); the coefficient matrix of the linear
-    system behind `_interior_coords`.
+    system behind `_points`.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")

@@ -128,8 +128,15 @@ def jacobian(rates: Rates, x) -> np.ndarray:
         raise DimensionMismatch(f"state has shape {arr.shape}, expected ({rates.n},)")
     if not np.all(np.isfinite(arr)):
         raise DomainError("state must be finite")
+    return _jacobians(rates.values, arr[None])[0]
+
+
+def _jacobians(theta: np.ndarray, states: np.ndarray) -> np.ndarray:
+    # One Jacobian per row of states, stacked along the first axis.
+    n = theta.size
+    diag = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
         # entries past the float range become inf; the eigensolver rejects them
-        jac = np.repeat((rates.values * arr)[:, None], rates.n, axis=1)
-        np.fill_diagonal(jac, rates.values * arr.sum())
+        jac = np.repeat((theta * states)[:, :, None], n, axis=2)
+        jac[:, diag, diag] = theta * states.sum(axis=1, keepdims=True)
     return jac

@@ -1,10 +1,13 @@
 """Jacobian spectra at fixed points and their classification.
 
-Eigenvalues come from a dense nonsymmetric solver (LAPACK's balancing +
-Hessenberg + shifted-QR path via numpy); the closed forms for n = 2 and
-n = 3 below exist as independent cross-checks.  A striking structural fact,
-verified here numerically: every fixed point except the origin has the
-eigenvalue 2, so the origin is the only attractor.
+A table of fixed points gets its spectra in one stacked call of a dense
+nonsymmetric solver (LAPACK's balancing + Hessenberg + shifted-QR path via
+numpy), sorted row by row into canonical order, and its eigenvalue-2
+residuals in one stacked determinant; the one-point functions are the
+one-row case.  The closed forms for n = 2 and n = 3 below exist as
+independent cross-checks.  A striking structural fact, verified here
+numerically: every fixed point except the origin has the eigenvalue 2, so
+the origin is the only attractor.
 """
 
 from __future__ import annotations
@@ -58,20 +61,24 @@ class CharPolyN2(NamedTuple):
 
 
 def sorted_spectrum(values) -> np.ndarray:
-    """Sort eigenvalues by descending modulus, then ascending argument."""
-    v = np.asarray(values, dtype=complex).ravel()
-    order = np.lexsort((np.angle(v), -np.abs(v)))
-    return v[order]
+    """Sort eigenvalues by descending modulus, then ascending argument; a
+    stack of spectra (one per row) is sorted row by row."""
+    v = np.atleast_1d(np.asarray(values, dtype=complex))
+    order = np.lexsort((np.angle(v), -np.abs(v)), axis=-1)
+    return np.take_along_axis(v, order, axis=-1)
+
+
+def _spectra(jacs: np.ndarray) -> np.ndarray:
+    # One row of eigenvalues, in canonical order, per Jacobian of the stack.
+    try:
+        return sorted_spectrum(np.linalg.eigvals(jacs))
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
 
 
 def spectrum_at(rates: Rates, point: FixedPoint) -> np.ndarray:
     """All n eigenvalues of the Jacobian at a fixed point, in canonical order."""
-    jac = jacobian(rates, point.coords)
-    try:
-        eigs = np.linalg.eigvals(jac)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
-    return sorted_spectrum(eigs)
+    return _spectra(jacobian(rates, point.coords)[None])[0]
 
 
 def classify(eigenvalues, tol: float = TAU_UNIT) -> StabilityClass:
@@ -80,23 +87,27 @@ def classify(eigenvalues, tol: float = TAU_UNIT) -> StabilityClass:
     Anything within `tol` of the circle is reported nonhyperbolic rather
     than guessed to a side.
     """
+    return _classes(np.asarray(eigenvalues, dtype=complex).ravel()[None], tol)[0]
+
+
+def _classes(spectra: np.ndarray, tol: float) -> list[StabilityClass]:
+    # `classify` on every row of a stack of spectra.
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    mods = np.abs(np.asarray(eigenvalues, dtype=complex).ravel())
-    if mods.size == 0:
+    mods = np.abs(spectra)
+    if mods.shape[-1] == 0:
         raise DomainError("empty spectrum")
-    on_unit = int(np.sum(np.abs(mods - 1.0) <= tol))
-    inside = int(np.sum(mods < 1.0 - tol))
-    outside = int(np.sum(mods > 1.0 + tol))
+    tests = (mods < 1.0 - tol, mods > 1.0 + tol, np.abs(mods - 1.0) <= tol)
+    counts = zip(*(np.sum(test, axis=-1).tolist() for test in tests))
+    return [StabilityClass(_tag(*count, mods.shape[-1]), *count) for count in counts]
+
+
+def _tag(inside: int, outside: int, on_unit: int, size: int) -> StabilityTag:
     if on_unit > 0:
-        tag = StabilityTag.NONHYPERBOLIC
-    elif inside == mods.size:
-        tag = StabilityTag.ATTRACTING
-    elif outside == mods.size:
-        tag = StabilityTag.REPELLING
-    else:
-        tag = StabilityTag.SADDLE
-    return StabilityClass(tag, inside, outside, on_unit)
+        return StabilityTag.NONHYPERBOLIC
+    if inside == size:
+        return StabilityTag.ATTRACTING
+    return StabilityTag.REPELLING if outside == size else StabilityTag.SADDLE
 
 
 def root_location(b: float, c: float) -> RootLocation:
@@ -179,12 +190,18 @@ def eigenvalue_two_residual(rates: Rates, point: FixedPoint) -> float:
     """
     if point.is_origin:
         raise DomainError("the eigenvalue-2 identity excludes the origin")
-    jac = jacobian(rates, point.coords)
-    norm = float(np.linalg.norm(jac, np.inf))
-    if norm == 0.0:
+    return _eig2_residuals(jacobian(rates, point.coords)[None])[0]
+
+
+def _eig2_residuals(jacs: np.ndarray) -> list[float]:
+    # `eigenvalue_two_residual` for every Jacobian of a stack.
+    n = jacs.shape[-1]
+    norms = np.max(np.sum(np.abs(jacs), axis=-1), axis=-1)
+    if np.any(norms == 0.0):
         raise DomainError("null Jacobian at a non-origin point")
-    shifted = jac - 2.0 * np.eye(rates.n)
-    return float(abs(np.linalg.det(shifted)) / norm**rates.n)
+    dets = np.abs(np.linalg.det(jacs - 2.0 * np.eye(n)))
+    # Python's float power: numpy's array power can differ in the last bit
+    return [det / norm**n for det, norm in zip(dets.tolist(), norms.tolist())]
 
 
 def nonhyperbolic_condition(rates: Rates, support: SupportMask, rel_tol: float = NONHYP_REL_TOL) -> bool:
@@ -199,7 +216,4 @@ def nonhyperbolic_condition(rates: Rates, support: SupportMask, rel_tol: float =
         raise DomainError("certificate requires a nonempty support")
     restricted = rates.reciprocal_sum_over(support.nonzero)
     target = (2.0 * len(support.nonzero) - 1.0) / 2.0
-    for i in support.indices():
-        if abs(float(rates.values[i]) * restricted - target) <= rel_tol * target:
-            return True
-    return False
+    return any(abs(float(rates.values[i]) * restricted - target) <= rel_tol * target for i in support.indices())

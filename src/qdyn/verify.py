@@ -16,9 +16,9 @@ import numpy as np
 
 from .dynamics import RegionKind, region_membership
 from .errors import DomainError
-from .fixed_points import enumerate_fixed_points
-from .model import Rates, apply
-from .stability import StabilityTag, classify, eigenvalue_two_residual, spectrum_at
+from .fixed_points import _all_masks, _points
+from .model import Rates, _jacobians, apply
+from .stability import TAU_UNIT, StabilityTag, _classes, _eig2_residuals, _spectra
 
 RATE_LOW = 0.05
 RATE_HIGH = 3.0
@@ -61,6 +61,9 @@ class VerificationSummary:
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    # Philox keys are 128-bit
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed must be in [0, 2^128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -95,26 +98,17 @@ def sample_in_region(rng: np.random.Generator, rates: Rates, region: RegionKind)
 def _check_one_trial(rates: Rates, rng: np.random.Generator, points_per_region: int) -> dict[str, float]:
     """Worst-case metric per check name (a key of CHECK_TOLERANCES) for a
     single rate draw; everything is 0-or-positive, bigger is worse."""
-    points = enumerate_fixed_points(rates)
-    count_err = abs(len(points) - 2**rates.n)
+    coords, residuals = _points(rates.values, _all_masks(rates))
+    count_err = abs(len(coords) - 2**rates.n)
+    residual = float(np.max(residuals / np.maximum(1.0, np.max(np.abs(coords), axis=1))))
 
-    residual = 0.0
-    eig_dist = 0.0
-    eig_resid = 0.0
-    attracting_err = 0.0
-    for fp in points:
-        scale = max(1.0, float(np.max(np.abs(fp.coords))))
-        residual = max(residual, fp.residual / scale)
-        spectrum = spectrum_at(rates, fp)
-        tag = classify(spectrum).tag
-        if fp.is_origin:
-            if tag is not StabilityTag.ATTRACTING:
-                attracting_err += 1.0
-        else:
-            if tag is StabilityTag.ATTRACTING:
-                attracting_err += 1.0
-            eig_dist = max(eig_dist, float(np.min(np.abs(spectrum - 2.0))))
-            eig_resid = max(eig_resid, eigenvalue_two_residual(rates, fp))
+    # row 0 is the origin, the only point without the eigenvalue 2
+    jacs = _jacobians(rates.values, coords)
+    spectra = _spectra(jacs)
+    eig_dist = float(np.max(np.min(np.abs(spectra[1:] - 2.0), axis=1)))
+    eig_resid = max(_eig2_residuals(jacs[1:]))
+    attracting = [cls.tag is StabilityTag.ATTRACTING for cls in _classes(spectra, TAU_UNIT)]
+    attracting_err = float((not attracting[0]) + sum(attracting[1:]))
 
     region_err = 0.0
     for region in (RegionKind.MBAR1, RegionKind.MBAR2):

@@ -63,6 +63,28 @@ class TestFixedPointsCommand:
         _, second, _ = run_cli(capsys, "fixed-points", "--theta", "0.7,1.3")
         assert first == second
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("fixed-points", "--theta", "0.4,0.6,1.1"), ("classify", "--theta", "0.4,0.6,1.1", "--support", "1,0,1")],
+    )
+    def test_one_jacobian_stack_per_call(self, capsys, monkeypatch, argv):
+        from qdyn import cli as cli_module, model, stability
+
+        stacks = []
+
+        def counted(theta, states):
+            stacks.append(len(states))
+            return model._jacobians(theta, states)
+
+        def one_point(*args):
+            raise AssertionError("per-point Jacobian built")
+
+        monkeypatch.setattr(cli_module, "_jacobians", counted)
+        monkeypatch.setattr(stability, "jacobian", one_point)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert stacks == [8 if argv[0] == "fixed-points" else 1]
+
 
 class TestClassifyCommand:
     def test_selected_support(self, capsys):
@@ -157,6 +179,12 @@ class TestBasinCommand:
         assert code == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    def test_unallocatable_range_is_one_line_usage_error(self, capsys):
+        # numpy refuses the 728 TiB grid before allocating anything
+        code, out, err = run_cli(capsys, "basin", "--theta", "1,1", "--x1-range", "0:1:100000000000000")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_requires_two_rates(self, capsys):
         code, _, err = run_cli(capsys, "basin", "--theta", "1,1,1", "--x1-range", "0:1:2")
         assert code == 2
@@ -196,6 +224,15 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert len(payload["checks"]) == 6
+
+    def test_seed_past_the_philox_key_range_is_usage_error(self, capsys, tmp_path):
+        # exit 1 is kept for a failed verification
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"seed": 2**128}))
+        for extra in (("--seed", str(2**128)), ("--config", str(cfg))):
+            code, out, err = run_cli(capsys, "verify", "--n", "2", "--trials", "1", *extra)
+            assert code == 2
+            assert out == "" and err == f"error: seed must be in [0, 2^128), got {2**128}\n"
 
     def test_failure_exits_one_and_prints_theta(self, capsys, monkeypatch):
         from qdyn import cli as cli_module
@@ -537,7 +574,10 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_te
 def test_golden_stdout(capsys, case):
     # Captured before fate targets came from the closed-form feasible
     # supports: simulate at n = 2, 5, 10 (CSV and JSON, fixed-point hits
-    # included) and basin with one rate pair per regime.
+    # included) and basin with one rate pair per regime.  Captured before
+    # the fixed-point table was built in one pass per rate vector:
+    # fixed-points at n = 2 (ratio two included) and n = 4, classify on the
+    # full support at n = 10, and verify at n = 3 and 6.
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == 0
     assert out == case["stdout"]

@@ -13,7 +13,7 @@ from qdyn import (
     fixed_point_for_support,
     interior_fixed_point,
 )
-from qdyn.fixed_points import feasible_nonzero_points
+from qdyn.fixed_points import _points, feasible_nonzero_points
 from helpers import explicit_coefficient_matrix, newton_fixed_point_search
 
 
@@ -134,6 +134,42 @@ class TestEnumeration:
     def test_coords_match_unchecked_apply(self, rates_04_06):
         for fp in enumerate_fixed_points(rates_04_06):
             np.testing.assert_allclose(apply_unchecked(rates_04_06, fp.coords), fp.coords, atol=1e-12)
+
+
+def one_support_solve(theta: np.ndarray, idx: list[int]) -> np.ndarray:
+    # the closed form as a 1-d solve on one support (2/r for a singleton)
+    if len(idx) == 1:
+        return np.array([2.0 / theta[idx[0]]])
+    recip = 1.0 / theta[idx]
+    m = len(idx)
+    return (4.0 * recip.sum() - (4.0 * m - 2.0) * recip) / (2.0 * m - 1.0)
+
+
+class TestPointTable:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 12])
+    def test_rows_equal_one_support_solves_bit_for_bit(self, n):
+        # supports of 9 or more coordinates are where numpy sums pairwise
+        rng = np.random.default_rng(40 + n)
+        rates = Rates(0.05 + 2.95 * rng.random(n))
+        masks = rng.permutation(1 << n)
+        coords, residual = _points(rates.values, masks)
+        for row, mask in enumerate(masks.tolist()):
+            idx = [k for k in range(n) if mask >> k & 1]
+            expected = np.zeros(n)
+            if idx:
+                expected[idx] = one_support_solve(rates.values, idx)
+            assert np.array_equal(coords[row], expected), mask
+            assert residual[row] == np.max(np.abs(apply_unchecked(rates, expected) - expected)), mask
+
+    def test_table_is_readonly(self, rates_ones3):
+        coords, _ = _points(rates_ones3.values, [1, 7])
+        with pytest.raises(ValueError):
+            coords[0, 0] = 1.0
+
+    def test_singleton_is_exact_where_reciprocal_is_subnormal(self):
+        rates = Rates([1.7e308, 1.0])
+        point = fixed_point_for_support(rates, SupportMask.from_bits([1, 0]))
+        assert point.coords[0] == 2.0 / 1.7e308
 
 
 class TestFeasibleNonzeroPoints:

@@ -22,6 +22,8 @@ from qdyn import (
     sorted_spectrum,
     spectrum_at,
 )
+from qdyn.model import _jacobians
+from qdyn.stability import TAU_UNIT, _classes, _eig2_residuals, _spectra
 from helpers import quadratic_roots
 
 
@@ -185,6 +187,33 @@ class TestEigenvalueTwo:
                     assert tag is StabilityTag.ATTRACTING
                 else:
                     assert tag is not StabilityTag.ATTRACTING
+
+
+class TestStackedSpectra:
+    def test_rows_equal_one_matrix_calls_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for n in (2, 3, 5, 8, 9):
+            rates = sample_rates(rng, n)
+            points = enumerate_fixed_points(rates)
+            jacs = _jacobians(rates.values, np.array([p.coords for p in points]))
+            spectra = _spectra(jacs)
+            residuals = _eig2_residuals(jacs[1:])
+            classes = _classes(spectra, TAU_UNIT)
+            for k, point in enumerate(points):
+                x = point.coords
+                jac = np.repeat((rates.values * x)[:, None], n, axis=1)
+                np.fill_diagonal(jac, rates.values * x.sum())
+                assert np.array_equal(jacs[k], jac)
+                eigs = np.asarray(np.linalg.eigvals(jac), dtype=complex)
+                assert np.array_equal(spectra[k], eigs[np.lexsort((np.angle(eigs), -np.abs(eigs)))])
+                assert classes[k] == classify(eigs)
+                if k:
+                    norm = float(np.linalg.norm(jac, np.inf))
+                    assert residuals[k - 1] == abs(np.linalg.det(jac - 2.0 * np.eye(n))) / norm**n
+
+    def test_null_jacobian_rejected(self):
+        with pytest.raises(DomainError, match="null Jacobian"):
+            _eig2_residuals(np.zeros((2, 3, 3)))
 
 
 class TestRegimeClassification:

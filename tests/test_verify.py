@@ -44,6 +44,36 @@ def test_trial_metrics_are_named_by_the_checks():
     assert [(c.name, c.tolerance) for c in summary.checks] == list(CHECK_TOLERANCES.items())
 
 
+def test_one_jacobian_stack_per_trial(monkeypatch):
+    # the whole table of 2^n points gets its Jacobians in one build; the
+    # one-point builder is never reached
+    from qdyn import model, stability, verify
+
+    stacks = []
+
+    def counted(theta, states):
+        stacks.append(len(states))
+        return model._jacobians(theta, states)
+
+    def one_point(*args):
+        raise AssertionError("per-point Jacobian built")
+
+    monkeypatch.setattr(verify, "_jacobians", counted)
+    monkeypatch.setattr(stability, "jacobian", one_point)
+    assert verification_sweep(4, 2, 0).passed
+    assert stacks == [16, 16]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 2**200])
+def test_seed_outside_the_philox_key_range_rejected(seed):
+    with pytest.raises(DomainError, match=r"seed must be in \[0, 2\^128\)"):
+        verification_sweep(2, 1, seed)
+
+
+def test_largest_seed_accepted():
+    assert verification_sweep(2, 1, 2**128 - 1).passed
+
+
 def test_sweep_is_reproducible():
     a = verification_sweep(n=2, trials=15, seed=99)
     b = verification_sweep(n=2, trials=15, seed=99)
