@@ -28,9 +28,9 @@ import numpy as np
 
 from .dynamics import DEFAULT_BUDGET, basin_boundary, classify_fate, iterate
 from .errors import QdynError
-from .fixed_points import SupportMask, _all_masks, _points, _support_bits
-from .model import Rates, _jacobians
-from .stability import TAU_UNIT, _classes, _spectra
+from .fixed_points import SupportMask, _all_supports, _points
+from .model import Rates
+from .stability import _STACK_ROWS, TAU_UNIT, classify, spectrum_at
 from .verify import verification_sweep
 
 DEFAULT_BISECT_TOL = 1e-8
@@ -134,20 +134,31 @@ def _checked_overrides(overrides) -> dict:
     return checked
 
 
-def _points_output(rates: Rates, masks: np.ndarray, tau_unit: float) -> tuple[int, dict, Iterable]:
-    # one record per support mask, read off the columns of the fixed-point table
-    coords, residual = _points(rates.values, masks)
-    spectra = _spectra(_jacobians(rates.values, coords))
-    columns = zip(
-        masks.tolist(), _support_bits(masks, rates.n).tolist(), coords.tolist(),
-        np.all(coords >= 0.0, axis=1).tolist(), residual.tolist(),
-        np.stack([spectra.real, spectra.imag], axis=-1).tolist(), _classes(spectra, tau_unit),
+def _points_output(rates: Rates, masks: Iterable[int], bits: np.ndarray, tau_unit: float) -> tuple[int, dict, Iterable]:
+    # one record per support, read off the columns of the fixed-point table
+    coords, residual = _points(rates.values, bits)
+    spectra = np.concatenate(
+        [spectrum_at(rates, coords[i:i + _STACK_ROWS]) for i in range(0, len(coords), _STACK_ROWS)]
     )
-    # "index" is the position in the mask-ordered enumeration
+    columns = zip(
+        masks, bits.tolist(), coords.tolist(), np.all(coords >= 0.0, axis=1).tolist(), residual.tolist(),
+        np.stack([spectra.real, spectra.imag], axis=-1).tolist(), classify(spectra, tau_unit),
+    )
     records = [
-        {"mask": mask, "support": bits, "coords": x, "feasible": feasible, "residual": res, "eigenvalues": eigs,
-         "class": cls.tag.value, "inside": cls.inside, "outside": cls.outside, "on_unit": cls.on_unit, "index": mask}
-        for mask, bits, x, feasible, res, eigs, cls in columns
+        {
+            "mask": mask,
+            "support": support,
+            "coords": x,
+            "feasible": feasible,
+            "residual": res,
+            "eigenvalues": eigs,
+            "class": cls.tag.value,
+            "inside": cls.inside,
+            "outside": cls.outside,
+            "on_unit": cls.on_unit,
+            "index": mask,  # the position in the mask-ordered enumeration
+        }
+        for mask, support, x, feasible, res, eigs, cls in columns
     ]
     payload = {"theta": rates.values.tolist(), "n": rates.n, "fixed_points": records}
     header = ["mask", "support", "feasible", "residual", *(f"x{k + 1}" for k in range(rates.n))]
@@ -162,7 +173,7 @@ def _points_output(rates: Rates, masks: np.ndarray, tau_unit: float) -> tuple[in
 
 def cmd_fixed_points(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
     rates = cfg.rates()
-    return _points_output(rates, _all_masks(rates), cfg.tau_unit)
+    return _points_output(rates, range(1 << rates.n), _all_supports(rates), cfg.tau_unit)
 
 
 def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
@@ -171,7 +182,7 @@ def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, I
     if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
         raise QdynError(f"--support expects {rates.n} bits (0 or 1), got {args.support!r}")
     support = SupportMask.from_bits([int(b) for b in bits])
-    return _points_output(rates, np.array([support.mask_int]), cfg.tau_unit)
+    return _points_output(rates, [support.mask_int], np.array([support.bits()]), cfg.tau_unit)
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:

@@ -80,20 +80,23 @@ class FixedPoint:
         return not self.support.nonzero
 
 
-def _all_masks(rates: Rates) -> np.ndarray:
-    # Every support mask, 0 .. 2^n - 1, under the enumeration cap.
+def _all_supports(rates: Rates) -> np.ndarray:
+    # Support bits of every mask 0 .. 2^n - 1 (row index == mask), under the
+    # enumeration cap.
     if rates.n > MAX_ENUM_DIM:
         raise DomainError(f"n={rates.n} exceeds the enumeration cap ({MAX_ENUM_DIM})")
-    return np.arange(1 << rates.n)
+    return _support_bits(np.arange(1 << rates.n), rates.n)
 
 
 def _support_bits(masks: Sequence[int], n: int) -> np.ndarray:
-    # One row per mask: 1 where the coordinate is in the support, else 0.
+    # One row per mask: 1 where the coordinate is in the support, else 0
+    # (int64 masks: the enumeration cap keeps them far below 2^63).
     return (np.asarray(masks, dtype=np.int64).reshape(-1, 1) >> np.arange(n)) & 1
 
 
-def _points(theta: np.ndarray, masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (one row per support mask) and residuals |H(x) - x|_inf.
+def _points(theta: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates and residuals |H(x) - x|_inf, one row per row of support
+    bits (1 where the coordinate is in the support).
 
     The nonzero coordinates are the reduced form of the Cramer solution on
     the support, 4*sum_S(1/r) - (4m - 2)/r_k over 2m - 1 for a support S of
@@ -101,7 +104,6 @@ def _points(theta: np.ndarray, masks: Sequence[int]) -> tuple[np.ndarray, np.nda
     large subsystems).  Supports of one size are solved in one broadcast, so
     each row's sums are the ones a 1-d solve on that support would give.
     """
-    bits = _support_bits(masks, theta.size)
     sizes = bits.sum(axis=1)
     coords = np.zeros(bits.shape)
     for m in set(sizes.tolist()) - {0}:  # the origin's row stays zero
@@ -130,7 +132,7 @@ def fixed_point_for_support(rates: Rates, support: SupportMask) -> FixedPoint:
     """
     if support.n != rates.n:
         raise DimensionMismatch(f"support is for n={support.n}, rates have n={rates.n}")
-    coords, residual = _points(rates.values, [support.mask_int])
+    coords, residual = _points(rates.values, np.array([support.bits()]))
     return FixedPoint(coords[0], support, bool(np.all(coords[0] >= 0.0)), float(residual[0]))
 
 
@@ -141,12 +143,11 @@ def interior_fixed_point(rates: Rates) -> FixedPoint:
 
 def enumerate_fixed_points(rates: Rates) -> list[FixedPoint]:
     """All 2^n algebraic fixed points, ordered by support mask ascending."""
-    masks = _all_masks(rates)
-    coords, residual = _points(rates.values, masks)
+    coords, residual = _points(rates.values, _all_supports(rates))
     feasible = np.all(coords >= 0.0, axis=1).tolist()
     return [
         FixedPoint(x, SupportMask.from_mask_int(rates.n, mask), ok, res)
-        for x, mask, ok, res in zip(coords, masks.tolist(), feasible, residual.tolist())
+        for mask, (x, ok, res) in enumerate(zip(coords, feasible, residual.tolist()))
     ]
 
 
@@ -180,7 +181,7 @@ def feasible_nonzero_points(rates: Rates) -> tuple[list[int], np.ndarray]:
             masks.append(mask | 1 << k)
             stack.append((k + 1, size + 1, mask | 1 << k, total, low))
     masks.sort()
-    coords, _ = _points(rates.values, masks)
+    coords, _ = _points(rates.values, _support_bits(masks, n))
     feasible = np.all(coords >= 0.0, axis=1)
     return [mask for mask, ok in zip(masks, feasible.tolist()) if ok], coords[feasible]
 

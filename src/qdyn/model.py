@@ -117,26 +117,22 @@ def apply_unchecked(rates: Rates, x) -> np.ndarray:
 
 
 def jacobian(rates: Rates, x) -> np.ndarray:
-    """Jacobian matrix of the map at x.
+    """Jacobian matrix of the map at x; for states given as rows (shape
+    (k, n)), the stack of their k Jacobians.
 
     Entry (k, k) is r_k * sum(x) and entry (k, j), j != k, is r_k * x_k.
     Negative coordinates are allowed here: stability analysis evaluates the
     Jacobian at infeasible algebraic fixed points as well.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.shape != (rates.n,):
-        raise DimensionMismatch(f"state has shape {arr.shape}, expected ({rates.n},)")
+    if arr.ndim > 2 or arr.shape[-1] != rates.n:
+        raise DimensionMismatch(f"state has shape {arr.shape}, expected ({rates.n},) or (k, {rates.n})")
     if not np.all(np.isfinite(arr)):
         raise DomainError("state must be finite")
-    return _jacobians(rates.values, arr[None])[0]
-
-
-def _jacobians(theta: np.ndarray, states: np.ndarray) -> np.ndarray:
-    # One Jacobian per row of states, stacked along the first axis.
-    n = theta.size
-    diag = np.arange(n)
+    rows = arr.reshape(-1, rates.n)
+    diag = np.arange(rates.n)
     with np.errstate(over="ignore", invalid="ignore"):
         # entries past the float range become inf; the eigensolver rejects them
-        jac = np.repeat((theta * states)[:, :, None], n, axis=2)
-        jac[:, diag, diag] = theta * states.sum(axis=1, keepdims=True)
-    return jac
+        jac = np.repeat((rates.values * rows)[:, :, None], rates.n, axis=2)
+        jac[:, diag, diag] = rates.values * rows.sum(axis=1, keepdims=True)
+    return jac.reshape(arr.shape + (rates.n,))

@@ -1,9 +1,10 @@
 """Jacobian spectra at fixed points and their classification.
 
-A table of fixed points gets its spectra in one stacked call of a dense
-nonsymmetric solver (LAPACK's balancing + Hessenberg + shifted-QR path via
-numpy), sorted row by row into canonical order, and its eigenvalue-2
-residuals in one stacked determinant; the one-point functions are the
+Eigenvalues come from a dense nonsymmetric solver (LAPACK's balancing +
+Hessenberg + shifted-QR path via numpy).  A table of fixed points, given as
+coordinate rows, gets its Jacobians as one stack, its spectra from one
+stacked solver call sorted row by row into canonical order, and its
+eigenvalue-2 residuals from one stacked determinant; a single point is the
 one-row case.  The closed forms for n = 2 and n = 3 below exist as
 independent cross-checks.  A striking structural fact, verified here
 numerically: every fixed point except the origin has the eigenvalue 2, so
@@ -24,6 +25,9 @@ from .model import Rates, jacobian
 
 TAU_UNIT = 1e-9  # half-width of the modulus band treated as "on the unit circle"
 NONHYP_REL_TOL = 1e-12  # relative tolerance for the nonhyperbolicity certificate
+# Callers pass a large table in slices of this many rows, so that its
+# Jacobian stack stays small (13 MB at n = 20)
+_STACK_ROWS = 4096
 
 
 class StabilityTag(enum.Enum):
@@ -68,46 +72,55 @@ def sorted_spectrum(values) -> np.ndarray:
     return np.take_along_axis(v, order, axis=-1)
 
 
-def _spectra(jacs: np.ndarray) -> np.ndarray:
-    # One row of eigenvalues, in canonical order, per Jacobian of the stack.
+def _coords(point) -> np.ndarray:
+    return point.coords if isinstance(point, FixedPoint) else np.asarray(point, dtype=float)
+
+
+def spectrum_at(rates: Rates, point, jac=None) -> np.ndarray:
+    """All n eigenvalues of the Jacobian at a fixed point, in canonical order.
+
+    `point` is a FixedPoint or its coordinates; coordinates given as rows
+    (shape (k, n)) get one spectrum per row from one stacked solver call.
+    `jac` is the Jacobian (stack) at `point` when the caller has built it.
+    """
+    if jac is None:
+        jac = jacobian(rates, _coords(point))
     try:
-        return sorted_spectrum(np.linalg.eigvals(jacs))
+        eigs = np.linalg.eigvals(jac)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
+    return sorted_spectrum(eigs)
 
 
-def spectrum_at(rates: Rates, point: FixedPoint) -> np.ndarray:
-    """All n eigenvalues of the Jacobian at a fixed point, in canonical order."""
-    return _spectra(jacobian(rates, point.coords)[None])[0]
-
-
-def classify(eigenvalues, tol: float = TAU_UNIT) -> StabilityClass:
-    """Classify a spectrum by counting moduli against the unit circle.
+def classify(eigenvalues, tol: float = TAU_UNIT):
+    """Classify a spectrum by counting moduli against the unit circle; a
+    stack of spectra (one per row) gets a list with one class per row.
 
     Anything within `tol` of the circle is reported nonhyperbolic rather
     than guessed to a side.
     """
-    return _classes(np.asarray(eigenvalues, dtype=complex).ravel()[None], tol)[0]
-
-
-def _classes(spectra: np.ndarray, tol: float) -> list[StabilityClass]:
-    # `classify` on every row of a stack of spectra.
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    mods = np.abs(spectra)
-    if mods.shape[-1] == 0:
+    mods = np.abs(np.asarray(eigenvalues, dtype=complex))
+    rows = np.atleast_2d(mods)
+    size = rows.shape[-1]
+    if size == 0:
         raise DomainError("empty spectrum")
-    tests = (mods < 1.0 - tol, mods > 1.0 + tol, np.abs(mods - 1.0) <= tol)
-    counts = zip(*(np.sum(test, axis=-1).tolist() for test in tests))
-    return [StabilityClass(_tag(*count, mods.shape[-1]), *count) for count in counts]
-
-
-def _tag(inside: int, outside: int, on_unit: int, size: int) -> StabilityTag:
-    if on_unit > 0:
-        return StabilityTag.NONHYPERBOLIC
-    if inside == size:
-        return StabilityTag.ATTRACTING
-    return StabilityTag.REPELLING if outside == size else StabilityTag.SADDLE
+    on_units = np.sum(np.abs(rows - 1.0) <= tol, axis=-1).tolist()
+    insides = np.sum(rows < 1.0 - tol, axis=-1).tolist()
+    outsides = np.sum(rows > 1.0 + tol, axis=-1).tolist()
+    classes = []
+    for inside, outside, on_unit in zip(insides, outsides, on_units):
+        if on_unit > 0:
+            tag = StabilityTag.NONHYPERBOLIC
+        elif inside == size:
+            tag = StabilityTag.ATTRACTING
+        elif outside == size:
+            tag = StabilityTag.REPELLING
+        else:
+            tag = StabilityTag.SADDLE
+        classes.append(StabilityClass(tag, inside, outside, on_unit))
+    return classes if mods.ndim > 1 else classes[0]
 
 
 def root_location(b: float, c: float) -> RootLocation:
@@ -181,27 +194,23 @@ def interior_secondary_eigs_n3(rates: Rates) -> tuple[complex, complex]:
     return complex((base - root) / 2.0), complex((base + root) / 2.0)
 
 
-def eigenvalue_two_residual(rates: Rates, point: FixedPoint) -> float:
+def eigenvalue_two_residual(rates: Rates, point, jac=None):
     """|det(J - 2I)| at a non-origin fixed point, normalized by ||J||_inf^n.
 
     The determinant vanishes identically at every fixed point except the
     origin; the normalization makes the floating-point residual comparable
-    across dimensions.
+    across dimensions.  `point` and `jac` are as in `spectrum_at`; rows of
+    coordinates get a list with one residual per row.
     """
-    if point.is_origin:
-        raise DomainError("the eigenvalue-2 identity excludes the origin")
-    return _eig2_residuals(jacobian(rates, point.coords)[None])[0]
-
-
-def _eig2_residuals(jacs: np.ndarray) -> list[float]:
-    # `eigenvalue_two_residual` for every Jacobian of a stack.
-    n = jacs.shape[-1]
-    norms = np.max(np.sum(np.abs(jacs), axis=-1), axis=-1)
+    if jac is None:
+        jac = jacobian(rates, _coords(point))
+    norms = np.max(np.sum(np.abs(jac), axis=-1), axis=-1)
     if np.any(norms == 0.0):
-        raise DomainError("null Jacobian at a non-origin point")
-    dets = np.abs(np.linalg.det(jacs - 2.0 * np.eye(n)))
+        raise DomainError("null Jacobian: the eigenvalue-2 identity excludes the origin")
+    dets = np.abs(np.linalg.det(jac - 2.0 * np.eye(rates.n)))
     # Python's float power: numpy's array power can differ in the last bit
-    return [det / norm**n for det, norm in zip(dets.tolist(), norms.tolist())]
+    residuals = [det / norm**rates.n for det, norm in zip(np.ravel(dets).tolist(), np.ravel(norms).tolist())]
+    return residuals if jac.ndim > 2 else residuals[0]
 
 
 def nonhyperbolic_condition(rates: Rates, support: SupportMask, rel_tol: float = NONHYP_REL_TOL) -> bool:
@@ -216,4 +225,7 @@ def nonhyperbolic_condition(rates: Rates, support: SupportMask, rel_tol: float =
         raise DomainError("certificate requires a nonempty support")
     restricted = rates.reciprocal_sum_over(support.nonzero)
     target = (2.0 * len(support.nonzero) - 1.0) / 2.0
-    return any(abs(float(rates.values[i]) * restricted - target) <= rel_tol * target for i in support.indices())
+    for i in support.indices():
+        if abs(float(rates.values[i]) * restricted - target) <= rel_tol * target:
+            return True
+    return False

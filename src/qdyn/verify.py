@@ -16,9 +16,9 @@ import numpy as np
 
 from .dynamics import RegionKind, region_membership
 from .errors import DomainError
-from .fixed_points import _all_masks, _points
-from .model import Rates, _jacobians, apply
-from .stability import TAU_UNIT, StabilityTag, _classes, _eig2_residuals, _spectra
+from .fixed_points import _all_supports, _points
+from .model import Rates, apply, jacobian
+from .stability import _STACK_ROWS, StabilityTag, classify, eigenvalue_two_residual, spectrum_at
 
 RATE_LOW = 0.05
 RATE_HIGH = 3.0
@@ -98,16 +98,22 @@ def sample_in_region(rng: np.random.Generator, rates: Rates, region: RegionKind)
 def _check_one_trial(rates: Rates, rng: np.random.Generator, points_per_region: int) -> dict[str, float]:
     """Worst-case metric per check name (a key of CHECK_TOLERANCES) for a
     single rate draw; everything is 0-or-positive, bigger is worse."""
-    coords, residuals = _points(rates.values, _all_masks(rates))
+    coords, residuals = _points(rates.values, _all_supports(rates))
     count_err = abs(len(coords) - 2**rates.n)
     residual = float(np.max(residuals / np.maximum(1.0, np.max(np.abs(coords), axis=1))))
 
-    # row 0 is the origin, the only point without the eigenvalue 2
-    jacs = _jacobians(rates.values, coords)
-    spectra = _spectra(jacs)
+    # row 0 is the origin, the only point without the eigenvalue 2; each
+    # slice of rows gets one Jacobian stack, shared by spectra and residuals
+    spectra, eig_resid = [], 0.0
+    for start in range(0, len(coords), _STACK_ROWS):
+        rows = coords[start:start + _STACK_ROWS]
+        jacs = jacobian(rates, rows)
+        spectra.append(spectrum_at(rates, rows, jacs))
+        nonzero = slice(1 if start == 0 else 0, None)
+        eig_resid = max(eig_resid, *eigenvalue_two_residual(rates, rows[nonzero], jacs[nonzero]))
+    spectra = np.concatenate(spectra)
     eig_dist = float(np.max(np.min(np.abs(spectra[1:] - 2.0), axis=1)))
-    eig_resid = max(_eig2_residuals(jacs[1:]))
-    attracting = [cls.tag is StabilityTag.ATTRACTING for cls in _classes(spectra, TAU_UNIT)]
+    attracting = [cls.tag is StabilityTag.ATTRACTING for cls in classify(spectra)]
     attracting_err = float((not attracting[0]) + sum(attracting[1:]))
 
     region_err = 0.0

@@ -68,22 +68,34 @@ class TestFixedPointsCommand:
         [("fixed-points", "--theta", "0.4,0.6,1.1"), ("classify", "--theta", "0.4,0.6,1.1", "--support", "1,0,1")],
     )
     def test_one_jacobian_stack_per_call(self, capsys, monkeypatch, argv):
+        from qdyn import model, stability
+
+        stacks = []
+
+        def counted(rates, x):
+            stacks.append(x.shape)
+            return model.jacobian(rates, x)
+
+        monkeypatch.setattr(stability, "jacobian", counted)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert stacks == [(8 if argv[0] == "fixed-points" else 1, 3)]
+
+    def test_large_tables_are_stacked_in_slices(self, capsys, monkeypatch):
         from qdyn import cli as cli_module, model, stability
 
         stacks = []
 
-        def counted(theta, states):
-            stacks.append(len(states))
-            return model._jacobians(theta, states)
+        def counted(rates, x):
+            stacks.append(len(x))
+            return model.jacobian(rates, x)
 
-        def one_point(*args):
-            raise AssertionError("per-point Jacobian built")
-
-        monkeypatch.setattr(cli_module, "_jacobians", counted)
-        monkeypatch.setattr(stability, "jacobian", one_point)
-        code, _, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert stacks == [8 if argv[0] == "fixed-points" else 1]
+        _, whole, _ = run_cli(capsys, "fixed-points", "--theta", "0.4,0.6,1.1", "--format", "csv")
+        monkeypatch.setattr(stability, "jacobian", counted)
+        monkeypatch.setattr(cli_module, "_STACK_ROWS", 3)
+        _, sliced, _ = run_cli(capsys, "fixed-points", "--theta", "0.4,0.6,1.1", "--format", "csv")
+        assert stacks == [3, 3, 2]
+        assert sliced == whole
 
 
 class TestClassifyCommand:
@@ -93,6 +105,16 @@ class TestClassifyCommand:
         payload = json.loads(out)
         (rec,) = payload["fixed_points"]
         np.testing.assert_allclose(rec["coords"], [2.0 / 3.0, 0.0, 2.0 / 3.0])
+        assert rec["class"] == "saddle"
+
+    def test_support_past_the_64th_coordinate(self, capsys):
+        theta = ",".join(["1"] * 70)
+        bits = ",".join(["1"] + ["0"] * 68 + ["1"])
+        code, out, _ = run_cli(capsys, "classify", "--theta", theta, "--support", bits)
+        assert code == 0
+        (rec,) = json.loads(out)["fixed_points"]
+        assert rec["mask"] == rec["index"] == 2**69 + 1
+        np.testing.assert_allclose([rec["coords"][0], rec["coords"][69]], [2.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
         assert rec["class"] == "saddle"
 
     @pytest.mark.parametrize("bits", ["nan,1", "inf,1", "0.7,0.4", "1.0,0", "2,1", "1,", " 1,0"])

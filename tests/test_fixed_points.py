@@ -13,7 +13,8 @@ from qdyn import (
     fixed_point_for_support,
     interior_fixed_point,
 )
-from qdyn.fixed_points import _points, feasible_nonzero_points
+from qdyn.dynamics import unstable_ray
+from qdyn.fixed_points import _points, _support_bits, feasible_nonzero_points
 from helpers import explicit_coefficient_matrix, newton_fixed_point_search
 
 
@@ -152,7 +153,7 @@ class TestPointTable:
         rng = np.random.default_rng(40 + n)
         rates = Rates(0.05 + 2.95 * rng.random(n))
         masks = rng.permutation(1 << n)
-        coords, residual = _points(rates.values, masks)
+        coords, residual = _points(rates.values, _support_bits(masks, n))
         for row, mask in enumerate(masks.tolist()):
             idx = [k for k in range(n) if mask >> k & 1]
             expected = np.zeros(n)
@@ -162,7 +163,7 @@ class TestPointTable:
             assert residual[row] == np.max(np.abs(apply_unchecked(rates, expected) - expected)), mask
 
     def test_table_is_readonly(self, rates_ones3):
-        coords, _ = _points(rates_ones3.values, [1, 7])
+        coords, _ = _points(rates_ones3.values, np.array([[1, 0, 0], [1, 1, 1]]))
         with pytest.raises(ValueError):
             coords[0, 0] = 1.0
 
@@ -170,6 +171,16 @@ class TestPointTable:
         rates = Rates([1.7e308, 1.0])
         point = fixed_point_for_support(rates, SupportMask.from_bits([1, 0]))
         assert point.coords[0] == 2.0 / 1.7e308
+
+    def test_supports_past_the_64th_coordinate(self):
+        # supports are bit rows, not int64 masks, so any n works one support at a time
+        rates = Rates(np.ones(70))
+        np.testing.assert_allclose(interior_fixed_point(rates).coords, np.full(70, 2.0 / 139.0), rtol=1e-14)
+        point = fixed_point_for_support(rates, SupportMask(70, frozenset({0, 69})))
+        assert point.feasible and point.residual < 1e-15
+        np.testing.assert_allclose(point.coords[[0, 69]], [2.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
+        assert not point.coords[1:69].any()
+        np.testing.assert_allclose(unstable_ray(rates), np.ones(70), rtol=1e-14)
 
 
 class TestFeasibleNonzeroPoints:

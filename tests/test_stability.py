@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdyn import (
+    DimensionMismatch,
     DomainError,
     Rates,
     RootLocation,
@@ -22,8 +23,6 @@ from qdyn import (
     sorted_spectrum,
     spectrum_at,
 )
-from qdyn.model import _jacobians
-from qdyn.stability import TAU_UNIT, _classes, _eig2_residuals, _spectra
 from helpers import quadratic_roots
 
 
@@ -195,25 +194,45 @@ class TestStackedSpectra:
         for n in (2, 3, 5, 8, 9):
             rates = sample_rates(rng, n)
             points = enumerate_fixed_points(rates)
-            jacs = _jacobians(rates.values, np.array([p.coords for p in points]))
-            spectra = _spectra(jacs)
-            residuals = _eig2_residuals(jacs[1:])
-            classes = _classes(spectra, TAU_UNIT)
+            coords = np.array([p.coords for p in points])
+            jacs = jacobian(rates, coords)
+            spectra = spectrum_at(rates, coords)
+            residuals = eigenvalue_two_residual(rates, coords[1:])
+            classes = classify(spectra)
+            assert np.array_equal(spectrum_at(rates, coords, jacs), spectra)
+            assert eigenvalue_two_residual(rates, coords[1:], jacs[1:]) == residuals
             for k, point in enumerate(points):
                 x = point.coords
                 jac = np.repeat((rates.values * x)[:, None], n, axis=1)
                 np.fill_diagonal(jac, rates.values * x.sum())
                 assert np.array_equal(jacs[k], jac)
+                assert np.array_equal(jacobian(rates, x), jac)
                 eigs = np.asarray(np.linalg.eigvals(jac), dtype=complex)
                 assert np.array_equal(spectra[k], eigs[np.lexsort((np.angle(eigs), -np.abs(eigs)))])
+                assert np.array_equal(spectrum_at(rates, point), spectra[k])
                 assert classes[k] == classify(eigs)
                 if k:
                     norm = float(np.linalg.norm(jac, np.inf))
                     assert residuals[k - 1] == abs(np.linalg.det(jac - 2.0 * np.eye(n))) / norm**n
+                    assert eigenvalue_two_residual(rates, point) == residuals[k - 1]
+
+    def test_one_row_gives_a_list_and_a_point_gives_a_scalar(self, rates_04_06):
+        point = interior_fixed_point(rates_04_06)
+        rows = point.coords[None]
+        assert jacobian(rates_04_06, rows).shape == (1, 2, 2)
+        assert spectrum_at(rates_04_06, rows).shape == (1, 2)
+        assert isinstance(classify(spectrum_at(rates_04_06, rows)), list)
+        assert isinstance(eigenvalue_two_residual(rates_04_06, rows), list)
+        assert isinstance(eigenvalue_two_residual(rates_04_06, point), float)
+
+    def test_jacobian_rejects_other_shapes(self, rates_04_06):
+        for x in (np.zeros((2, 2, 2)), np.zeros((3, 3))):
+            with pytest.raises(DimensionMismatch):
+                jacobian(rates_04_06, x)
 
     def test_null_jacobian_rejected(self):
         with pytest.raises(DomainError, match="null Jacobian"):
-            _eig2_residuals(np.zeros((2, 3, 3)))
+            eigenvalue_two_residual(Rates([1.0, 2.0, 3.0]), np.zeros((2, 3)))
 
 
 class TestRegimeClassification:

@@ -45,23 +45,41 @@ def test_trial_metrics_are_named_by_the_checks():
 
 
 def test_one_jacobian_stack_per_trial(monkeypatch):
-    # the whole table of 2^n points gets its Jacobians in one build; the
-    # one-point builder is never reached
+    # the whole table of 2^n points gets its Jacobians in one build, shared
+    # by the spectra and the eigenvalue-2 residuals
     from qdyn import model, stability, verify
 
     stacks = []
 
-    def counted(theta, states):
-        stacks.append(len(states))
-        return model._jacobians(theta, states)
+    def counted(rates, x):
+        stacks.append(len(x))
+        return model.jacobian(rates, x)
 
-    def one_point(*args):
-        raise AssertionError("per-point Jacobian built")
+    def rebuilt(*args):
+        raise AssertionError("Jacobian built again inside stability")
 
-    monkeypatch.setattr(verify, "_jacobians", counted)
-    monkeypatch.setattr(stability, "jacobian", one_point)
+    monkeypatch.setattr(verify, "jacobian", counted)
+    monkeypatch.setattr(stability, "jacobian", rebuilt)
     assert verification_sweep(4, 2, 0).passed
     assert stacks == [16, 16]
+
+
+def test_large_tables_are_stacked_in_slices(monkeypatch):
+    from qdyn import model, stability, verify
+
+    stacks = []
+
+    def counted(rates, x):
+        stacks.append(len(x))
+        return model.jacobian(rates, x)
+
+    monkeypatch.setattr(verify, "jacobian", counted)
+    monkeypatch.setattr(verify, "_STACK_ROWS", 5)
+    sliced = verification_sweep(4, 2, 0)
+    assert stacks == [5, 5, 5, 1, 5, 5, 5, 1]
+    monkeypatch.setattr(verify, "_STACK_ROWS", stability._STACK_ROWS)
+    whole = verification_sweep(4, 2, 0)
+    assert [c.worst for c in sliced.checks] == [c.worst for c in whole.checks]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 2**200])
