@@ -1,0 +1,50 @@
+"""Count the code lines of the qdyn package, per module and in total.
+
+A code line holds at least one token that is not part of a comment or a
+docstring; blank lines do not count.  A statement or string that spans
+several lines counts each of them.
+
+    python scripts/code_lines.py
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def docstring_lines(tree: ast.AST) -> set[int]:
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstring_lines(ast.parse(source)))
+
+
+def main() -> int:
+    total = 0
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qdyn").glob("*.py")):
+        count = code_lines(path.read_text())
+        total += count
+        print(f"{path.name:<20} {count:>5}")
+    print(f"{'total':<20} {total:>5}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -98,8 +98,12 @@ def sample_in_region(rng: np.random.Generator, rates: Rates, region: RegionKind)
 def _check_one_trial(rates: Rates, rng: np.random.Generator, points_per_region: int) -> dict[str, float]:
     """Worst-case metric per check name (a key of CHECK_TOLERANCES) for a
     single rate draw; everything is 0-or-positive, bigger is worse."""
-    coords, residuals = _points(rates.values, _all_supports(rates))
-    count_err = abs(len(coords) - 2**rates.n)
+    bits = _all_supports(rates)
+    coords, residuals = _points(rates.values, bits)
+    # a zero inside a support repeats the point of a smaller support, so the
+    # 2^n points are distinct exactly when no row's nonzero set differs from
+    # its support
+    count_err = float(np.count_nonzero(np.any((coords != 0.0) != (bits == 1), axis=1)))
     residual = float(np.max(residuals / np.maximum(1.0, np.max(np.abs(coords), axis=1))))
 
     # row 0 is the origin, the only point without the eigenvalue 2; each

@@ -5,6 +5,7 @@ from qdyn import (
     DomainError,
     FateEvidence,
     FateOutcome,
+    FateReport,
     Rates,
     RegionKind,
     RegionNotApplicable,
@@ -315,6 +316,40 @@ class TestBasinBoundary:
         sample = basin_boundary(rates_04_06, [6.0], tol=1e-6)[0]
         assert sample.flagged
         assert "no fate flip" in sample.note
+
+    def test_budget_limited_lower_end_has_one_note(self, rates_04_06):
+        # the bracket's lower end runs out of budget; that is the whole note
+        for sample in basin_boundary(rates_04_06, [1.0, 2.0], budget=1):
+            assert sample.flagged
+            assert sample.note == "lower bracket fate is undetermined"
+
+    def test_float_resolution_is_flagged(self, rates_04_06):
+        # no float bracket near x2 ~ 1 is 1e-300 wide; bisection stops at
+        # adjacent floats and says so instead of certifying the width
+        for sample in basin_boundary(rates_04_06, [1.0, 2.0], tol=1e-300):
+            assert sample.flagged
+            assert np.nextafter(sample.x2_low, np.inf) == sample.x2_high
+            assert sample.note == f"float resolution reached at width {sample.width!r}"
+
+    def test_upper_bracket_search_gives_up_after_max_doublings(self, rates_04_06, monkeypatch):
+        from qdyn import dynamics
+
+        calls = []
+        original = dynamics._fate
+
+        def never_escapes(rates, x, budget, targets):
+            calls.append(float(x[1]))
+            report = original(rates, x, budget, targets)
+            if report.outcome is FateOutcome.TO_INFINITY:
+                return FateReport(FateOutcome.UNDETERMINED, 0, x, FateEvidence.ITERATION_CAP)
+            return report
+
+        monkeypatch.setattr(dynamics, "_fate", never_escapes)
+        sample = basin_boundary(rates_04_06, [1.0])[0]
+        start = 2.0 / 0.6
+        assert calls == [0.0] + [start * 2.0**k for k in range(dynamics.MAX_DOUBLINGS + 1)]
+        assert (sample.x2_low, sample.x2_high) == (0.0, calls[-1])
+        assert sample.flagged and sample.note == "no escaping upper bracket within 60 doublings"
 
     def test_builds_fate_targets_once(self, rates_04_06, monkeypatch):
         from qdyn import dynamics

@@ -1,6 +1,7 @@
 """Smoke runs of the data scripts at toy sizes."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +32,20 @@ def test_boundary_vs_quintic():
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["x1", "boundary", "quintic", "|dev|", "flag"]
     assert len(lines) == 1 + 3 + 1 and lines[-1].startswith("max deviation: ")
+
+
+def test_code_lines_counts_neither_docstrings_nor_comments():
+    code_lines = runpy.run_path(str(ROOT / "scripts" / "code_lines.py"))["code_lines"]
+    source = (
+        '"""Module\ndocstring."""\n\n# comment\nx = 1  # trailing comment\n\n\n'
+        'def f():\n    """Function docstring."""\n    return (\n        x)\n'
+    )
+    assert code_lines(source) == 4
+
+
+def test_code_lines_totals_the_package():
+    proc = run_script("code_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [name for name, _ in rows] == sorted(p.name for p in (ROOT / "src" / "qdyn").glob("*.py")) + ["total"]
+    assert int(rows[-1][1]) == sum(int(count) for _, count in rows[:-1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdyn import DomainError, RegionKind, region_membership
+from qdyn import DomainError, Rates, RegionKind, region_membership
 from qdyn.verify import CHECK_TOLERANCES, _check_one_trial, make_rng, sample_in_region, sample_rates, verification_sweep
 
 
@@ -42,6 +42,15 @@ def test_trial_metrics_are_named_by_the_checks():
     assert list(metrics) == list(CHECK_TOLERANCES)
     summary = verification_sweep(n=3, trials=2, seed=5)
     assert [(c.name, c.tolerance) for c in summary.checks] == list(CHECK_TOLERANCES.items())
+
+
+def test_count_check_sees_a_repeated_point():
+    # rates (1, 2): the full support solves to (0, 1), the point of support
+    # {1}, so only 3 of the 4 algebraic points are distinct
+    metrics = _check_one_trial(Rates([1.0, 2.0]), make_rng(0), points_per_region=2)
+    assert metrics["fixed-point count == 2^n"] == 1.0
+    metrics = _check_one_trial(Rates([1.0, 1.5]), make_rng(0), points_per_region=2)
+    assert metrics["fixed-point count == 2^n"] == 0.0
 
 
 def test_one_jacobian_stack_per_trial(monkeypatch):
