@@ -53,10 +53,10 @@ def main() -> int:
     with open(fates_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x1", "x2", "fate", "steps_used"])
-        for x1 in np.linspace(0.0, args.x1_max, args.grid):
-            for x2 in np.linspace(0.0, args.x2_max, args.grid):
-                report = classify_fate(rates, np.array([x1, x2]))
-                writer.writerow([repr(float(x1)), repr(float(x2)), report.outcome.value, report.steps_used])
+        starts = [(x1, x2) for x1 in np.linspace(0.0, args.x1_max, args.grid).tolist()
+                  for x2 in np.linspace(0.0, args.x2_max, args.grid).tolist()]
+        for (x1, x2), report in zip(starts, classify_fate(rates, np.array(starts).reshape(-1, 2))):
+            writer.writerow([repr(x1), repr(x2), report.outcome.value, report.steps_used])
     print(f"wrote {fates_path}")
 
     boundary_path = f"{args.out}_boundary.csv"

@@ -8,6 +8,13 @@ respectively escape to infinity, and in the plane the two basins are
 separated by an invariant curve through the nonzero fixed points.  Fate
 classification exploits the regions as shortcuts; the separating curve has
 no usable closed form and is extracted by bisection instead.
+
+Every fate runs through one kernel, `_fates`, which steps a stack of starts
+in lockstep and drops each row at the state where a stopping rule fires.
+`classify_fate` hands it one start or many; `basin_boundary` bisects all
+lines of a grid together through it, one call per round, with the next
+few midpoint levels of every line evaluated speculatively in each call.
+`iterate` walks a single orbit (`_orbit`) instead, since it keeps every state.
 """
 
 from __future__ import annotations
@@ -127,18 +134,17 @@ def region_membership(rates: Rates, x, region: RegionKind) -> bool:
 
 
 def _orbit(theta: np.ndarray, x: np.ndarray):
-    """Yield (state, inf-norm) along the orbit of x, ending after the first
-    state whose norm leaves [EPS_CONV, R_ESCAPE] or before a nonfinite state.
+    """Yield the states along the orbit of x, ending after the first state
+    whose inf-norm leaves [EPS_CONV, R_ESCAPE] or before a nonfinite state.
 
-    The only place the map is stepped.  A nonfinite step (quadratic blow-up
-    past the float range, reachable only from enormous inputs or rates) is
-    logged and ends the orbit at the last finite state; callers walk it
-    under np.errstate so that numpy does not warn about it.
+    A nonfinite step (quadratic blow-up past the float range, reachable only
+    from enormous inputs or rates) is logged and ends the orbit at the last
+    finite state, as in the fate kernel; callers walk it under np.errstate
+    so that numpy does not warn about it.
     """
     for states in itertools.count(1):
-        norm = float(np.abs(x).max())  # array methods: this runs once per step
-        yield x, norm
-        if norm < EPS_CONV or norm > R_ESCAPE:
+        yield x
+        if not EPS_CONV <= float(np.abs(x).max()) <= R_ESCAPE:  # array methods: this runs once per step
             return
         x = _step(theta, x)
         if not np.isfinite(x).all():
@@ -157,11 +163,12 @@ def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
     orbit = _orbit(rates.values, as_state(x0, rates.n))
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([x for x, _ in itertools.islice(orbit, max_steps + 1)])
+        return np.array(list(itertools.islice(orbit, max_steps + 1)))
 
 
-def classify_fate(rates: Rates, x0, budget: int = DEFAULT_BUDGET) -> FateReport:
-    """Asymptotic outcome of the trajectory starting at x0.
+def classify_fate(rates: Rates, x0, budget: int = DEFAULT_BUDGET) -> FateReport | list[FateReport]:
+    """Asymptotic outcome of the trajectory starting at x0; for starts given
+    as rows (shape (k, n)), the list of their k reports, stepped together.
 
     Stopping rules, checked in order at every step (including step 0):
     proximity to a feasible nonzero fixed point (within PROXIMITY_RTOL of
@@ -169,7 +176,8 @@ def classify_fate(rates: Rates, x0, budget: int = DEFAULT_BUDGET) -> FateReport:
     (to infinity); the inf-norm thresholds.  The region shortcut needs the
     strict margin REGION_MARGIN because the nonzero fixed points sit
     exactly on the region boundaries.  The outcome is undetermined only
-    when the iteration budget runs out.
+    when the iteration budget runs out.  A row's report does not depend on
+    the rows stepped with it.
 
     Only the feasible nonzero fixed points are built as proximity targets,
     from their closed-form supports (`feasible_nonzero_points`: supports are
@@ -177,43 +185,85 @@ def classify_fate(rates: Rates, x0, budget: int = DEFAULT_BUDGET) -> FateReport:
     1/2), not all 2^n algebraic points.  A hit reports the target's support
     mask, which is its index in the mask-ordered enumeration.
     """
-    x = as_state(x0, rates.n)
-    return _fate(rates, x, budget, _fate_targets(rates))
+    arr = np.asarray(x0, dtype=float)
+    if arr.ndim == 2 and arr.shape[1] != rates.n:
+        raise DimensionMismatch(f"starts have shape {arr.shape}, expected (k, {rates.n})")
+    rows = as_state(arr.ravel()).reshape(arr.shape) if arr.ndim == 2 else as_state(arr, rates.n)[None]
+    targets = _fate_targets(rates)
+    per_call = max(1, _FATE_CELLS // len(targets[2]))
+    reports = [
+        FateReport(outcome, steps, _readonly(final), evidence, None if mask < 0 else mask)
+        for start in range(0, len(rows), per_call)
+        for outcome, evidence, steps, final, mask in zip(*_fates(rates, rows[start:start + per_call], budget, targets))
+    ]
+    return reports if arr.ndim == 2 else reports[0]
 
 
-def _fate_targets(rates: Rates) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _fate_targets(rates: Rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Coordinates, proximity radii and support masks of the fate targets.
     masks, coords = feasible_nonzero_points(rates)
-    return coords, PROXIMITY_RTOL * np.maximum(1.0, np.max(np.abs(coords), axis=1)), masks
+    return coords, PROXIMITY_RTOL * np.maximum(1.0, np.max(np.abs(coords), axis=1)), np.array(masks)
 
 
-def _fate(rates: Rates, x: np.ndarray, budget: int, targets) -> FateReport:
+# Outcome and evidence of each stopping rule, in the order a fate checks
+# them at every state: proximity, strict MBAR1, strict MBAR2, collapse,
+# escape, budget.  A step past the float range ends the orbit at its last
+# finite state with the escape rule, _OVERFLOW.
+_OUTCOMES = np.array([FateOutcome.TO_FIXED_POINT, FateOutcome.TO_ORIGIN, FateOutcome.TO_INFINITY,
+                      FateOutcome.TO_ORIGIN, FateOutcome.TO_INFINITY, FateOutcome.UNDETERMINED], dtype=object)
+_EVIDENCE = np.array([FateEvidence.FIXED_POINT_PROXIMITY, *[FateEvidence.REGION_CONTAINMENT] * 2,
+                      *[FateEvidence.NORM_THRESHOLD] * 2, FateEvidence.ITERATION_CAP], dtype=object)
+_OVERFLOW = 4
+# Row-target pairs per kernel call: larger inputs are fed in slices, which
+# keeps the proximity test's (rows, targets, n) array near a megabyte.
+_FATE_CELLS = 1 << 13
+
+
+def _fates(rates: Rates, x: np.ndarray, budget: int, targets) -> tuple:
+    """The fate kernel: the starts given as the rows of x (shape (k, n)),
+    stepped in lockstep.
+
+    Each row meets the stopping rules of `classify_fate` in their order and
+    leaves the stack at the state where one fires.  The stacked step is
+    `_step`'s arithmetic row by row, so a row's fate is bit for bit the one
+    it gets alone.  A row whose step overflows is logged and escapes from
+    its last finite state.  Returns, one entry per row, the outcomes and
+    the evidence (object arrays), the steps used (a list), the final states
+    (an array of rows) and the support masks of the fixed points reached
+    (a list, -1 where none was).
+    """
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    target_coords, target_tols, masks = targets
-    bound = 2.0 / rates.values
+    coords, tols, masks = targets
+    below, above = 2.0 / rates.values - REGION_MARGIN, 2.0 / rates.values + REGION_MARGIN
+    rule, steps_used = np.empty(len(x), dtype=int), np.empty(len(x), dtype=int)
+    final, mask, rows = np.empty_like(x), np.full(len(x), -1), np.arange(len(x))
     with np.errstate(over="ignore", invalid="ignore"):
-        for steps, (x, norm) in enumerate(_orbit(rates.values, x)):
-            dist = np.max(np.abs(target_coords - x), axis=1)
-            hits = np.nonzero(dist <= target_tols)[0]
-            if hits.size:
-                return FateReport(
-                    FateOutcome.TO_FIXED_POINT, steps, _readonly(x),
-                    FateEvidence.FIXED_POINT_PROXIMITY, masks[int(hits[0])],
-                )
-            lhs = 2.0 * x.sum() - x
-            if np.all(lhs < bound - REGION_MARGIN):
-                return FateReport(FateOutcome.TO_ORIGIN, steps, _readonly(x), FateEvidence.REGION_CONTAINMENT)
-            if np.all(lhs > bound + REGION_MARGIN):
-                return FateReport(FateOutcome.TO_INFINITY, steps, _readonly(x), FateEvidence.REGION_CONTAINMENT)
-            if norm < EPS_CONV:
-                return FateReport(FateOutcome.TO_ORIGIN, steps, _readonly(x), FateEvidence.NORM_THRESHOLD)
-            if norm > R_ESCAPE:
-                return FateReport(FateOutcome.TO_INFINITY, steps, _readonly(x), FateEvidence.NORM_THRESHOLD)
-            if steps >= budget:
-                return FateReport(FateOutcome.UNDETERMINED, steps, _readonly(x), FateEvidence.ITERATION_CAP)
-    # The orbit ended before a nonfinite state: the next step overflowed.
-    return FateReport(FateOutcome.TO_INFINITY, steps + 1, _readonly(x), FateEvidence.NORM_THRESHOLD)
+        for steps in itertools.count():
+            lhs = 2.0 * x.sum(axis=1, keepdims=True) - x
+            norm = np.abs(x).max(axis=1)
+            near = np.abs(coords - x[:, None]).max(axis=2) <= tols
+            fired = [near.any(axis=1), (lhs < below).all(axis=1), (lhs > above).all(axis=1),
+                     norm < EPS_CONV, norm > R_ESCAPE]
+            done = fired[0] | fired[1] | fired[2] | fired[3] | fired[4] | (steps >= budget)
+            if done.any():
+                # `done` itself is the budget rule: only the budget stops a row where no other rule fired
+                at, hit = rows[done], near[done]
+                rule[at], steps_used[at], final[at] = np.array([*fired, done]).argmax(axis=0)[done], steps, x[done]
+                mask[at] = np.where(hit.any(axis=1), masks[hit.argmax(axis=1)], -1)
+                rows, x, lhs = rows[~done], x[~done], lhs[~done]
+            if not rows.size:
+                break
+            x_next = 0.5 * rates.values * x * lhs
+            finite = np.isfinite(x_next).all(axis=1)
+            if not finite.all():
+                at = rows[~finite]
+                for _ in at:
+                    log.warning("overflow step; orbit truncated at %d states", steps + 1)
+                rule[at], steps_used[at], final[at] = _OVERFLOW, steps + 1, x[~finite]
+                rows, x_next = rows[finite], x_next[finite]
+            x = x_next
+    return _OUTCOMES[rule], _EVIDENCE[rule], steps_used.tolist(), final, mask.tolist()
 
 
 def unstable_line_slope(rates: Rates) -> float:
@@ -277,6 +327,16 @@ def basin_boundary(rates: Rates, x1_grid, tol: float = 1e-8, budget: int = DEFAU
     - "float resolution reached": the bracket ends are adjacent floats
       further apart than tol.
 
+    All lines advance in lockstep, one fate-kernel call per round.  Each
+    line's search is a coroutine (`_line_search`) that yields every x2
+    whose fate it needs.  A bisection midpoint comes with its bracket, and
+    the round evaluates the midpoints of the next _SPEC_LEVELS levels below
+    it as well (15 fates, formed as 0.5 * (low + high) exactly as the search
+    forms them), so the search walks several levels per round while its
+    path stays among them.  The brackets and notes are those of a search
+    that evaluates one fate at a time; the fates off its path are the price
+    of the speculation.
+
     Every fate follows the rules of `classify_fate`.
     The feasible nonzero fixed points it stops at are built once per call
     (grown over the supports whose deficit stays at most 1/2) and shared by
@@ -290,28 +350,54 @@ def basin_boundary(rates: Rates, x1_grid, tol: float = 1e-8, budget: int = DEFAU
     if np.any(grid < 0.0) or not np.all(np.isfinite(grid)):
         raise DomainError("x1 grid must be finite and nonnegative")
     targets = _fate_targets(rates)
+    per_call = max(1, _FATE_CELLS // (len(targets[2]) * (2**_SPEC_LEVELS - 1)))
+    samples: list[BoundarySample] = [None] * grid.size
+    for start in range(0, grid.size, per_call):
+        searches = [_line_search(x1, float(rates.values[1]), tol) for x1 in grid[start:start + per_call].tolist()]
+        requests = {i: search.send(None) for i, search in enumerate(searches)}
+        while requests:
+            tried = {i: [x2] if bracket is None else _midpoint_tree(*bracket) for i, (x2, bracket) in requests.items()}
+            starts = np.array([(grid[start + i], x2) for i, x2s in tried.items() for x2 in x2s])
+            outcomes = iter(_fates(rates, starts, budget, targets)[0])
+            for i, x2s in tried.items():
+                known = dict(zip(x2s, outcomes))
+                try:
+                    while requests[i][0] in known:
+                        requests[i] = searches[i].send(known[requests[i][0]])
+                except StopIteration as finished:
+                    samples[start + i] = finished.value
+                    del requests[i]
+    return samples
 
-    def fate(x1: float, x2: float) -> FateReport:
-        return _fate(rates, np.array([x1, x2]), budget, targets)
 
-    return [_bisect_line(rates, float(x1), fate, tol) for x1 in grid]
+_SPEC_LEVELS = 4  # bisection levels evaluated per line in one round
 
 
-def _bisect_line(rates: Rates, x1: float, fate, tol: float) -> BoundarySample:
-    low_fate = fate(x1, 0.0).outcome
+def _midpoint_tree(low: float, high: float, levels: int = _SPEC_LEVELS) -> list[float]:
+    """The midpoints of the next `levels` bisection levels below [low, high]."""
+    mid = 0.5 * (low + high)
+    if levels == 1:
+        return [mid]
+    return [mid, *_midpoint_tree(low, mid, levels - 1), *_midpoint_tree(mid, high, levels - 1)]
+
+
+def _line_search(x1: float, r2: float, tol: float):
+    """The search on the vertical line x1 = const (rates r1, r2) as a
+    coroutine: it yields (x2, bracket) for every fate it needs, with bracket
+    the (low, high) that a bisection midpoint x2 halves and None otherwise,
+    is sent the outcome, and returns the sample."""
+    low_fate = yield 0.0, None
     if low_fate is FateOutcome.TO_INFINITY:
         log.debug("x1=%g: escapes already at x2=0", x1)
         return BoundarySample(x1, 0.0, 0.0, 0.0, True, "no fate flip: x2=0 already escapes")
 
-    low, high = 0.0, max(2.0 / float(rates.values[1]), 1.0)
+    low, high = 0.0, max(2.0 / r2, 1.0)
     for doublings in range(MAX_DOUBLINGS + 1):
-        if fate(x1, high).outcome is FateOutcome.TO_INFINITY:
+        if (yield high, None) is FateOutcome.TO_INFINITY:
             break
         if doublings == MAX_DOUBLINGS:
-            return BoundarySample(
-                x1, low, high, high - low, True,
-                f"no escaping upper bracket within {MAX_DOUBLINGS} doublings",
-            )
+            note = f"no escaping upper bracket within {MAX_DOUBLINGS} doublings"
+            return BoundarySample(x1, low, high, high - low, True, note)
         high *= 2.0
 
     # From here on `high` only moves to escaping midpoints.
@@ -319,8 +405,8 @@ def _bisect_line(rates: Rates, x1: float, fate, tol: float) -> BoundarySample:
         mid = 0.5 * (low + high)
         if mid <= low or mid >= high:
             break  # float resolution exhausted
-        report = fate(x1, mid)
-        if report.outcome is FateOutcome.TO_FIXED_POINT:
+        outcome = yield mid, (low, high)
+        if outcome is FateOutcome.TO_FIXED_POINT:
             # The midpoint landed on the boundary curve itself (inside the
             # proximity radius of a fixed point).  Straddle the hit by a
             # quarter of the requested width, far outside that radius, to
@@ -328,17 +414,14 @@ def _bisect_line(rates: Rates, x1: float, fate, tol: float) -> BoundarySample:
             lo_try, hi_try = mid - 0.25 * tol, mid + 0.25 * tol
             # (low >= 0, so a straddle inside the bracket stays positive)
             if (low < lo_try and hi_try < high
-                    and fate(x1, lo_try).outcome is FateOutcome.TO_ORIGIN
-                    and fate(x1, hi_try).outcome is FateOutcome.TO_INFINITY):
+                    and (yield lo_try, None) is FateOutcome.TO_ORIGIN
+                    and (yield hi_try, None) is FateOutcome.TO_INFINITY):
                 return BoundarySample(x1, lo_try, hi_try, hi_try - lo_try, False, "")
-            return BoundarySample(
-                x1, low, high, high - low, True,
-                f"bisection landed on a fixed point at x2={mid!r}",
-            )
-        if report.outcome is FateOutcome.TO_INFINITY:
+            return BoundarySample(x1, low, high, high - low, True, f"bisection landed on a fixed point at x2={mid!r}")
+        if outcome is FateOutcome.TO_INFINITY:
             high = mid
         else:
-            low, low_fate = mid, report.outcome
+            low, low_fate = mid, outcome
 
     notes = []
     if low_fate is not FateOutcome.TO_ORIGIN:

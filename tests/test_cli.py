@@ -599,7 +599,10 @@ def test_golden_stdout(capsys, case):
     # included) and basin with one rate pair per regime.  Captured before
     # the fixed-point table was built in one pass per rate vector:
     # fixed-points at n = 2 (ratio two included) and n = 4, classify on the
-    # full support at n = 10, and verify at n = 3 and 6.
+    # full support at n = 10, and verify at n = 3 and 6.  Captured before
+    # basin lines were bisected in lockstep: multi-line JSON at tol 1e-12 in
+    # each regime, one call mixing the straddle, ordinary lines and a line
+    # with no flip, budget 3 over six lines, and tol 1e-300 over two lines.
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == 0
     assert out == case["stdout"]

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdyn import (
+    DEFAULT_BUDGET,
+    DimensionMismatch,
     DomainError,
     FateEvidence,
     FateOutcome,
@@ -22,6 +26,7 @@ from qdyn import (
     unstable_line_slope,
     unstable_ray,
 )
+from qdyn.fixed_points import feasible_nonzero_points
 from qdyn.verify import make_rng, sample_in_region, sample_rates
 from helpers import sample_feasible_interior
 
@@ -201,6 +206,58 @@ class TestClassifyFate:
             np.testing.assert_array_equal(traj[-1], report.final_state)
 
 
+def kernel_fields(report):
+    return (report.outcome, report.evidence, report.steps_used, report.fixed_point_index, report.final_state.tobytes())
+
+
+@st.composite
+def start_stacks(draw):
+    """Rates at n = 2..8 and a stack of starts: between the scales where the
+    MBAR1 and MBAR2 constraints bind, at feasible fixed points, and (with
+    one rate at 1e-300 and one at 1e300) starts whose first step overflows."""
+    n = draw(st.integers(2, 8))
+    theta = np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)))
+    overflowing = draw(st.booleans())
+    if overflowing:
+        theta[:2] = 1e-300, 1e300
+    rates = Rates(theta)
+    _, points = feasible_nonzero_points(rates)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        u = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+        u /= u.sum()
+        critical = 2.0 / (theta * (2.0 - u))
+        kind = draw(st.sampled_from(["band", "fixed point", "large"]))
+        if kind == "fixed point":
+            rows.append(points[draw(st.integers(0, len(points) - 1))])
+        elif kind == "large" and overflowing:
+            rows.append(10.0 ** draw(st.integers(5, 8)) * u)
+        else:
+            rows.append(draw(st.floats(0.5 * critical.min(), 1.5 * critical.max())) * u)
+    return rates, np.array(rows)
+
+
+class TestFateKernel:
+    @given(start_stacks(), st.sampled_from([1, 2, 3, 4, 5, DEFAULT_BUDGET]))
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    def test_stacked_rows_equal_their_one_row_calls(self, case, budget):
+        rates, starts = case
+        stacked = classify_fate(rates, starts, budget)
+        assert [kernel_fields(r) for r in stacked] == [kernel_fields(classify_fate(rates, x, budget)) for x in starts]
+
+    def test_rows_return_a_list_and_one_start_a_report(self, rates_04_06):
+        assert isinstance(classify_fate(rates_04_06, [0.1, 0.1]), FateReport)
+        assert classify_fate(rates_04_06, np.empty((0, 2))) == []
+        assert [r.outcome for r in classify_fate(rates_04_06, [[0.1, 0.1], [3.0, 3.0]])] == [
+            FateOutcome.TO_ORIGIN, FateOutcome.TO_INFINITY,
+        ]
+
+    @pytest.mark.parametrize("starts", [[[0.1, 0.1, 0.1]], [[0.1, -0.1]], [[0.1, float("nan")]]])
+    def test_rows_are_validated(self, rates_04_06, starts):
+        with pytest.raises((DimensionMismatch, DomainError)):
+            classify_fate(rates_04_06, starts)
+
+
 class TestUnstableLine:
     def test_slope_examples(self):
         assert unstable_line_slope(Rates([0.4, 0.6])) == pytest.approx(4.0, abs=1e-12)
@@ -335,21 +392,46 @@ class TestBasinBoundary:
         from qdyn import dynamics
 
         calls = []
-        original = dynamics._fate
+        original = dynamics._fates
 
-        def never_escapes(rates, x, budget, targets):
-            calls.append(float(x[1]))
-            report = original(rates, x, budget, targets)
-            if report.outcome is FateOutcome.TO_INFINITY:
-                return FateReport(FateOutcome.UNDETERMINED, 0, x, FateEvidence.ITERATION_CAP)
-            return report
+        def never_escapes(rates, starts, budget, targets):
+            calls.extend(starts[:, 1].tolist())
+            outcome, *rest = original(rates, starts, budget, targets)
+            return (np.where(outcome == FateOutcome.TO_INFINITY, FateOutcome.UNDETERMINED, outcome), *rest)
 
-        monkeypatch.setattr(dynamics, "_fate", never_escapes)
+        monkeypatch.setattr(dynamics, "_fates", never_escapes)
         sample = basin_boundary(rates_04_06, [1.0])[0]
         start = 2.0 / 0.6
         assert calls == [0.0] + [start * 2.0**k for k in range(dynamics.MAX_DOUBLINGS + 1)]
         assert (sample.x2_low, sample.x2_high) == (0.0, calls[-1])
         assert sample.flagged and sample.note == "no escaping upper bracket within 60 doublings"
+
+    @pytest.mark.parametrize("theta", [(0.4, 0.6), (0.8, 0.2), (0.2, 0.8)])
+    @pytest.mark.parametrize("budget", [3, DEFAULT_BUDGET])
+    def test_grid_equals_its_lines_one_at_a_time(self, theta, budget):
+        # straddled, budget-limited, no-flip and ordinary lines in one grid
+        rates = Rates(theta)
+        grid = np.linspace(0.0, 6.0, 13)
+        lines = [sample for x1 in grid for sample in basin_boundary(rates, [x1], tol=1e-10, budget=budget)]
+        assert basin_boundary(rates, grid, tol=1e-10, budget=budget) == lines
+
+    def test_lines_bisect_in_lockstep(self, rates_04_06, monkeypatch):
+        # nine lines take no more kernel calls than the slowest one alone
+        from qdyn import dynamics
+
+        calls = []
+        original = dynamics._fates
+        monkeypatch.setattr(dynamics, "_fates", lambda *args: calls.append(len(args[1])) or original(*args))
+        grid = np.linspace(0.1, 4.9, 9)
+        alone = []
+        for x1 in grid:
+            calls.clear()
+            basin_boundary(rates_04_06, [x1])
+            alone.append(len(calls))
+        calls.clear()
+        basin_boundary(rates_04_06, grid)
+        assert len(calls) <= max(alone)
+        assert max(calls) > 9  # bisection rounds speculate several midpoints per line
 
     def test_builds_fate_targets_once(self, rates_04_06, monkeypatch):
         from qdyn import dynamics
