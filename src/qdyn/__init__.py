@@ -38,7 +38,7 @@ from .fixed_points import (
     fixed_point_for_support,
     interior_fixed_point,
 )
-from .model import Rates, apply, apply_unchecked, as_state, jacobian
+from .model import Rates, apply, as_state, jacobian
 from .stability import (
     TAU_UNIT,
     CharPolyN2,
@@ -88,7 +88,6 @@ __all__ = [
     "TAU_UNIT",
     "VerticalLineError",
     "apply",
-    "apply_unchecked",
     "as_state",
     "basin_boundary",
     "char_poly_coeffs_n2",

@@ -21,14 +21,14 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
 from .dynamics import DEFAULT_BUDGET, basin_boundary, classify_fate, iterate
 from .errors import QdynError
-from .fixed_points import SupportMask, _all_supports, _points
+from .fixed_points import _all_supports, _points
 from .model import Rates
 from .stability import _STACK_ROWS, TAU_UNIT, classify, spectrum_at
 from .verify import verification_sweep
@@ -181,8 +181,8 @@ def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, I
     bits = args.support.split(",")
     if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
         raise QdynError(f"--support expects {rates.n} bits (0 or 1), got {args.support!r}")
-    support = SupportMask.from_bits([int(b) for b in bits])
-    return _points_output(rates, [support.mask_int], np.array([support.bits()]), cfg.tau_unit)
+    mask = int("".join(reversed(bits)), 2)  # bit k is coordinate k
+    return _points_output(rates, [mask], np.array([bits], dtype=int), cfg.tau_unit)
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
@@ -216,13 +216,7 @@ def cmd_basin(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iter
     payload = {
         "theta": rates.values.tolist(),
         "tol": cfg.bisect_tol,
-        "samples": [
-            {
-                "x1": s.x1, "x2_low": s.x2_low, "x2_high": s.x2_high,
-                "width": s.width, "flagged": s.flagged, "note": s.note,
-            }
-            for s in samples
-        ],
+        "samples": [asdict(s) for s in samples],
     }
     header = ["x1", "x2_low", "x2_high", "width", "flagged"]
     rows = ([s.x1, s.x2_low, s.x2_high, s.width, str(s.flagged).lower()] for s in samples)
@@ -238,13 +232,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Ite
         "trials": summary.trials,
         "seed": summary.seed,
         "passed": summary.passed,
-        "checks": [
-            {
-                "name": c.name, "worst": c.worst, "tolerance": c.tolerance,
-                "passed": c.passed, "failures": list(c.failures),
-            }
-            for c in summary.checks
-        ],
+        "checks": [asdict(c) for c in summary.checks],
     }
     return (0 if summary.passed else 1), payload, _verify_lines(summary)
 

@@ -14,7 +14,8 @@ in lockstep and drops each row at the state where a stopping rule fires.
 `classify_fate` hands it one start or many; `basin_boundary` bisects all
 lines of a grid together through it, one call per round, with the next
 few midpoint levels of every line evaluated speculatively in each call.
-`iterate` walks a single orbit (`_orbit`) instead, since it keeps every state.
+`iterate` keeps every state of a single orbit and steps it in its own loop:
+one kernel step of a one-row call costs three to four times a loop step.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 import logging
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +76,7 @@ class FateReport:
     steps_used: int
     final_state: np.ndarray
     evidence: FateEvidence
-    fixed_point_index: int | None = None  # index into the mask-ordered enumeration
+    fixed_point_index: int | None  # index into the mask-ordered enumeration
 
 
 @dataclass(frozen=True)
@@ -91,26 +93,22 @@ class BoundarySample:
     x2_high: float
     width: float
     flagged: bool
-    note: str = ""
+    note: str
 
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.x2_low + self.x2_high)
 
 
-def _constraints(rates: Rates, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # lhs_k = x_k + 2*sum_{i != k} x_i, bound_k = 2/r_k; a sum past the
-    # float range is inf, which lies above every bound
-    with np.errstate(over="ignore"):
-        lhs = 2.0 * x.sum() - x
-    return lhs, 2.0 / rates.values
-
-
 def region_membership(rates: Rates, x, region: RegionKind) -> bool:
     """Non-strict membership test; raises RegionNotApplicable outside the
     parameter regime where the region is defined."""
     arr = as_state(x, rates.n)
-    lhs, bound = _constraints(rates, arr)
+    # lhs_k = x_k + 2*sum_{i != k} x_i, bound_k = 2/r_k; a sum past the
+    # float range is inf, which lies above every bound
+    with np.errstate(over="ignore"):
+        lhs = 2.0 * arr.sum() - arr
+    bound = 2.0 / rates.values
     if region is RegionKind.MBAR1:
         return bool(np.all(lhs <= bound))
     if region is RegionKind.MBAR2:
@@ -133,37 +131,30 @@ def region_membership(rates: Rates, x, region: RegionKind) -> bool:
     return bool(lhs[1] <= bound[1]) if region is RegionKind.M5 else bool(lhs[0] >= bound[0])
 
 
-def _orbit(theta: np.ndarray, x: np.ndarray):
-    """Yield the states along the orbit of x, ending after the first state
-    whose inf-norm leaves [EPS_CONV, R_ESCAPE] or before a nonfinite state.
-
-    A nonfinite step (quadratic blow-up past the float range, reachable only
-    from enormous inputs or rates) is logged and ends the orbit at the last
-    finite state, as in the fate kernel; callers walk it under np.errstate
-    so that numpy does not warn about it.
-    """
-    for states in itertools.count(1):
-        yield x
-        if not EPS_CONV <= float(np.abs(x).max()) <= R_ESCAPE:  # array methods: this runs once per step
-            return
-        x = _step(theta, x)
-        if not np.isfinite(x).all():
-            log.warning("overflow step; orbit truncated at %d states", states)
-            return
-
-
 def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
     """Trajectory [x0, H(x0), ...] as an array of shape (steps+1, n).
 
     Stops early once the inf-norm leaves [EPS_CONV, R_ESCAPE]; the crossing
     state is included.  A nonfinite iterate (possible only from enormous
-    inputs) truncates the trajectory at the last finite state.
+    inputs or rates) is logged and truncates the trajectory at the last
+    finite state, as in the fate kernel.
     """
+    try:
+        max_steps = operator.index(max_steps)
+    except TypeError:
+        raise DomainError(f"max_steps must be an integer, got {max_steps!r}") from None
     if max_steps < 0:
         raise DomainError(f"max_steps must be >= 0, got {max_steps}")
-    orbit = _orbit(rates.values, as_state(x0, rates.n))
+    states = [as_state(x0, rates.n)]
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.array(list(itertools.islice(orbit, max_steps + 1)))
+        # array methods: this runs once per step
+        while len(states) <= max_steps and EPS_CONV <= float(np.abs(states[-1]).max()) <= R_ESCAPE:
+            x = _step(rates.values, states[-1])
+            if not np.isfinite(x).all():
+                log.warning("overflow step; orbit truncated at %d states", len(states))
+                break
+            states.append(x)
+    return np.array(states)
 
 
 def classify_fate(rates: Rates, x0, budget: int = DEFAULT_BUDGET) -> FateReport | list[FateReport]:
@@ -215,7 +206,10 @@ _EVIDENCE = np.array([FateEvidence.FIXED_POINT_PROXIMITY, *[FateEvidence.REGION_
                       *[FateEvidence.NORM_THRESHOLD] * 2, FateEvidence.ITERATION_CAP], dtype=object)
 _OVERFLOW = 4
 # Row-target pairs per kernel call: larger inputs are fed in slices, which
-# keeps the proximity test's (rows, targets, n) array near a megabyte.
+# keeps the proximity test's (rows, targets, n) array near a megabyte while
+# there are at most this many targets.  Above that each call takes one row
+# and the array is targets * n * 8 bytes: about 168 MB at n = 20 with equal
+# rates (2^20 - 1 targets).
 _FATE_CELLS = 1 << 13
 
 
@@ -347,6 +341,8 @@ def basin_boundary(rates: Rates, x1_grid, tol: float = 1e-8, budget: int = DEFAU
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     grid = np.atleast_1d(np.asarray(x1_grid, dtype=float))
+    if grid.ndim != 1:
+        raise DimensionMismatch(f"x1 grid must be 1-d, got shape {grid.shape}")
     if np.any(grid < 0.0) or not np.all(np.isfinite(grid)):
         raise DomainError("x1 grid must be finite and nonnegative")
     targets = _fate_targets(rates)

@@ -68,11 +68,6 @@ class Rates:
             raise DimensionMismatch(f"index out of range for n={self.n}: {idx}")
         return float(np.sum(1.0 / self.values[idx]))
 
-    def restrict(self, indices: Iterable[int]) -> "Rates":
-        """Rates for the subsystem on the given coordinates (needs >= 2 of them)."""
-        idx = sorted(indices)
-        return Rates(self.values[idx])
-
 
 def as_state(x, n: int | None = None) -> np.ndarray:
     """Validate x as a state in the nonnegative orthant and return it as an array.
@@ -101,18 +96,6 @@ def _step(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 def apply(rates: Rates, x) -> np.ndarray:
     """One application of the map to a state in the nonnegative orthant."""
     arr = as_state(x, rates.n)
-    return _step(rates.values, arr)
-
-
-def apply_unchecked(rates: Rates, x) -> np.ndarray:
-    """One application of the defining polynomial, without the orthant check.
-
-    Exists so residuals can be evaluated at algebraic fixed points whose
-    coordinates are negative; prefer `apply` everywhere else.
-    """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.shape != (rates.n,):
-        raise DimensionMismatch(f"state has shape {arr.shape}, expected ({rates.n},)")
     return _step(rates.values, arr)
 
 

@@ -213,11 +213,11 @@ def eigenvalue_two_residual(rates: Rates, point, jac=None):
     return residuals if jac.ndim > 2 else residuals[0]
 
 
-def nonhyperbolic_condition(rates: Rates, support: SupportMask, rel_tol: float = NONHYP_REL_TOL) -> bool:
+def nonhyperbolic_condition(rates: Rates, support: SupportMask) -> bool:
     """Certificate that the fixed point on `support` is nonhyperbolic.
 
     True iff r_i * sum_{j in support} 1/r_j equals (2*m - 1)/2 for some i in
-    the support, where m is the support size, within relative `rel_tol`.
+    the support, where m is the support size, within relative NONHYP_REL_TOL.
     """
     if support.n != rates.n:
         raise DimensionMismatch(f"support is for n={support.n}, rates have n={rates.n}")
@@ -226,6 +226,6 @@ def nonhyperbolic_condition(rates: Rates, support: SupportMask, rel_tol: float =
     restricted = rates.reciprocal_sum_over(support.nonzero)
     target = (2.0 * len(support.nonzero) - 1.0) / 2.0
     for i in support.indices():
-        if abs(float(rates.values[i]) * restricted - target) <= rel_tol * target:
+        if abs(float(rates.values[i]) * restricted - target) <= NONHYP_REL_TOL * target:
             return True
     return False

@@ -10,7 +10,7 @@ invariance plus monotonicity of the MBAR regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class CheckResult:
     worst: float
     tolerance: float
     passed: bool
-    failures: tuple[str, ...] = ()
+    failures: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class VerificationSummary:
     n: int
     trials: int
     seed: int
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+    checks: tuple[CheckResult, ...]
 
     @property
     def passed(self) -> bool:
@@ -67,15 +67,9 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def sample_rates(rng: np.random.Generator, n: int, low: float = RATE_LOW, high: float = RATE_HIGH) -> Rates:
-    """Uniform draw from (low, high]^n."""
-    return Rates(high - (high - low) * rng.random(n))
-
-
-def _simplex_direction(rng: np.random.Generator, n: int) -> np.ndarray:
-    # exponentials via inverse CDF on (0, 1]; normalized to sum 1
-    e = -np.log(1.0 - rng.random(n))
-    return e / e.sum()
+def sample_rates(rng: np.random.Generator, n: int) -> Rates:
+    """Uniform draw from (RATE_LOW, RATE_HIGH]^n."""
+    return Rates(RATE_HIGH - (RATE_HIGH - RATE_LOW) * rng.random(n))
 
 
 def sample_in_region(rng: np.random.Generator, rates: Rates, region: RegionKind) -> np.ndarray:
@@ -86,7 +80,10 @@ def sample_in_region(rng: np.random.Generator, rates: Rates, region: RegionKind)
     """
     if region not in (RegionKind.MBAR1, RegionKind.MBAR2):
         raise DomainError("sampling is provided only for the MBAR regions")
-    u = _simplex_direction(rng, rates.n)
+    # a uniform direction on the simplex: exponentials via inverse CDF on
+    # (0, 1], normalized to sum 1
+    e = -np.log(1.0 - rng.random(rates.n))
+    u = e / e.sum()
     critical = 2.0 / (rates.values * (2.0 - u))
     if region is RegionKind.MBAR1:
         s = float(critical.min()) * rng.random()
@@ -95,7 +92,7 @@ def sample_in_region(rng: np.random.Generator, rates: Rates, region: RegionKind)
     return s * u
 
 
-def _check_one_trial(rates: Rates, rng: np.random.Generator, points_per_region: int) -> dict[str, float]:
+def _check_one_trial(rates: Rates, rng: np.random.Generator) -> dict[str, float]:
     """Worst-case metric per check name (a key of CHECK_TOLERANCES) for a
     single rate draw; everything is 0-or-positive, bigger is worse."""
     bits = _all_supports(rates)
@@ -122,7 +119,7 @@ def _check_one_trial(rates: Rates, rng: np.random.Generator, points_per_region: 
 
     region_err = 0.0
     for region in (RegionKind.MBAR1, RegionKind.MBAR2):
-        for _ in range(points_per_region):
+        for _ in range(POINTS_PER_REGION):
             x = sample_in_region(rng, rates, region)
             x_next = apply(rates, x)
             if not region_membership(rates, x_next, region):
@@ -152,7 +149,7 @@ def verification_sweep(n: int, trials: int, seed: int) -> VerificationSummary:
 
     for _ in range(trials):
         rates = sample_rates(rng, n)
-        for name, value in _check_one_trial(rates, rng, POINTS_PER_REGION).items():
+        for name, value in _check_one_trial(rates, rng).items():
             worsts[name] = max(worsts[name], value)
             if value > CHECK_TOLERANCES[name] and len(failures[name]) < 5:
                 failures[name].append(repr(rates.values.tolist()))

@@ -55,6 +55,12 @@ class TestIterate:
         with pytest.raises(DomainError):
             iterate(rates_04_06, [-0.1, 0.1], 10)
 
+    def test_step_count_must_be_an_integer(self, rates_04_06):
+        fp = interior_fixed_point(rates_04_06)
+        with pytest.raises(DomainError, match="integer"):
+            iterate(rates_04_06, fp.coords, 2.0)
+        assert iterate(rates_04_06, fp.coords, np.int64(2)).shape == (3, 2)
+
 
 class TestRegionMembership:
     def test_m1_example(self, rates_04_06):
@@ -445,6 +451,10 @@ class TestBasinBoundary:
     def test_rejects_nan_tolerance(self, rates_04_06):
         with pytest.raises(DomainError):
             basin_boundary(rates_04_06, [0.5, 1.0], tol=float("nan"))
+
+    def test_rejects_grid_that_is_not_1d(self, rates_04_06):
+        with pytest.raises(DimensionMismatch, match=r"x1 grid must be 1-d, got shape \(1, 2\)"):
+            basin_boundary(rates_04_06, [[0.1, 0.2]])
 
     def test_requires_n2(self, rates_ones3):
         with pytest.raises(Exception):

@@ -7,7 +7,6 @@ from qdyn import (
     DomainError,
     Rates,
     SupportMask,
-    apply_unchecked,
     coefficient_determinant,
     enumerate_fixed_points,
     fixed_point_for_support,
@@ -15,6 +14,7 @@ from qdyn import (
 )
 from qdyn.dynamics import unstable_ray
 from qdyn.fixed_points import _points, _support_bits, feasible_nonzero_points
+from qdyn.model import _step
 from helpers import explicit_coefficient_matrix, newton_fixed_point_search
 
 
@@ -79,7 +79,7 @@ class TestFixedPointForSupport:
             idx = list(support.indices())
             fp = fixed_point_for_support(rates, support)
             if len(idx) >= 2:
-                sub = interior_fixed_point(rates.restrict(idx))
+                sub = interior_fixed_point(Rates(rates.values[idx]))
                 assert np.array_equal(fp.coords[idx], sub.coords)
             else:
                 assert fp.coords[idx[0]] == 2.0 / rates.values[idx[0]]
@@ -134,7 +134,7 @@ class TestEnumeration:
 
     def test_coords_match_unchecked_apply(self, rates_04_06):
         for fp in enumerate_fixed_points(rates_04_06):
-            np.testing.assert_allclose(apply_unchecked(rates_04_06, fp.coords), fp.coords, atol=1e-12)
+            np.testing.assert_allclose(_step(rates_04_06.values, fp.coords), fp.coords, atol=1e-12)
 
 
 def one_support_solve(theta: np.ndarray, idx: list[int]) -> np.ndarray:
@@ -160,7 +160,7 @@ class TestPointTable:
             if idx:
                 expected[idx] = one_support_solve(rates.values, idx)
             assert np.array_equal(coords[row], expected), mask
-            assert residual[row] == np.max(np.abs(apply_unchecked(rates, expected) - expected)), mask
+            assert residual[row] == np.max(np.abs(_step(rates.values, expected) - expected)), mask
 
     def test_table_is_readonly(self, rates_ones3):
         coords, _ = _points(rates_ones3.values, np.array([[1, 0, 0], [1, 1, 1]]))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyn import DimensionMismatch, DomainError, Rates, apply, apply_unchecked, as_state, jacobian
+from qdyn import DimensionMismatch, DomainError, Rates, apply, as_state, jacobian
 from helpers import fd_jacobian
 
 
@@ -86,10 +86,6 @@ class TestApply:
         with pytest.raises(DomainError):
             apply(rates_04_06, [np.nan, 2.0])
 
-    def test_unchecked_allows_negative(self, rates_04_06):
-        out = apply_unchecked(rates_04_06, [-1.0, 1.0])
-        assert np.all(np.isfinite(out))
-
     @given(theta_and_state())
     @settings(max_examples=80)
     def test_positivity_preservation(self, pair):
@@ -156,3 +152,11 @@ class TestAsState:
     def test_rejects_matrix(self):
         with pytest.raises(DimensionMismatch):
             as_state(np.zeros((2, 2)))
+
+
+def test_every_exported_name_exists():
+    # a name left in __all__ after its removal breaks `from qdyn import *`
+    import qdyn
+
+    assert [name for name in qdyn.__all__ if not hasattr(qdyn, name)] == []
+    assert "apply_unchecked" not in qdyn.__all__

@@ -38,7 +38,7 @@ def test_sweep_summary_shape_and_pass():
 
 def test_trial_metrics_are_named_by_the_checks():
     rng = make_rng(5)
-    metrics = _check_one_trial(sample_rates(rng, 3), rng, points_per_region=2)
+    metrics = _check_one_trial(sample_rates(rng, 3), rng)
     assert list(metrics) == list(CHECK_TOLERANCES)
     summary = verification_sweep(n=3, trials=2, seed=5)
     assert [(c.name, c.tolerance) for c in summary.checks] == list(CHECK_TOLERANCES.items())
@@ -47,9 +47,9 @@ def test_trial_metrics_are_named_by_the_checks():
 def test_count_check_sees_a_repeated_point():
     # rates (1, 2): the full support solves to (0, 1), the point of support
     # {1}, so only 3 of the 4 algebraic points are distinct
-    metrics = _check_one_trial(Rates([1.0, 2.0]), make_rng(0), points_per_region=2)
+    metrics = _check_one_trial(Rates([1.0, 2.0]), make_rng(0))
     assert metrics["fixed-point count == 2^n"] == 1.0
-    metrics = _check_one_trial(Rates([1.0, 1.5]), make_rng(0), points_per_region=2)
+    metrics = _check_one_trial(Rates([1.0, 1.5]), make_rng(0))
     assert metrics["fixed-point count == 2^n"] == 0.0
 
 
