@@ -312,16 +312,19 @@ class _StderrHandler(logging.StreamHandler):
 
 
 def _setup_logging() -> None:
-    level_name = os.environ.get("QDYN_LOG", "").upper()
-    if not level_name:
-        return
-    level = getattr(logging, level_name, logging.INFO)
+    """Set the qdyn logger from QDYN_LOG on every call: one stderr handler
+    at that level, or none and the level unset when QDYN_LOG is unset."""
     logger = logging.getLogger("qdyn")
-    if not any(isinstance(h, _StderrHandler) for h in logger.handlers):
+    for handler in [h for h in logger.handlers if isinstance(h, _StderrHandler)]:
+        logger.removeHandler(handler)
+    logger.setLevel(logging.NOTSET)
+    level_name = os.environ.get("QDYN_LOG", "").upper()
+    if level_name:
+        level = getattr(logging, level_name, logging.INFO)
         handler = _StderrHandler()
         handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
         logger.addHandler(handler)
-    logger.setLevel(level if isinstance(level, int) else logging.INFO)
+        logger.setLevel(level if isinstance(level, int) else logging.INFO)
 
 
 def main(argv=None) -> int:

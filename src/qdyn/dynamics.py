@@ -6,14 +6,17 @@ The global picture driving everything here: the polyhedral regions MBAR1
 forward-invariant, trajectories inside them converge to the origin
 respectively escape to infinity, and in the plane the two basins are
 separated by an invariant curve through the nonzero fixed points.  Fate
-classification exploits the regions as shortcuts; the separating curve has
-no usable closed form and is extracted by bisection instead.
+classification exploits the regions as shortcuts.  The separating curve
+has no usable closed form, but on a vertical line the two regions are
+closed-form intervals, so they bracket the curve and it is bisected
+between them.
 
 Every fate runs through one kernel, `_fates`, which steps a stack of starts
 in lockstep and drops each row at the state where a stopping rule fires.
 `classify_fate` hands it one start or many; `basin_boundary` bisects all
-lines of a grid together through it, one call per round, with the next
-few midpoint levels of every line evaluated speculatively in each call.
+lines of a grid together through it, one call per round: the two bracket
+ends of every line first, then the next few midpoint levels of every line,
+evaluated speculatively.
 `iterate` keeps every state of a single orbit and steps it in its own loop:
 one kernel step of a one-row call costs three to four times a loop step.
 """
@@ -40,7 +43,6 @@ R_ESCAPE = 1e8  # inf-norm above which a trajectory counts as escaped
 DEFAULT_BUDGET = 100_000
 REGION_MARGIN = 1e-12  # strict-interior margin for the region shortcut
 PROXIMITY_RTOL = 1e-11  # fixed-point detection, relative to max(1, |coords|)
-MAX_DOUBLINGS = 60
 
 
 class RegionKind(enum.Enum):
@@ -303,38 +305,45 @@ def stable_tangent_n2(rates: Rates) -> np.ndarray:
 def basin_boundary(rates: Rates, x1_grid, tol: float = 1e-8, budget: int = DEFAULT_BUDGET) -> list[BoundarySample]:
     """Bisect the basin boundary on vertical lines x1 = const (n = 2).
 
-    For each abscissa the escape side is bracketed by doubling x2 upward
-    from max(2/r2, 1) until the fate is to-infinity (at most MAX_DOUBLINGS
-    doublings), then the fate flip is bisected down to width <= tol.  The
-    map is order-preserving on the orthant (dH_k/dx_j >= 0), so fates are
-    ordered origin < fixed point < infinity along every increasing line and
-    a vertical line flips at most once; the bisection relies on that order
-    and does not re-check it.  Samples are flagged, never fabricated, and
-    the note says why:
+    On the line x1 = c the forward-invariant regions are closed-form
+    intervals: MBAR1 is x2 <= min(a, b) and MBAR2 is x2 >= max(a, b), with
+    a = (2/r1 - c)/2 and b = 2/r2 - 2c.  Each line starts from the bracket
+    [min(a, b) - tol/4, max(a, b) + tol/4], both ends clipped at 0, whose
+    ends the region rule settles at step 0 once tol/4 clears REGION_MARGIN,
+    and the fate flip inside it is bisected down to width <= tol.  The map is
+    order-preserving on the orthant (dH_k/dx_j >= 0), so fates are ordered
+    origin < fixed point < infinity along every increasing line and a
+    vertical line flips at most once; the bisection relies on that order
+    and does not re-check it.  A midpoint that reaches a fixed point counts
+    as not escaping.  The nonzero fixed points on a line lie at a or b, at
+    most a quarter of tol inside a bracket end, and midpoints stay more
+    than tol/2 inside the ends, so a midpoint reaches one only when tol/4
+    is below its proximity radius.  Samples are flagged, never fabricated, and the
+    note says why:
 
-    - "no fate flip": x2 = 0 already escapes;
-    - "no escaping upper bracket": MAX_DOUBLINGS doublings never escaped;
-    - "bisection landed on a fixed point": a midpoint hit a fixed point and
-      the straddle at a quarter of tol around it did not certify;
+    - "no fate flip": the lower end already escapes (past x1 = 2/r1 the
+      bracket is clipped to x2 = 0);
     - "lower bracket fate is ...": the lower end reached a fixed point or
       ran out of budget instead of going to the origin;
+    - "upper bracket fate is ...": the upper end reached a fixed point or
+      ran out of budget instead of escaping; the line is not bisected;
     - "float resolution reached": the bracket ends are adjacent floats
       further apart than tol.
 
     All lines advance in lockstep, one fate-kernel call per round.  Each
     line's search is a coroutine (`_line_search`) that yields every x2
-    whose fate it needs.  A bisection midpoint comes with its bracket, and
-    the round evaluates the midpoints of the next _SPEC_LEVELS levels below
-    it as well (15 fates, formed as 0.5 * (low + high) exactly as the search
-    forms them), so the search walks several levels per round while its
-    path stays among them.  The brackets and notes are those of a search
-    that evaluates one fate at a time; the fates off its path are the price
-    of the speculation.
+    whose fate it needs together with the starts its round evaluates: both
+    bracket ends in the first round, and in every later one the midpoints
+    of the next _SPEC_LEVELS levels below its bracket (15 fates, formed as
+    0.5 * (low + high) exactly as the search forms them), so the search
+    walks several levels per round while its path stays among them.  The
+    brackets and notes are those of a search that evaluates one fate at a
+    time; the fates off its path are the price of the speculation.
 
     Every fate follows the rules of `classify_fate`.
     The feasible nonzero fixed points it stops at are built once per call
     (grown over the supports whose deficit stays at most 1/2) and shared by
-    all bracket, bisection and straddle fates.
+    all bracket and bisection fates.
     """
     if rates.n != 2:
         raise DimensionMismatch(f"boundary extraction requires n=2, got n={rates.n}")
@@ -349,13 +358,13 @@ def basin_boundary(rates: Rates, x1_grid, tol: float = 1e-8, budget: int = DEFAU
     per_call = max(1, _FATE_CELLS // (len(targets[2]) * (2**_SPEC_LEVELS - 1)))
     samples: list[BoundarySample] = [None] * grid.size
     for start in range(0, grid.size, per_call):
-        searches = [_line_search(x1, float(rates.values[1]), tol) for x1 in grid[start:start + per_call].tolist()]
+        searches = [_line_search(x1, *rates.values.tolist(), tol) for x1 in grid[start:start + per_call].tolist()]
         requests = {i: search.send(None) for i, search in enumerate(searches)}
         while requests:
-            tried = {i: [x2] if bracket is None else _midpoint_tree(*bracket) for i, (x2, bracket) in requests.items()}
-            starts = np.array([(grid[start + i], x2) for i, x2s in tried.items() for x2 in x2s])
+            tried = [(i, x2s) for i, (_, x2s) in requests.items()]
+            starts = np.array([(grid[start + i], x2) for i, x2s in tried for x2 in x2s])
             outcomes = iter(_fates(rates, starts, budget, targets)[0])
-            for i, x2s in tried.items():
+            for i, x2s in tried:
                 known = dict(zip(x2s, outcomes))
                 try:
                     while requests[i][0] in known:
@@ -377,43 +386,25 @@ def _midpoint_tree(low: float, high: float, levels: int = _SPEC_LEVELS) -> list[
     return [mid, *_midpoint_tree(low, mid, levels - 1), *_midpoint_tree(mid, high, levels - 1)]
 
 
-def _line_search(x1: float, r2: float, tol: float):
+def _line_search(x1: float, r1: float, r2: float, tol: float):
     """The search on the vertical line x1 = const (rates r1, r2) as a
-    coroutine: it yields (x2, bracket) for every fate it needs, with bracket
-    the (low, high) that a bisection midpoint x2 halves and None otherwise,
-    is sent the outcome, and returns the sample."""
-    low_fate = yield 0.0, None
+    coroutine: it yields (x2, x2s) for every fate it needs, with x2s the
+    starts of its round (x2 among them), is sent the outcome at x2, and
+    returns the sample."""
+    a, b = 0.5 * (2.0 / r1 - x1), 2.0 / r2 - 2.0 * x1
+    low, high = max(min(a, b) - 0.25 * tol, 0.0), max(max(a, b) + 0.25 * tol, 0.0)
+    low_fate = yield low, [low, high]
+    high_fate = yield high, [low, high]
     if low_fate is FateOutcome.TO_INFINITY:
-        log.debug("x1=%g: escapes already at x2=0", x1)
-        return BoundarySample(x1, 0.0, 0.0, 0.0, True, "no fate flip: x2=0 already escapes")
-
-    low, high = 0.0, max(2.0 / r2, 1.0)
-    for doublings in range(MAX_DOUBLINGS + 1):
-        if (yield high, None) is FateOutcome.TO_INFINITY:
-            break
-        if doublings == MAX_DOUBLINGS:
-            note = f"no escaping upper bracket within {MAX_DOUBLINGS} doublings"
-            return BoundarySample(x1, low, high, high - low, True, note)
-        high *= 2.0
+        log.debug("x1=%g: escapes already at x2=%g", x1, low)
+        return BoundarySample(x1, low, low, 0.0, True, f"no fate flip: x2={low:g} already escapes")
 
     # From here on `high` only moves to escaping midpoints.
-    while high - low > tol:
+    while high_fate is FateOutcome.TO_INFINITY and high - low > tol:
         mid = 0.5 * (low + high)
         if mid <= low or mid >= high:
             break  # float resolution exhausted
-        outcome = yield mid, (low, high)
-        if outcome is FateOutcome.TO_FIXED_POINT:
-            # The midpoint landed on the boundary curve itself (inside the
-            # proximity radius of a fixed point).  Straddle the hit by a
-            # quarter of the requested width, far outside that radius, to
-            # certify an origin/infinity bracket; flag it if that fails.
-            lo_try, hi_try = mid - 0.25 * tol, mid + 0.25 * tol
-            # (low >= 0, so a straddle inside the bracket stays positive)
-            if (low < lo_try and hi_try < high
-                    and (yield lo_try, None) is FateOutcome.TO_ORIGIN
-                    and (yield hi_try, None) is FateOutcome.TO_INFINITY):
-                return BoundarySample(x1, lo_try, hi_try, hi_try - lo_try, False, "")
-            return BoundarySample(x1, low, high, high - low, True, f"bisection landed on a fixed point at x2={mid!r}")
+        outcome = yield mid, _midpoint_tree(low, high)
         if outcome is FateOutcome.TO_INFINITY:
             high = mid
         else:
@@ -422,7 +413,9 @@ def _line_search(x1: float, r2: float, tol: float):
     notes = []
     if low_fate is not FateOutcome.TO_ORIGIN:
         notes.append(f"lower bracket fate is {low_fate.value}")
-    if high - low > tol:  # only the float-resolution break leaves it this wide
+    if high_fate is not FateOutcome.TO_INFINITY:
+        notes.append(f"upper bracket fate is {high_fate.value}")
+    elif high - low > tol:  # only the float-resolution break leaves it this wide
         notes.append(f"float resolution reached at width {high - low!r}")
     note = "; ".join(notes)
     return BoundarySample(x1, low, high, high - low, bool(note), note)

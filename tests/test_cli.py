@@ -431,14 +431,21 @@ class TestUsage:
         logger = logging.getLogger("qdyn")
         monkeypatch.setattr(logger, "handlers", [])
         monkeypatch.setenv("QDYN_LOG", "debug")
-        try:
-            # beyond 2/r1 = 2.5 the line escapes at x2 = 0, which is logged once
-            errs = [run_cli(capsys, "basin", "--theta", "0.8,0.2", "--x1-range", "3:3:1")[2] for _ in range(2)]
-            assert len(logger.handlers) == 1
-        finally:
-            logger.setLevel(logging.NOTSET)
+        # beyond 2/r1 = 2.5 the line escapes at x2 = 0, which is logged once
+        errs = [run_cli(capsys, "basin", "--theta", "0.8,0.2", "--x1-range", "3:3:1")[2] for _ in range(2)]
+        assert len(logger.handlers) == 1
         for err in errs:
             assert err.count("escapes already at x2=0") == 1
+
+    def test_unset_log_env_silences_a_later_call(self, capsys, monkeypatch):
+        logger = logging.getLogger("qdyn")
+        monkeypatch.setattr(logger, "handlers", list(logger.handlers))
+        argv = ("basin", "--theta", "0.8,0.2", "--x1-range", "3:3:1")
+        monkeypatch.setenv("QDYN_LOG", "debug")
+        assert "escapes already at x2=0" in run_cli(capsys, *argv)[2]
+        monkeypatch.delenv("QDYN_LOG")
+        assert run_cli(capsys, *argv)[2] == ""
+        assert logger.level == logging.NOTSET
 
     def test_zero_budget_rejected(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--theta", "1,1", "--x0", "0.1,0.1", "--budget", "0")
@@ -601,8 +608,10 @@ def test_golden_stdout(capsys, case):
     # fixed-points at n = 2 (ratio two included) and n = 4, classify on the
     # full support at n = 10, and verify at n = 3 and 6.  Captured before
     # basin lines were bisected in lockstep: multi-line JSON at tol 1e-12 in
-    # each regime, one call mixing the straddle, ordinary lines and a line
-    # with no flip, budget 3 over six lines, and tol 1e-300 over two lines.
+    # each regime, one call mixing ordinary lines and a line with no flip,
+    # budget 3 over six lines, and tol 1e-300 over two lines.  The basin
+    # cases were re-recorded when lines began from the closed-form MBAR1 and
+    # MBAR2 bracket: bracket ends moved, flags did not.
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == 0
     assert out == case["stdout"]

@@ -350,14 +350,16 @@ class TestBasinBoundary:
         assert sample.midpoint == pytest.approx(10.0 / 3.0, abs=1e-4)
         assert sample.width <= 1e-6
 
-    def test_bisection_straddles_a_fixed_point_hit(self, rates_04_06):
-        # at x1 = 0 the first midpoint is the axis fixed point (0, 2/r2); the
-        # bracket straddles it by a quarter of tol on each side
+    @pytest.mark.parametrize("mask", [0b10, 0b11], ids=["axis", "saddle"])
+    def test_lines_through_fixed_points_are_certified_around_them(self, rates_04_06, mask):
+        # the axis point (0, 2/r2) and the interior saddle sit a quarter of
+        # tol inside a bracket end, and the certified bracket holds them
         tol = 1e-6
-        sample = basin_boundary(rates_04_06, [0.0], tol=tol)[0]
-        assert not sample.flagged
-        assert sample.x2_low < 10.0 / 3.0 < sample.x2_high
-        assert sample.width == pytest.approx(tol / 2, rel=1e-6)
+        masks, coords = feasible_nonzero_points(rates_04_06)
+        x1, x2 = coords[masks.index(mask)]
+        sample = basin_boundary(rates_04_06, [x1], tol=tol)[0]
+        assert not sample.flagged and sample.width <= tol
+        assert sample.x2_low < x2 < sample.x2_high
 
     def test_interior_anchor(self, rates_04_06):
         sample = basin_boundary(rates_04_06, [5.0 / 9.0], tol=1e-6)[0]
@@ -394,23 +396,40 @@ class TestBasinBoundary:
             assert np.nextafter(sample.x2_low, np.inf) == sample.x2_high
             assert sample.note == f"float resolution reached at width {sample.width!r}"
 
-    def test_upper_bracket_search_gives_up_after_max_doublings(self, rates_04_06, monkeypatch):
+    def test_upper_end_at_a_fixed_point_is_flagged(self, rates_04_06):
+        # at tol 1e-12 the upper end 2/r2 + tol/4 lies inside the proximity
+        # radius of the axis point (0, 2/r2); the line is not bisected
+        sample = basin_boundary(rates_04_06, [0.0], tol=1e-12)[0]
+        assert sample.flagged and sample.note == "upper bracket fate is to_fixed_point"
+        assert (sample.x2_low, sample.x2_high) == pytest.approx((1.0 / 0.4, 2.0 / 0.6))
+
+    @pytest.mark.parametrize("theta", [(0.4, 0.6), (0.8, 0.2), (0.2, 0.8)])
+    def test_first_round_settles_both_bracket_ends_in_the_regions(self, theta, monkeypatch):
+        # the bracket ends lie a quarter of tol inside MBAR1 and MBAR2, so
+        # every end above the x1 axis stops at step 0 by the region rule
         from qdyn import dynamics
 
-        calls = []
+        rounds = []
         original = dynamics._fates
 
-        def never_escapes(rates, starts, budget, targets):
-            calls.extend(starts[:, 1].tolist())
-            outcome, *rest = original(rates, starts, budget, targets)
-            return (np.where(outcome == FateOutcome.TO_INFINITY, FateOutcome.UNDETERMINED, outcome), *rest)
+        def recording(*args):
+            result = original(*args)
+            rounds.append((args[1], *result[:3]))
+            return result
 
-        monkeypatch.setattr(dynamics, "_fates", never_escapes)
-        sample = basin_boundary(rates_04_06, [1.0])[0]
-        start = 2.0 / 0.6
-        assert calls == [0.0] + [start * 2.0**k for k in range(dynamics.MAX_DOUBLINGS + 1)]
-        assert (sample.x2_low, sample.x2_high) == (0.0, calls[-1])
-        assert sample.flagged and sample.note == "no escaping upper bracket within 60 doublings"
+        monkeypatch.setattr(dynamics, "_fates", recording)
+        rates = Rates(theta)
+        for x1 in np.linspace(0.0, 2.5 / theta[0], 11):
+            rounds.clear()
+            sample = basin_boundary(rates, [x1])[0]
+            starts, outcomes, evidence, steps = rounds[0]
+            assert starts.shape == (2, 2) and np.all(starts[:, 0] == x1)
+            low, high = starts[:, 1]
+            assert low <= sample.x2_low <= sample.x2_high <= high
+            ends = zip(starts[:, 1], outcomes, evidence, steps, (FateOutcome.TO_ORIGIN, FateOutcome.TO_INFINITY))
+            for x2, *fate, expected in ends:
+                if x2 > 0.0:
+                    assert fate == [expected, FateEvidence.REGION_CONTAINMENT, 0]
 
     @pytest.mark.parametrize("theta", [(0.4, 0.6), (0.8, 0.2), (0.2, 0.8)])
     @pytest.mark.parametrize("budget", [3, DEFAULT_BUDGET])

@@ -26,14 +26,6 @@ def test_phase_portrait_data(tmp_path):
     assert boundary[0] == "x1,x2_low,x2_high,width,flagged" and len(boundary) == 1 + 3
 
 
-def test_boundary_vs_quintic():
-    proc = run_script("boundary_vs_quintic.py", "--points", "3")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["x1", "boundary", "quintic", "|dev|", "flag"]
-    assert len(lines) == 1 + 3 + 1 and lines[-1].startswith("max deviation: ")
-
-
 def test_code_lines_counts_neither_docstrings_nor_comments():
     code_lines = runpy.run_path(str(ROOT / "scripts" / "code_lines.py"))["code_lines"]
     source = (

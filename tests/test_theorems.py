@@ -3,6 +3,10 @@
 - Order: H is order-preserving on the orthant (dH_k/dx_j >= 0), so x <= y
   implies fate(x) <= fate(y) in the order origin < fixed point < infinity.
   `basin_boundary` bisects on this order without re-checking it.
+- Basin certificates: on a vertical line MBAR1 and MBAR2 are closed-form
+  intervals, and `basin_boundary` bisects between them.  Every bracket it
+  does not flag is at most tol wide, and fresh fates of its ends go to the
+  origin and to infinity.
 - Singletons: every support {k} has the feasible point x_k = 2/r_k.
 - Scaling conjugacy: H_{r/c}(c x) = c H_r(x).  For c a power of two every
   product in the closed forms scales exactly, so tables, Jacobians and
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyn import FateOutcome, Rates, classify_fate, jacobian, spectrum_at
+from qdyn import FateOutcome, Rates, basin_boundary, classify_fate, jacobian, spectrum_at
 from qdyn.fixed_points import _all_supports, _points, feasible_nonzero_points
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -69,6 +73,34 @@ class TestOrderMonotonicity:
             ranks = [RANK[classify_fate(rates, [x1, x2]).outcome] for x2 in np.linspace(0.0, 6.0 / theta[1], 41)]
             assert ranks[0] == 0 and ranks[-1] == 2
             assert ranks == sorted(ranks)
+
+
+# r2/r1 in each planar regime: r1 < 2 r2 and r2 < 2 r1, r1 > 2 r2, r2 > 2 r1
+REGIME_RATIOS = ((0.55, 1.8), (0.1, 0.45), (2.2, 10.0))
+
+
+@st.composite
+def basin_lines(draw):
+    """Planar rates in one of the three regimes, a grid of the abscissas of
+    their nonzero fixed points and a few more up to past 2/r1, and a tol."""
+    r1 = draw(RATE)
+    ratio = draw(st.sampled_from(REGIME_RATIOS).flatmap(lambda bounds: st.floats(*bounds)))
+    rates = Rates([r1, r1 * ratio])
+    _, coords = feasible_nonzero_points(rates)
+    drawn = draw(st.lists(st.floats(0.0, 2.5 / r1), min_size=1, max_size=4))
+    return rates, [*coords[:, 0], *drawn], 10.0 ** -draw(st.integers(3, 12))
+
+
+class TestBasinCertificates:
+    @given(basin_lines())
+    @settings(PROPERTY, max_examples=100)
+    def test_unflagged_brackets_are_certified_by_fresh_fates(self, case):
+        rates, grid, tol = case
+        for sample in basin_boundary(rates, grid, tol=tol):
+            if not sample.flagged:
+                assert sample.width <= tol
+                low, high = classify_fate(rates, [[sample.x1, sample.x2_low], [sample.x1, sample.x2_high]])
+                assert (low.outcome, high.outcome) == (FateOutcome.TO_ORIGIN, FateOutcome.TO_INFINITY)
 
 
 class TestSingletons:
