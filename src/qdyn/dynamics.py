@@ -8,15 +8,15 @@ respectively escape to infinity, and in the plane the two basins are
 separated by an invariant curve through the nonzero fixed points.  Fate
 classification exploits the regions as shortcuts.  The separating curve
 has no usable closed form, but on a vertical line the two regions are
-closed-form intervals, so they bracket the curve and it is bisected
-between them.
+closed-form intervals, so they bracket the curve, and the bracket is cut
+into equal parts until it is tol wide.
 
 Every fate runs through one kernel, `_fates`, which steps a stack of starts
 in lockstep and drops each row at the state where a stopping rule fires.
-`classify_fate` hands it one start or many; `basin_boundary` bisects all
+`classify_fate` hands it one start or many; `basin_boundary` searches all
 lines of a grid together through it, one call per round: the two bracket
-ends of every line first, then the next few midpoint levels of every line,
-evaluated speculatively.
+ends of every line first, then up to 15 equally spaced cuts of every
+bracket that is still wider than tol.
 `iterate` keeps every state of a single orbit and steps it in its own loop:
 one kernel step of a one-row call costs three to four times a loop step.
 """
@@ -83,7 +83,7 @@ class FateReport:
 
 @dataclass(frozen=True)
 class BoundarySample:
-    """One bisected point of the basin boundary on a vertical line.
+    """One located point of the basin boundary on a vertical line.
 
     The bracket [x2_low, x2_high] is certified when `flagged` is False:
     the lower end iterates to the origin and the upper end escapes.
@@ -207,11 +207,12 @@ _OUTCOMES = np.array([FateOutcome.TO_FIXED_POINT, FateOutcome.TO_ORIGIN, FateOut
 _EVIDENCE = np.array([FateEvidence.FIXED_POINT_PROXIMITY, *[FateEvidence.REGION_CONTAINMENT] * 2,
                       *[FateEvidence.NORM_THRESHOLD] * 2, FateEvidence.ITERATION_CAP], dtype=object)
 _OVERFLOW = 4
-# Row-target pairs per kernel call: larger inputs are fed in slices, which
-# keeps the proximity test's (rows, targets, n) array near a megabyte while
-# there are at most this many targets.  Above that each call takes one row
-# and the array is targets * n * 8 bytes: about 168 MB at n = 20 with equal
-# rates (2^20 - 1 targets).
+# Row-target pairs per kernel call: larger inputs are fed in slices, rows
+# for `classify_fate` and lines for `basin_boundary` (lines * 15 cuts *
+# targets), which keeps the proximity test's (rows, targets, n) array near a
+# megabyte while there are at most this many targets.  Above that each call
+# takes one row and the array is targets * n * 8 bytes: about 168 MB at
+# n = 20 with equal rates (2^20 - 1 targets).
 _FATE_CELLS = 1 << 13
 
 
@@ -303,47 +304,45 @@ def stable_tangent_n2(rates: Rates) -> np.ndarray:
 
 
 def basin_boundary(rates: Rates, x1_grid, tol: float = 1e-8, budget: int = DEFAULT_BUDGET) -> list[BoundarySample]:
-    """Bisect the basin boundary on vertical lines x1 = const (n = 2).
+    """Locate the basin boundary on vertical lines x1 = const (n = 2).
 
     On the line x1 = c the forward-invariant regions are closed-form
     intervals: MBAR1 is x2 <= min(a, b) and MBAR2 is x2 >= max(a, b), with
     a = (2/r1 - c)/2 and b = 2/r2 - 2c.  Each line starts from the bracket
     [min(a, b) - tol/4, max(a, b) + tol/4], both ends clipped at 0, whose
-    ends the region rule settles at step 0 once tol/4 clears REGION_MARGIN,
-    and the fate flip inside it is bisected down to width <= tol.  The map is
-    order-preserving on the orthant (dH_k/dx_j >= 0), so fates are ordered
-    origin < fixed point < infinity along every increasing line and a
-    vertical line flips at most once; the bisection relies on that order
-    and does not re-check it.  A midpoint that reaches a fixed point counts
-    as not escaping.  The nonzero fixed points on a line lie at a or b, at
-    most a quarter of tol inside a bracket end, and midpoints stay more
-    than tol/2 inside the ends, so a midpoint reaches one only when tol/4
-    is below its proximity radius.  Samples are flagged, never fabricated, and the
-    note says why:
+    ends the region rule settles at step 0 once tol/4 clears REGION_MARGIN.
+    The map is order-preserving on the orthant (dH_k/dx_j >= 0), so fates
+    are ordered origin < fixed point < infinity along every increasing line
+    and a vertical line flips at most once; the search relies on that order
+    and does not re-check it.  Each round cuts every bracket wider than tol
+    into k = min(16, floor(2 * width / tol)) equal parts and takes the fates
+    of the k - 1 cuts; the new bracket is the cut before the first escaping
+    cut and that cut, so a cut that reaches a fixed point counts as not
+    escaping.  Sixteen parts do the work of four bisection steps, and the
+    last round leaves a width from about tol/2 to tol.  The nonzero fixed
+    points on a line lie at a or b, at most a quarter of tol inside a
+    bracket end, and the bound on k keeps every cut at least tol/2 inside
+    the ends, so a cut reaches one only when tol/4 is below its proximity
+    radius.  Samples are flagged, never fabricated, and the note says why:
 
     - "no fate flip": the lower end already escapes (past x1 = 2/r1 the
       bracket is clipped to x2 = 0);
     - "lower bracket fate is ...": the lower end reached a fixed point or
       ran out of budget instead of going to the origin;
     - "upper bracket fate is ...": the upper end reached a fixed point or
-      ran out of budget instead of escaping; the line is not bisected;
-    - "float resolution reached": the bracket ends are adjacent floats
-      further apart than tol.
+      ran out of budget instead of escaping; the line is not searched;
+    - "float resolution reached": a round moved neither end, because no
+      cut fell strictly between them (they are adjacent floats), and they
+      are further apart than tol.
 
-    All lines advance in lockstep, one fate-kernel call per round.  Each
-    line's search is a coroutine (`_line_search`) that yields every x2
-    whose fate it needs together with the starts its round evaluates: both
-    bracket ends in the first round, and in every later one the midpoints
-    of the next _SPEC_LEVELS levels below its bracket (15 fates, formed as
-    0.5 * (low + high) exactly as the search forms them), so the search
-    walks several levels per round while its path stays among them.  The
-    brackets and notes are those of a search that evaluates one fate at a
-    time; the fates off its path are the price of the speculation.
+    All lines advance in lockstep, one fate-kernel call per round: both
+    bracket ends of every line in the first round, then the cuts of every
+    line still searching.
 
     Every fate follows the rules of `classify_fate`.
     The feasible nonzero fixed points it stops at are built once per call
     (grown over the supports whose deficit stays at most 1/2) and shared by
-    all bracket and bisection fates.
+    all bracket and cut fates.
     """
     if rates.n != 2:
         raise DimensionMismatch(f"boundary extraction requires n=2, got n={rates.n}")
@@ -355,67 +354,63 @@ def basin_boundary(rates: Rates, x1_grid, tol: float = 1e-8, budget: int = DEFAU
     if np.any(grid < 0.0) or not np.all(np.isfinite(grid)):
         raise DomainError("x1 grid must be finite and nonnegative")
     targets = _fate_targets(rates)
-    per_call = max(1, _FATE_CELLS // (len(targets[2]) * (2**_SPEC_LEVELS - 1)))
-    samples: list[BoundarySample] = [None] * grid.size
-    for start in range(0, grid.size, per_call):
-        searches = [_line_search(x1, *rates.values.tolist(), tol) for x1 in grid[start:start + per_call].tolist()]
-        requests = {i: search.send(None) for i, search in enumerate(searches)}
-        while requests:
-            tried = [(i, x2s) for i, (_, x2s) in requests.items()]
-            starts = np.array([(grid[start + i], x2) for i, x2s in tried for x2 in x2s])
-            outcomes = iter(_fates(rates, starts, budget, targets)[0])
-            for i, x2s in tried:
-                known = dict(zip(x2s, outcomes))
-                try:
-                    while requests[i][0] in known:
-                        requests[i] = searches[i].send(known[requests[i][0]])
-                except StopIteration as finished:
-                    samples[start + i] = finished.value
-                    del requests[i]
-    return samples
+    per_call = max(1, _FATE_CELLS // (len(targets[2]) * (_SECTIONS - 1)))
+    return [sample for start in range(0, grid.size, per_call)
+            for sample in _section_search(rates, grid[start:start + per_call], tol, budget, targets)]
 
 
-_SPEC_LEVELS = 4  # bisection levels evaluated per line in one round
+_SECTIONS = 16  # equal parts a searching bracket is cut into per round
 
 
-def _midpoint_tree(low: float, high: float, levels: int = _SPEC_LEVELS) -> list[float]:
-    """The midpoints of the next `levels` bisection levels below [low, high]."""
-    mid = 0.5 * (low + high)
-    if levels == 1:
-        return [mid]
-    return [mid, *_midpoint_tree(low, mid, levels - 1), *_midpoint_tree(mid, high, levels - 1)]
+def _section_search(rates: Rates, x1: np.ndarray, tol: float, budget: int, targets) -> list[BoundarySample]:
+    """The samples on the vertical lines x1 (a 1-d array), searched together
+    with one fate-kernel call per round."""
+    r1, r2 = rates.values
+    with np.errstate(over="ignore"):
+        a, b = 0.5 * (2.0 / r1 - x1), 2.0 / r2 - 2.0 * x1
+        low, high = np.maximum(np.minimum(a, b) - 0.25 * tol, 0.0), np.maximum(np.maximum(a, b) + 0.25 * tol, 0.0)
+    ends = np.column_stack((np.repeat(x1, 2), np.column_stack((low, high)).ravel()))
+    low_fate, high_fate = _fates(rates, ends, budget, targets)[0].reshape(-1, 2).T
+    for at in np.flatnonzero(low_fate == FateOutcome.TO_INFINITY):
+        log.debug("x1=%g: escapes already at x2=%g", x1[at], low[at])
+
+    # Fates only rise up a line, so each round's new bracket is the last
+    # non-escaping cut and the first escaping one.  A line stops once its
+    # bracket is at most tol wide or a round moves neither end.
+    searching = (low_fate != FateOutcome.TO_INFINITY) & (high_fate == FateOutcome.TO_INFINITY) & (high - low > tol)
+    cut = np.arange(1, _SECTIONS + 1)
+    while searching.any():
+        at = np.flatnonzero(searching)
+        lo, hi = low[at, None], high[at, None]
+        with np.errstate(over="ignore"):
+            # k <= 2 * width / tol keeps every cut tol/2 off both ends; the
+            # columns past the k - 1 cuts hold hi, whose fate is known
+            k = np.minimum(_SECTIONS, np.floor(2.0 * (hi - lo) / tol))
+            inner = cut < k
+            cuts = np.where(inner, lo + (hi - lo) / k * cut, hi)
+        fates = np.full(cuts.shape, FateOutcome.TO_INFINITY, dtype=object)
+        starts = np.column_stack((np.repeat(x1[at], inner.sum(axis=1)), cuts[inner]))
+        fates[inner] = _fates(rates, starts, budget, targets)[0]
+        points = np.column_stack((lo, cuts))
+        fates = np.column_stack((low_fate[at], fates))
+        first = (fates == FateOutcome.TO_INFINITY).argmax(axis=1)
+        rows = np.arange(at.size)
+        low[at], low_fate[at], high[at] = points[rows, first - 1], fates[rows, first - 1], points[rows, first]
+        searching[at] = ((low[at] != lo[:, 0]) | (high[at] != hi[:, 0])) & (high[at] - low[at] > tol)
+    return [_sample(*line, tol) for line in zip(x1.tolist(), low.tolist(), high.tolist(), low_fate, high_fate)]
 
 
-def _line_search(x1: float, r1: float, r2: float, tol: float):
-    """The search on the vertical line x1 = const (rates r1, r2) as a
-    coroutine: it yields (x2, x2s) for every fate it needs, with x2s the
-    starts of its round (x2 among them), is sent the outcome at x2, and
-    returns the sample."""
-    a, b = 0.5 * (2.0 / r1 - x1), 2.0 / r2 - 2.0 * x1
-    low, high = max(min(a, b) - 0.25 * tol, 0.0), max(max(a, b) + 0.25 * tol, 0.0)
-    low_fate = yield low, [low, high]
-    high_fate = yield high, [low, high]
+def _sample(x1: float, low: float, high: float, low_fate, high_fate, tol: float) -> BoundarySample:
+    """The sample of one searched line, flagged with the reasons it is not
+    certified."""
     if low_fate is FateOutcome.TO_INFINITY:
-        log.debug("x1=%g: escapes already at x2=%g", x1, low)
         return BoundarySample(x1, low, low, 0.0, True, f"no fate flip: x2={low:g} already escapes")
-
-    # From here on `high` only moves to escaping midpoints.
-    while high_fate is FateOutcome.TO_INFINITY and high - low > tol:
-        mid = 0.5 * (low + high)
-        if mid <= low or mid >= high:
-            break  # float resolution exhausted
-        outcome = yield mid, _midpoint_tree(low, high)
-        if outcome is FateOutcome.TO_INFINITY:
-            high = mid
-        else:
-            low, low_fate = mid, outcome
-
     notes = []
     if low_fate is not FateOutcome.TO_ORIGIN:
         notes.append(f"lower bracket fate is {low_fate.value}")
     if high_fate is not FateOutcome.TO_INFINITY:
         notes.append(f"upper bracket fate is {high_fate.value}")
-    elif high - low > tol:  # only the float-resolution break leaves it this wide
+    elif high - low > tol:  # only a round that moved neither end leaves it this wide
         notes.append(f"float resolution reached at width {high - low!r}")
     note = "; ".join(notes)
     return BoundarySample(x1, low, high, high - low, bool(note), note)

@@ -611,7 +611,9 @@ def test_golden_stdout(capsys, case):
     # each regime, one call mixing ordinary lines and a line with no flip,
     # budget 3 over six lines, and tol 1e-300 over two lines.  The basin
     # cases were re-recorded when lines began from the closed-form MBAR1 and
-    # MBAR2 bracket: bracket ends moved, flags did not.
+    # MBAR2 bracket, and again when each round began to cut a bracket into up
+    # to 16 equal parts instead of bisecting it: bracket ends moved, flags
+    # and notes did not.
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == 0
     assert out == case["stdout"]

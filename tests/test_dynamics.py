@@ -351,15 +351,25 @@ class TestBasinBoundary:
         assert sample.width <= 1e-6
 
     @pytest.mark.parametrize("mask", [0b10, 0b11], ids=["axis", "saddle"])
-    def test_lines_through_fixed_points_are_certified_around_them(self, rates_04_06, mask):
+    def test_lines_through_fixed_points_are_certified_around_them(self, mask):
         # the axis point (0, 2/r2) and the interior saddle sit a quarter of
-        # tol inside a bracket end, and the certified bracket holds them
-        tol = 1e-6
-        masks, coords = feasible_nonzero_points(rates_04_06)
-        x1, x2 = coords[masks.index(mask)]
-        sample = basin_boundary(rates_04_06, [x1], tol=tol)[0]
-        assert not sample.flagged and sample.width <= tol
-        assert sample.x2_low < x2 < sample.x2_high
+        # tol inside a bracket end, and the certified bracket holds them.
+        # At tol 1e-9 and 1e-10 a quarter of tol exceeds the proximity
+        # radius, so a cut closer than tol/2 to an end could reach the point.
+        cases = [((0.4, 0.6), 1e-6)] + [
+            (theta, tol)
+            for theta in [(0.8, 1.2), (1, 1.5), (1.5, 1), (3, 1), (1, 3), (0.5, 2), (2, 2), (1.2, 2.5)]
+            for tol in (1e-9, 1e-10)
+        ]
+        for theta, tol in cases:
+            rates = Rates(theta)
+            masks, coords = feasible_nonzero_points(rates)
+            if mask not in masks:
+                continue  # no feasible interior saddle in this regime
+            x1, x2 = coords[masks.index(mask)]
+            sample = basin_boundary(rates, [x1], tol=tol)[0]
+            assert not sample.flagged and sample.width <= tol, (theta, tol)
+            assert sample.x2_low < x2 < sample.x2_high, (theta, tol)
 
     def test_interior_anchor(self, rates_04_06):
         sample = basin_boundary(rates_04_06, [5.0 / 9.0], tol=1e-6)[0]
@@ -389,7 +399,7 @@ class TestBasinBoundary:
             assert sample.note == "lower bracket fate is undetermined"
 
     def test_float_resolution_is_flagged(self, rates_04_06):
-        # no float bracket near x2 ~ 1 is 1e-300 wide; bisection stops at
+        # no float bracket near x2 ~ 1 is 1e-300 wide; the search stops at
         # adjacent floats and says so instead of certifying the width
         for sample in basin_boundary(rates_04_06, [1.0, 2.0], tol=1e-300):
             assert sample.flagged
@@ -398,7 +408,7 @@ class TestBasinBoundary:
 
     def test_upper_end_at_a_fixed_point_is_flagged(self, rates_04_06):
         # at tol 1e-12 the upper end 2/r2 + tol/4 lies inside the proximity
-        # radius of the axis point (0, 2/r2); the line is not bisected
+        # radius of the axis point (0, 2/r2); the line is not searched
         sample = basin_boundary(rates_04_06, [0.0], tol=1e-12)[0]
         assert sample.flagged and sample.note == "upper bracket fate is to_fixed_point"
         assert (sample.x2_low, sample.x2_high) == pytest.approx((1.0 / 0.4, 2.0 / 0.6))
@@ -434,7 +444,8 @@ class TestBasinBoundary:
     @pytest.mark.parametrize("theta", [(0.4, 0.6), (0.8, 0.2), (0.2, 0.8)])
     @pytest.mark.parametrize("budget", [3, DEFAULT_BUDGET])
     def test_grid_equals_its_lines_one_at_a_time(self, theta, budget):
-        # straddled, budget-limited, no-flip and ordinary lines in one grid
+        # lines through fixed points, budget-limited, no-flip and ordinary
+        # lines in one grid
         rates = Rates(theta)
         grid = np.linspace(0.0, 6.0, 13)
         lines = [sample for x1 in grid for sample in basin_boundary(rates, [x1], tol=1e-10, budget=budget)]
@@ -456,7 +467,7 @@ class TestBasinBoundary:
         calls.clear()
         basin_boundary(rates_04_06, grid)
         assert len(calls) <= max(alone)
-        assert max(calls) > 9  # bisection rounds speculate several midpoints per line
+        assert max(calls) > 9  # every round cuts each searching line into several parts
 
     def test_builds_fate_targets_once(self, rates_04_06, monkeypatch):
         from qdyn import dynamics
@@ -466,6 +477,17 @@ class TestBasinBoundary:
         monkeypatch.setattr(dynamics, "feasible_nonzero_points", lambda r: calls.append(r) or original(r))
         basin_boundary(rates_04_06, [0.0, 5.0 / 9.0, 6.0], tol=1e-6)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "theta, grid",
+        [((1e-300, 1.0), [0.0, 1.0]), ((1e300, 1e-300), np.linspace(0.0, 1e5, 3)), ((0.4, 0.6), [1e308])],
+    )
+    def test_extreme_inputs_raise_no_warning(self, theta, grid):
+        # brackets near 1e300 wide, where 2 * width / tol overflows, and a
+        # line where 2 * x1 does; the suite turns every RuntimeWarning into
+        # an error
+        samples = basin_boundary(Rates(theta), grid)
+        assert len(samples) == len(grid)
 
     def test_rejects_nan_tolerance(self, rates_04_06):
         with pytest.raises(DomainError):

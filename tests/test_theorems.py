@@ -2,9 +2,9 @@
 
 - Order: H is order-preserving on the orthant (dH_k/dx_j >= 0), so x <= y
   implies fate(x) <= fate(y) in the order origin < fixed point < infinity.
-  `basin_boundary` bisects on this order without re-checking it.
+  `basin_boundary` cuts its brackets on this order without re-checking it.
 - Basin certificates: on a vertical line MBAR1 and MBAR2 are closed-form
-  intervals, and `basin_boundary` bisects between them.  Every bracket it
+  intervals, and `basin_boundary` searches between them.  Every bracket it
   does not flag is at most tol wide, and fresh fates of its ends go to the
   origin and to infinity.
 - Singletons: every support {k} has the feasible point x_k = 2/r_k.
