@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_BUDGET, basin_boundary, classify_fate, iterate
 from .errors import QdynError
-from .fixed_points import _all_supports, _points
+from .fixed_points import SupportMask, _all_supports, _points
 from .model import Rates
 from .stability import _STACK_ROWS, TAU_UNIT, classify, spectrum_at
 from .verify import verification_sweep
@@ -181,8 +181,8 @@ def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, I
     bits = args.support.split(",")
     if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
         raise QdynError(f"--support expects {rates.n} bits (0 or 1), got {args.support!r}")
-    mask = int("".join(reversed(bits)), 2)  # bit k is coordinate k
-    return _points_output(rates, [mask], np.array([bits], dtype=int), cfg.tau_unit)
+    support = SupportMask.from_bits([b == "1" for b in bits])
+    return _points_output(rates, [support.mask_int], np.array([support.bits()]), cfg.tau_unit)
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:

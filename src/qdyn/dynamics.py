@@ -164,13 +164,16 @@ def classify_fate(rates: Rates, x0, budget: int = DEFAULT_BUDGET) -> FateReport 
     as rows (shape (k, n)), the list of their k reports, stepped together.
 
     Stopping rules, checked in order at every step (including step 0):
-    proximity to a feasible nonzero fixed point (within PROXIMITY_RTOL of
-    max(1, |coords|)); strict interior of MBAR1 (to the origin) or MBAR2
-    (to infinity); the inf-norm thresholds.  The region shortcut needs the
-    strict margin REGION_MARGIN because the nonzero fixed points sit
-    exactly on the region boundaries.  The outcome is undetermined only
-    when the iteration budget runs out.  A row's report does not depend on
-    the rows stepped with it.
+    an inf-norm below EPS_CONV (to the origin); proximity to a feasible
+    nonzero fixed point (within PROXIMITY_RTOL of max(1, |coords|)); strict
+    interior of MBAR1 (to the origin) or MBAR2 (to infinity); an inf-norm
+    above R_ESCAPE (to infinity).  Collapse comes first: the proximity
+    radius never drops below PROXIMITY_RTOL, and with rates above about
+    1.8e11/(2n - 1) a feasible point lies that close to the origin.  The
+    region shortcut needs the strict margin REGION_MARGIN because the
+    nonzero fixed points sit exactly on the region boundaries.  The outcome
+    is undetermined only when the iteration budget runs out.  A row's
+    report does not depend on the rows stepped with it.
 
     Only the feasible nonzero fixed points are built as proximity targets,
     from their closed-form supports (`feasible_nonzero_points`: supports are
@@ -199,13 +202,14 @@ def _fate_targets(rates: Rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # Outcome and evidence of each stopping rule, in the order a fate checks
-# them at every state: proximity, strict MBAR1, strict MBAR2, collapse,
+# them at every state: collapse, proximity, strict MBAR1, strict MBAR2,
 # escape, budget.  A step past the float range ends the orbit at its last
 # finite state with the escape rule, _OVERFLOW.
-_OUTCOMES = np.array([FateOutcome.TO_FIXED_POINT, FateOutcome.TO_ORIGIN, FateOutcome.TO_INFINITY,
-                      FateOutcome.TO_ORIGIN, FateOutcome.TO_INFINITY, FateOutcome.UNDETERMINED], dtype=object)
-_EVIDENCE = np.array([FateEvidence.FIXED_POINT_PROXIMITY, *[FateEvidence.REGION_CONTAINMENT] * 2,
-                      *[FateEvidence.NORM_THRESHOLD] * 2, FateEvidence.ITERATION_CAP], dtype=object)
+_OUTCOMES = np.array([FateOutcome.TO_ORIGIN, FateOutcome.TO_FIXED_POINT, FateOutcome.TO_ORIGIN,
+                      FateOutcome.TO_INFINITY, FateOutcome.TO_INFINITY, FateOutcome.UNDETERMINED], dtype=object)
+_EVIDENCE = np.array([FateEvidence.NORM_THRESHOLD, FateEvidence.FIXED_POINT_PROXIMITY,
+                      *[FateEvidence.REGION_CONTAINMENT] * 2, FateEvidence.NORM_THRESHOLD,
+                      FateEvidence.ITERATION_CAP], dtype=object)
 _OVERFLOW = 4
 # Row-target pairs per kernel call: larger inputs are fed in slices, rows
 # for `classify_fate` and lines for `basin_boundary` (lines * 15 cuts *
@@ -240,14 +244,14 @@ def _fates(rates: Rates, x: np.ndarray, budget: int, targets) -> tuple:
             lhs = 2.0 * x.sum(axis=1, keepdims=True) - x
             norm = np.abs(x).max(axis=1)
             near = np.abs(coords - x[:, None]).max(axis=2) <= tols
-            fired = [near.any(axis=1), (lhs < below).all(axis=1), (lhs > above).all(axis=1),
-                     norm < EPS_CONV, norm > R_ESCAPE]
+            fired = [norm < EPS_CONV, near.any(axis=1), (lhs < below).all(axis=1), (lhs > above).all(axis=1),
+                     norm > R_ESCAPE]
             done = fired[0] | fired[1] | fired[2] | fired[3] | fired[4] | (steps >= budget)
             if done.any():
                 # `done` itself is the budget rule: only the budget stops a row where no other rule fired
                 at, hit = rows[done], near[done]
                 rule[at], steps_used[at], final[at] = np.array([*fired, done]).argmax(axis=0)[done], steps, x[done]
-                mask[at] = np.where(hit.any(axis=1), masks[hit.argmax(axis=1)], -1)
+                mask[at] = np.where(rule[at] == 1, masks[hit.argmax(axis=1)], -1)  # rule 1: proximity
                 rows, x, lhs = rows[~done], x[~done], lhs[~done]
             if not rows.size:
                 break

@@ -22,48 +22,38 @@ MAX_ENUM_DIM = 20  # enumeration is 2^n points; hard cap
 
 @dataclass(frozen=True)
 class SupportMask:
-    """Set of coordinates (0-based) that are nonzero at a fixed point."""
+    """Set of coordinates (0-based) that are nonzero at a fixed point, stored
+    as a mask: bit k of `mask_int` is set iff coordinate k is nonzero."""
 
     n: int
-    nonzero: frozenset[int]
+    mask_int: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.n}")
-        nonzero = frozenset(int(i) for i in self.nonzero)
-        if nonzero and (min(nonzero) < 0 or max(nonzero) >= self.n):
-            raise DimensionMismatch(f"support indices out of range for n={self.n}: {sorted(nonzero)}")
-        object.__setattr__(self, "nonzero", nonzero)
+        if not 0 <= self.mask_int < 1 << self.n:
+            raise DimensionMismatch(f"mask {self.mask_int} out of range for n={self.n}")
+
+    @property
+    def nonzero(self) -> frozenset[int]:
+        return frozenset(self.indices())
 
     @property
     def r(self) -> int:
         """Number of zero coordinates."""
-        return self.n - len(self.nonzero)
-
-    @property
-    def mask_int(self) -> int:
-        """Binary encoding: bit k set iff coordinate k is nonzero."""
-        return sum(1 << i for i in self.nonzero)
+        return self.n - self.mask_int.bit_count()
 
     def bits(self) -> tuple[int, ...]:
-        return tuple(1 if i in self.nonzero else 0 for i in range(self.n))
+        return tuple(self.mask_int >> k & 1 for k in range(self.n))
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.nonzero))
-
-    @classmethod
-    def from_mask_int(cls, n: int, mask: int) -> "SupportMask":
-        if mask < 0 or mask >= (1 << n):
-            raise DomainError(f"mask {mask} out of range for n={n}")
-        return cls(n, frozenset(i for i in range(n) if mask >> i & 1))
+        return tuple(k for k in range(self.n) if self.mask_int >> k & 1)
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "SupportMask":
-        return cls(len(bits), frozenset(i for i, b in enumerate(bits) if b))
+        return cls(len(bits), sum(1 << k for k, b in enumerate(bits) if b))
 
     @classmethod
     def full(cls, n: int) -> "SupportMask":
-        return cls(n, frozenset(range(n)))
+        return cls(n, (1 << n) - 1)
 
 
 @dataclass(frozen=True)
@@ -77,7 +67,7 @@ class FixedPoint:
 
     @property
     def is_origin(self) -> bool:
-        return not self.support.nonzero
+        return self.support.mask_int == 0
 
 
 def _all_supports(rates: Rates) -> np.ndarray:
@@ -146,7 +136,7 @@ def enumerate_fixed_points(rates: Rates) -> list[FixedPoint]:
     coords, residual = _points(rates.values, _all_supports(rates))
     feasible = np.all(coords >= 0.0, axis=1).tolist()
     return [
-        FixedPoint(x, SupportMask.from_mask_int(rates.n, mask), ok, res)
+        FixedPoint(x, SupportMask(rates.n, mask), ok, res)
         for mask, (x, ok, res) in enumerate(zip(coords, feasible, residual.tolist()))
     ]
 

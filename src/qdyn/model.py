@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -58,15 +57,6 @@ class Rates:
     def reciprocal_sum(self) -> float:
         """Sum of 1/r_k over all coordinates."""
         return float(np.sum(1.0 / self.values))
-
-    def reciprocal_sum_over(self, indices: Iterable[int]) -> float:
-        """Sum of 1/r_k over the given coordinate indices (0-based)."""
-        idx = sorted(indices)
-        if not idx:
-            return 0.0
-        if idx[0] < 0 or idx[-1] >= self.n:
-            raise DimensionMismatch(f"index out of range for n={self.n}: {idx}")
-        return float(np.sum(1.0 / self.values[idx]))
 
 
 def as_state(x, n: int | None = None) -> np.ndarray:

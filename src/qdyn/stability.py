@@ -221,11 +221,12 @@ def nonhyperbolic_condition(rates: Rates, support: SupportMask) -> bool:
     """
     if support.n != rates.n:
         raise DimensionMismatch(f"support is for n={support.n}, rates have n={rates.n}")
-    if not support.nonzero:
+    indices = support.indices()
+    if not indices:
         raise DomainError("certificate requires a nonempty support")
-    restricted = rates.reciprocal_sum_over(support.nonzero)
-    target = (2.0 * len(support.nonzero) - 1.0) / 2.0
-    for i in support.indices():
+    restricted = float(np.sum(1.0 / rates.values[list(indices)]))
+    target = (2.0 * len(indices) - 1.0) / 2.0
+    for i in indices:
         if abs(float(rates.values[i]) * restricted - target) <= NONHYP_REL_TOL * target:
             return True
     return False

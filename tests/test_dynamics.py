@@ -164,6 +164,14 @@ class TestClassifyFate:
         report = classify_fate(rates_04_06, [0.0, 0.0])
         assert report.outcome is FateOutcome.TO_ORIGIN
 
+    def test_collapse_is_checked_before_proximity(self):
+        # the axis point (2e-12, 0) lies inside the origin's proximity
+        # radius (1e-11): the start has collapsed, it has not reached it
+        report = classify_fate(Rates([1e12, 1.0]), [0.0, 0.0])
+        assert report.outcome is FateOutcome.TO_ORIGIN
+        assert report.evidence is FateEvidence.NORM_THRESHOLD
+        assert report.fixed_point_index is None and report.steps_used == 0
+
     def test_budget_exhaustion_is_undetermined(self, rates_04_06):
         # just below the axis fixed point the descent is slow (13 steps to
         # reach a region); a tiny budget must give up honestly
@@ -489,6 +497,13 @@ class TestBasinBoundary:
         samples = basin_boundary(Rates(theta), grid)
         assert len(samples) == len(grid)
 
+    def test_lower_end_at_the_origin_collapses_under_extreme_rates(self):
+        # the axis point (2e-300, 0) is within the proximity radius of the
+        # lower end x2 = 0; the upper end (0, 2e300) is the other axis point
+        sample = basin_boundary(Rates([1e300, 1e-300]), [0.0])[0]
+        assert sample.x2_low == 0.0
+        assert sample.note == "upper bracket fate is to_fixed_point"
+
     def test_rejects_nan_tolerance(self, rates_04_06):
         with pytest.raises(DomainError):
             basin_boundary(rates_04_06, [0.5, 1.0], tol=float("nan"))
@@ -498,7 +513,7 @@ class TestBasinBoundary:
             basin_boundary(rates_04_06, [[0.1, 0.2]])
 
     def test_requires_n2(self, rates_ones3):
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionMismatch):
             basin_boundary(rates_ones3, [0.0], tol=1e-6)
 
     def test_grid_order_preserved(self, rates_04_06):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdyn import (
+    DimensionMismatch,
     DomainError,
     Rates,
     SupportMask,
@@ -20,7 +21,7 @@ from helpers import explicit_coefficient_matrix, newton_fixed_point_search
 
 class TestSupportMask:
     def test_mask_roundtrip(self):
-        m = SupportMask.from_mask_int(3, 5)
+        m = SupportMask(3, 5)
         assert m.indices() == (0, 2)
         assert m.bits() == (1, 0, 1)
         assert m.mask_int == 5
@@ -30,8 +31,31 @@ class TestSupportMask:
         assert SupportMask.from_bits([0, 1, 1]).nonzero == frozenset({1, 2})
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(Exception):
-            SupportMask(2, frozenset({5}))
+        for mask in (-1, 4, 1 << 5):
+            with pytest.raises(DimensionMismatch, match=f"mask {mask} out of range for n=2"):
+                SupportMask(2, mask)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_views_of_every_mask_agree(self, n):
+        # the int form's views against the bit table the enumeration solves on
+        table = _support_bits(np.arange(1 << n), n).tolist()
+        for mask, row in enumerate(table):
+            self.check_views(SupportMask(n, mask), row)
+
+    def test_views_past_the_64th_coordinate(self):
+        n = 70
+        mask = 1 << 69 | 1 << 64 | 1 << 63 | 1 << 3 | 1
+        row = [1 if k in (0, 3, 63, 64, 69) else 0 for k in range(n)]
+        self.check_views(SupportMask(n, mask), row)
+
+    @staticmethod
+    def check_views(support, row):
+        n = support.n
+        assert support.bits() == tuple(row)
+        assert support.indices() == tuple(k for k in range(n) if row[k])
+        assert support.nonzero == frozenset(support.indices())
+        assert support.r == n - len(support.indices())
+        assert SupportMask.from_bits(support.bits()) == support
 
 
 class TestInteriorFixedPoint:
@@ -63,7 +87,7 @@ class TestFixedPointForSupport:
         assert fp.residual <= 1e-12
 
     def test_empty_support_is_origin(self, rates_ones3):
-        fp = fixed_point_for_support(rates_ones3, SupportMask(3, frozenset()))
+        fp = fixed_point_for_support(rates_ones3, SupportMask(3, 0))
         np.testing.assert_array_equal(fp.coords, [0.0, 0.0, 0.0])
         assert fp.is_origin and fp.feasible and fp.residual == 0.0
 
@@ -75,7 +99,7 @@ class TestFixedPointForSupport:
             n = int(rng.integers(2, 9))
             rates = Rates(0.05 + 2.95 * rng.random(n))
             mask = int(rng.integers(1, 1 << n))
-            support = SupportMask.from_mask_int(n, mask)
+            support = SupportMask(n, mask)
             idx = list(support.indices())
             fp = fixed_point_for_support(rates, support)
             if len(idx) >= 2:
@@ -173,10 +197,11 @@ class TestPointTable:
         assert point.coords[0] == 2.0 / 1.7e308
 
     def test_supports_past_the_64th_coordinate(self):
-        # supports are bit rows, not int64 masks, so any n works one support at a time
+        # supports are Python-int masks and bit rows, not int64 masks, so
+        # any n works one support at a time
         rates = Rates(np.ones(70))
         np.testing.assert_allclose(interior_fixed_point(rates).coords, np.full(70, 2.0 / 139.0), rtol=1e-14)
-        point = fixed_point_for_support(rates, SupportMask(70, frozenset({0, 69})))
+        point = fixed_point_for_support(rates, SupportMask(70, 1 << 69 | 1))
         assert point.feasible and point.residual < 1e-15
         np.testing.assert_allclose(point.coords[[0, 69]], [2.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
         assert not point.coords[1:69].any()

@@ -54,8 +54,6 @@ class TestRates:
     def test_reciprocal_sums(self):
         r = Rates([0.5, 2.0, 4.0])
         assert r.reciprocal_sum() == pytest.approx(2.0 + 0.5 + 0.25)
-        assert r.reciprocal_sum_over([1, 2]) == pytest.approx(0.75)
-        assert r.reciprocal_sum_over([]) == 0.0
 
 
 class TestApply:
