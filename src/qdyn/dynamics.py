@@ -140,23 +140,32 @@ def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
     state is included.  A nonfinite iterate (possible only from enormous
     inputs or rates) is logged and truncates the trajectory at the last
     finite state, as in the fate kernel.
+
+    The (max_steps + 1, n) array is allocated before the first step, so a
+    count whose array cannot exist fails at once, even for an orbit that
+    would stop early: past numpy's size limit with a DomainError, and below
+    it, where the allocator refuses, with numpy's MemoryError.  The filled rows are returned as a copy, so an
+    early stop does not keep the large buffer alive.
     """
     try:
         max_steps = operator.index(max_steps)
     except TypeError:
         raise DomainError(f"max_steps must be an integer, got {max_steps!r}") from None
-    if max_steps < 0:
-        raise DomainError(f"max_steps must be >= 0, got {max_steps}")
-    states = [as_state(x0, rates.n)]
+    rows = np.iinfo(np.intp).max // (8 * rates.n)  # numpy's row cap for an (m, n) float64 array
+    if not 0 <= max_steps < rows:
+        raise DomainError(f"max_steps must be in [0, {rows - 1}], got {max_steps}")
+    x = as_state(x0, rates.n)
+    states = np.empty((max_steps + 1, rates.n))
+    states[0], used = x, 1
     with np.errstate(over="ignore", invalid="ignore"):
         # array methods: this runs once per step
-        while len(states) <= max_steps and EPS_CONV <= float(np.abs(states[-1]).max()) <= R_ESCAPE:
-            x = _step(rates.values, states[-1])
+        while used <= max_steps and EPS_CONV <= float(np.abs(x).max()) <= R_ESCAPE:
+            x = _step(rates.values, x)
             if not np.isfinite(x).all():
-                log.warning("overflow step; orbit truncated at %d states", len(states))
+                log.warning("overflow step; orbit truncated at %d states", used)
                 break
-            states.append(x)
-    return np.array(states)
+            states[used], used = x, used + 1
+    return states[:used].copy()
 
 
 def classify_fate(rates: Rates, x0, budget: int = DEFAULT_BUDGET) -> FateReport | list[FateReport]:

@@ -162,7 +162,17 @@ def interior_secondary_eig_n2(rates: Rates) -> float:
 
 def interior_discriminant_n3(rates: Rates) -> float:
     """Discriminant of the quadratic factor of the interior characteristic
-    polynomial for n = 3 (negative means a complex conjugate pair)."""
+    polynomial for n = 3.
+
+    Never negative for positive rates, so the pair is real.  With e1, e2, e3
+    the elementary symmetric functions of the rates, 25 e3^2 times the
+    discriminant is a quadratic in e3 that decreases up to e3 = 7 e1 e2 / 45,
+    beyond the AM-GM bound e3 <= e1 e2 / 9.  So with e1 and e2 fixed it is
+    least at the largest e3, where two rates are equal, and at rates
+    (1, 1, c) it is 16 (c - 1)^2 (c - 2)^2.  It is zero (a double
+    eigenvalue) exactly at rates proportional to (1, 1, 1) or to a
+    permutation of (1, 1, 2), where rounding can leave it a few eps below 0.
+    """
     if rates.n != 3:
         raise DimensionMismatch(f"closed form requires n=3, got n={rates.n}")
     recip = rates.reciprocal_sum()
@@ -183,8 +193,9 @@ def interior_discriminant_n3(rates: Rates) -> float:
 def interior_secondary_eigs_n3(rates: Rates) -> tuple[complex, complex]:
     """The two non-2 eigenvalues at the interior point for n = 3.
 
-    Returned as (lam_minus, lam_plus); a negative discriminant yields a
-    complex conjugate pair.
+    Returned as (lam_minus, lam_plus), as complex numbers: the discriminant
+    is never negative (see `interior_discriminant_n3`), so both are real,
+    up to a rounding-sized imaginary part where it is zero.
     """
     d = interior_discriminant_n3(rates)
     recip = rates.reciprocal_sum()

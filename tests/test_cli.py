@@ -164,6 +164,15 @@ class TestSimulateCommand:
         assert code == 2
         assert "length" in err
 
+    @pytest.mark.parametrize("steps", ["1000000000000000", "10000000000000000000"])
+    def test_unallocatable_step_count_is_one_line_usage_error(self, capsys, steps):
+        # 1e15 rows is 14 PiB, past any address space (numpy's MemoryError);
+        # 1e19 is past numpy's array size limit.  The start escapes in four
+        # steps, so no test here can allocate the trajectory for real.
+        code, out, err = run_cli(capsys, "simulate", "--theta", "1,1", "--x0", "5,5", "--steps", steps)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--theta", "1,1", "--x0", "0.1,0.1", "--format", "json")
         assert code == 0
@@ -613,7 +622,10 @@ def test_golden_stdout(capsys, case):
     # cases were re-recorded when lines began from the closed-form MBAR1 and
     # MBAR2 bracket, and again when each round began to cut a bracket into up
     # to 16 equal parts instead of bisecting it: bracket ends moved, flags
-    # and notes did not.
+    # and notes did not.  The last case, basin at (0.4, 0.6) over 0:6:7 with
+    # tol 1e-6, was captured from the retired planar-portrait data script
+    # (`--grid 2 --boundary-points 7`): its boundary CSV was byte for byte
+    # this stdout, which now stands in for that file.
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == 0
     assert out == case["stdout"]

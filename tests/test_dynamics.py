@@ -61,6 +61,25 @@ class TestIterate:
             iterate(rates_04_06, fp.coords, 2.0)
         assert iterate(rates_04_06, fp.coords, np.int64(2)).shape == (3, 2)
 
+    def test_step_count_bounds(self, rates_04_06):
+        with pytest.raises(DomainError, match="max_steps must be in"):
+            iterate(rates_04_06, [0.1, 0.1], -1)
+        # one row past numpy's size limit for an (m, 2) float64 array
+        limit = np.iinfo(np.intp).max // 16
+        with pytest.raises(DomainError, match=f"max_steps must be in \\[0, {limit - 1}\\]"):
+            iterate(rates_04_06, [5.0, 5.0], limit)
+        # below the limit the array is refused by the allocator, before any step
+        with pytest.raises(MemoryError):
+            iterate(rates_04_06, [5.0, 5.0], 10**15)
+        # x0 is validated before the array is allocated
+        with pytest.raises(DomainError, match="nonnegative"):
+            iterate(rates_04_06, [-0.1, 0.1], 10**15)
+
+    def test_early_stop_returns_only_the_filled_rows(self):
+        traj = iterate(Rates([1.0, 1.0]), [2.0, 2.0], 10**6)
+        assert traj.shape == (6, 2) and traj.base is None
+        np.testing.assert_array_equal(traj, iterate(Rates([1.0, 1.0]), [2.0, 2.0], 5))
+
 
 class TestRegionMembership:
     def test_m1_example(self, rates_04_06):

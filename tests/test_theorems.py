@@ -11,6 +11,14 @@
 - Scaling conjugacy: H_{r/c}(c x) = c H_r(x).  For c a power of two every
   product in the closed forms scales exactly, so tables, Jacobians and
   spectra can be compared bit for bit.
+- Spectral structure: at a fixed point with support S and s = sum(x), the
+  rows of J off S are diagonal, so the spectrum is {r_k s : k not in S}
+  together with eig(J_SS), J_SS = diag(d) + u 1^T with d_k = r_k (s - x_k)
+  and u_k = r_k x_k.  At a feasible point u > 0, and diag(sqrt(u)) carries
+  J_SS to the symmetric diag(d) + sqrt(u) sqrt(u)^T: the spectrum is real
+  and interlaces the sorted d_k.
+- The n = 3 interior discriminant is never negative (a proof is recorded
+  in `interior_discriminant_n3` and checked by the sympy oracle).
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -20,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyn import FateOutcome, Rates, basin_boundary, classify_fate, jacobian, spectrum_at
+from qdyn import FateOutcome, Rates, basin_boundary, classify_fate, interior_discriminant_n3, jacobian, spectrum_at
 from qdyn.fixed_points import _all_supports, _points, feasible_nonzero_points
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -31,8 +39,15 @@ RATE = st.floats(0.1, 3.0)
 UNIT = st.floats(0.01, 1.0)
 
 
+EPS = float(np.finfo(float).eps)
+
+
 def vectors(n: int, elements=UNIT):
     return st.lists(elements, min_size=n, max_size=n).map(np.array)
+
+
+def log_uniform(low: float, high: float):
+    return st.floats(np.log10(low), np.log10(high)).map(lambda e: 10.0**e)
 
 
 @st.composite
@@ -140,3 +155,58 @@ class TestScalingConjugacy:
         scaled = classify_fate(Rates(rates.values / c), c * x).outcome
         if {outcome, scaled} <= {FateOutcome.TO_ORIGIN, FateOutcome.TO_INFINITY}:
             assert scaled == outcome
+
+
+class TestSpectralStructure:
+    @given(st.integers(2, 8).flatmap(lambda n: vectors(n, log_uniform(0.01, 100.0))))
+    @settings(PROPERTY, max_examples=300)
+    def test_feasible_spectra_are_real_and_interlace(self, theta):
+        rates, n = Rates(theta), theta.size
+        masks, coords = feasible_nonzero_points(rates)
+        jac = jacobian(rates, coords)
+        for mask, x, j, spectrum in zip(masks, coords, jac, spectrum_at(rates, coords, jac=jac)):
+            on = ((mask >> np.arange(n)) & 1).astype(bool)
+            s = x.sum()
+            d, u = theta[on] * (s - x[on]), theta[on] * x[on]
+            root = np.sqrt(u)
+            block = np.linalg.eigvalsh(np.diag(d) + np.outer(root, root))  # ascending
+            expected = np.sort(np.concatenate([theta[~on] * s, block]))
+            # eigvalsh is backward stable and the matrix symmetric, so (Weyl)
+            # each value is within a small multiple of n eps ||A||_2 of the
+            # exact one, and ||A||_2 <= max d + sum u.
+            sym_err = 64 * n * EPS * (d.max() + u.sum())
+            # eigvals is backward stable too, but J_SS = diag(sqrt(u)) A
+            # diag(sqrt(u))^-1, so (Bauer-Fike) its backward error, a small
+            # multiple of n eps ||J||, is multiplied by the eigenvector
+            # condition, at most cond(diag(sqrt(u))).  The off-S rows have no
+            # off-diagonal entry, so balancing splits them off exactly.
+            gen_err = 64 * n * EPS * np.abs(j).sum(axis=1).max() * (root.max() / root.min())
+            assert np.all(np.abs(spectrum.imag) <= gen_err)
+            assert np.all(np.abs(np.sort(spectrum.real) - expected) <= gen_err + sym_err)
+            # d_(1) <= l_1 <= d_(2) <= l_2 <= ... <= d_(m) <= l_m
+            ds = np.sort(d)
+            assert np.all(ds - sym_err <= block) and np.all(block[:-1] <= ds[1:] + sym_err)
+
+
+class TestInteriorDiscriminantN3:
+    @staticmethod
+    def rounding(theta):
+        # the four terms 0.16 R^2 T^2, 11.2 R T, 1.92 R^2 P and 36 (R the
+        # reciprocal sum, T the sum, P the pair sum) each take at most about
+        # 15 roundings of eps/2, and their sum three more: the computed value
+        # is within about 9 eps of the sum of their sizes; 32 eps leaves room
+        recip, total = float(np.sum(1.0 / theta)), float(np.sum(theta))
+        pair = float(theta[0] * theta[1] + theta[0] * theta[2] + theta[1] * theta[2])
+        terms = (0.16 * recip**2 * total**2, 11.2 * recip * total, 1.92 * recip**2 * pair, 36.0)
+        return 32 * EPS * sum(terms)
+
+    @given(vectors(3, log_uniform(1e-3, 1e3)))
+    @settings(PROPERTY, max_examples=1000)
+    def test_never_negative(self, theta):
+        assert interior_discriminant_n3(Rates(theta)) >= -self.rounding(theta)
+
+    @pytest.mark.parametrize("theta", [(1, 1, 2), (2, 1, 1), (1, 2, 1), (0.3, 0.3, 0.6), (1, 1, 1), (7.5, 7.5, 7.5)])
+    def test_zero_on_the_double_root_rays(self, theta):
+        # rates proportional to (1, 1, 1) or a permutation of (1, 1, 2)
+        theta = np.array(theta, dtype=float)
+        assert abs(interior_discriminant_n3(Rates(theta))) <= self.rounding(theta)
