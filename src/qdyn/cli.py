@@ -3,10 +3,10 @@
 Subcommands: fixed-points, classify, simulate, basin, verify.  Each
 subparser declares the RunConfig fields its command reads and its output
 formats, the first being the default; --config keys override the flags.
-Handlers print nothing: each returns its exit code, a JSON payload and its
-CSV rows or text lines (a lazy iterable, read only if printed), and `main`
-prints the one the format names once, on stdout, with shortest round-trip
-float formatting, so identical configurations give byte-identical runs.
+Handlers print nothing: each returns its exit code and the one output its
+format prints, the JSON payload for json and otherwise its CSV rows or text
+lines, and `main` prints it once, on stdout, with shortest round-trip float
+formatting, so identical configurations give byte-identical runs.
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error.  QDYN_LOG sets diagnostic verbosity on stderr, never the numbers.
 """
@@ -71,15 +71,15 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _parse_range(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise QdynError(f"--x1-range expects lo:hi:count, got {text!r}")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:  # a spec without exactly three parts fails the unpacking
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise QdynError(f"--x1-range expects lo:hi:count, got {text!r}") from exc
-    if count < 1:
-        raise QdynError("--x1-range count must be >= 1")
+    # 2**53 is exact in float64 and far past any grid that can be allocated;
+    # linspace fails with other errors than MemoryError near numpy's size limit
+    if not 1 <= count <= 2**53:
+        raise QdynError(f"--x1-range count must be between 1 and 2^53, got {count}")
     if not math.isfinite(hi - lo):
         raise QdynError(f"--x1-range ends and their span hi - lo must be finite, got {text!r}")
     return np.linspace(lo, hi, count)
@@ -134,58 +134,60 @@ def _checked_overrides(overrides) -> dict:
     return checked
 
 
-def _points_output(rates: Rates, masks: Iterable[int], bits: np.ndarray, tau_unit: float) -> tuple[int, dict, Iterable]:
-    # one record per support, read off the columns of the fixed-point table
+def _points_output(cfg: RunConfig, rates: Rates, masks: Iterable[int], bits: np.ndarray) -> tuple[int, dict | Iterable]:
+    # one JSON record or CSV row per support, read off the columns of the fixed-point table
     coords, residual = _points(rates.values, bits)
     spectra = np.concatenate(
         [spectrum_at(rates, coords[i:i + _STACK_ROWS]) for i in range(0, len(coords), _STACK_ROWS)]
     )
+    # eigenvalues as [re, im] pairs for JSON, as one flat re, im, re, im, ... row for CSV
+    shape = (len(coords), rates.n, 2) if cfg.format == "json" else (len(coords), 2 * rates.n)
     columns = zip(
         masks, bits.tolist(), coords.tolist(), np.all(coords >= 0.0, axis=1).tolist(), residual.tolist(),
-        np.stack([spectra.real, spectra.imag], axis=-1).tolist(), classify(spectra, tau_unit),
+        np.stack([spectra.real, spectra.imag], axis=-1).reshape(shape).tolist(), classify(spectra, cfg.tau_unit),
     )
-    records = [
-        {
-            "mask": mask,
-            "support": support,
-            "coords": x,
-            "feasible": feasible,
-            "residual": res,
-            "eigenvalues": eigs,
-            "class": cls.tag.value,
-            "inside": cls.inside,
-            "outside": cls.outside,
-            "on_unit": cls.on_unit,
-            "index": mask,  # the position in the mask-ordered enumeration
-        }
-        for mask, support, x, feasible, res, eigs, cls in columns
-    ]
-    payload = {"theta": rates.values.tolist(), "n": rates.n, "fixed_points": records}
+    if cfg.format == "json":
+        records = [
+            {
+                "mask": mask,
+                "support": support,
+                "coords": x,
+                "feasible": feasible,
+                "residual": res,
+                "eigenvalues": pairs,
+                "class": cls.tag.value,
+                "inside": cls.inside,
+                "outside": cls.outside,
+                "on_unit": cls.on_unit,
+                "index": mask,  # the position in the mask-ordered enumeration
+            }
+            for mask, support, x, feasible, res, pairs, cls in columns
+        ]
+        return 0, {"theta": rates.values.tolist(), "n": rates.n, "fixed_points": records}
     header = ["mask", "support", "feasible", "residual", *(f"x{k + 1}" for k in range(rates.n))]
     header += [f"eig{k + 1}_{part}" for k in range(rates.n) for part in ("re", "im")] + ["class"]
     rows = (
-        [rec["mask"], "".join(map(str, rec["support"])), str(rec["feasible"]).lower(), rec["residual"],
-         *rec["coords"], *itertools.chain.from_iterable(rec["eigenvalues"]), rec["class"]]
-        for rec in records
+        [mask, "".join(map(str, support)), str(feasible).lower(), res, *x, *flat, cls.tag.value]
+        for mask, support, x, feasible, res, flat, cls in columns
     )
-    return 0, payload, itertools.chain([header], rows)
+    return 0, itertools.chain([header], rows)
 
 
-def cmd_fixed_points(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
+def cmd_fixed_points(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | Iterable]:
     rates = cfg.rates()
-    return _points_output(rates, range(1 << rates.n), _all_supports(rates), cfg.tau_unit)
+    return _points_output(cfg, rates, range(1 << rates.n), _all_supports(rates))
 
 
-def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
+def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | Iterable]:
     rates = cfg.rates()
     bits = args.support.split(",")
     if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
         raise QdynError(f"--support expects {rates.n} bits (0 or 1), got {args.support!r}")
     support = SupportMask.from_bits([b == "1" for b in bits])
-    return _points_output(rates, [support.mask_int], np.array([support.bits()]), cfg.tau_unit)
+    return _points_output(cfg, rates, [support.mask_int], np.array([support.bits()]))
 
 
-def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | Iterable]:
     rates = cfg.rates()
     x0 = np.array(_parse_floats(args.x0, "--x0"))
     trajectory = iterate(rates, x0, args.steps).tolist()
@@ -197,44 +199,45 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, I
         "fixed_point_index": report.fixed_point_index,
         "final_state": report.final_state.tolist(),
     }
-    payload = {"theta": rates.values.tolist(), "trajectory": trajectory, "fate": fate}
+    if cfg.format == "json":
+        return 0, {"theta": rates.values.tolist(), "trajectory": trajectory, "fate": fate}
     trailer = (
         "# fate={outcome} steps_used={steps_used} evidence={evidence} "
         "fixed_point_index={fixed_point_index} final={final}"
     ).format(**fate, final=",".join(map(repr, fate["final_state"])))
     header = ["step", *(f"x{k + 1}" for k in range(rates.n))]
     rows = ([step, *row] for step, row in enumerate(trajectory))
-    return 0, payload, itertools.chain([header], rows, [trailer])
+    return 0, itertools.chain([header], rows, [trailer])
 
 
-def cmd_basin(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
+def cmd_basin(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | Iterable]:
     rates = cfg.rates()
     if rates.n != 2:
         raise QdynError(f"basin requires n = 2, got n = {rates.n}")
     grid = _parse_range(args.x1_range)
     samples = basin_boundary(rates, grid, tol=cfg.bisect_tol, budget=cfg.budget)
-    payload = {
+    header = ["x1", "x2_low", "x2_high", "width", "flagged"]
+    rows = ([s.x1, s.x2_low, s.x2_high, s.width, str(s.flagged).lower()] for s in samples)
+    output = itertools.chain([header], rows) if cfg.format == "csv" else {
         "theta": rates.values.tolist(),
         "tol": cfg.bisect_tol,
         "samples": [asdict(s) for s in samples],
     }
-    header = ["x1", "x2_low", "x2_high", "width", "flagged"]
-    rows = ([s.x1, s.x2_low, s.x2_high, s.width, str(s.flagged).lower()] for s in samples)
-    return 0, payload, itertools.chain([header], rows)
+    return 0, output
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict, Iterable]:
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | Iterable]:
     if args.n < 2 or args.n > 12:
         raise QdynError(f"verify requires 2 <= n <= 12, got n = {args.n}")
     summary = verification_sweep(args.n, args.trials, cfg.seed)
-    payload = {
+    output = _verify_lines(summary) if cfg.format == "text" else {
         "n": summary.n,
         "trials": summary.trials,
         "seed": summary.seed,
         "passed": summary.passed,
         "checks": [asdict(c) for c in summary.checks],
     }
-    return (0 if summary.passed else 1), payload, _verify_lines(summary)
+    return (0 if summary.passed else 1), output
 
 
 def _verify_lines(summary) -> Iterable[str]:
@@ -247,17 +250,18 @@ def _verify_lines(summary) -> Iterable[str]:
     yield f"verified {summary.trials} draws at n={summary.n}, seed={summary.seed}: {verdict}"
 
 
-def _emit(fmt: str, payload: dict, rows: Iterable) -> None:
-    """Print the payload as JSON, or else the rows: a str row verbatim (text
-    lines, simulate's fate trailer), any other row as a CSV record.
+def _emit(fmt: str, output: dict | Iterable) -> None:
+    """Print a handler's output in its format: for json the payload, for
+    csv and text each row, a str row verbatim (text lines, simulate's fate
+    trailer) and any other row as a CSV record.
 
     csv writes a float cell (numpy float64 included) with float's repr, the
     shortest round-trip form, as json.dumps does."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(output, indent=2))
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    for row in rows:
+    for row in output:
         if isinstance(row, str):
             print(row)
         else:
@@ -336,8 +340,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
-        code, payload, rows = args.handler(cfg, args)
-        _emit(cfg.format, payload, rows)
+        code, output = args.handler(cfg, args)
+        _emit(cfg.format, output)
         return code
     except (QdynError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

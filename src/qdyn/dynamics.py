@@ -264,7 +264,7 @@ def _fates(rates: Rates, x: np.ndarray, budget: int, targets) -> tuple:
                 rows, x, lhs = rows[~done], x[~done], lhs[~done]
             if not rows.size:
                 break
-            x_next = 0.5 * rates.values * x * lhs
+            x_next = 0.5 * rates.values * x * lhs  # _step, reusing the lhs the region tests computed
             finite = np.isfinite(x_next).all(axis=1)
             if not finite.all():
                 at = rows[~finite]

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .model import Rates
+from .model import Rates, _step
 
 MAX_ENUM_DIM = 20  # enumeration is 2^n points; hard cap
 
@@ -104,11 +104,8 @@ def _points(theta: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray
         coords[rows[:, None], idx] = 2.0 / theta[idx] if m == 1 else (
             (4.0 * recip.sum(axis=1, keepdims=True) - (4.0 * m - 2.0) * recip) / (2.0 * m - 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        # model._step on every row (_step itself stays 1-d: a row-wise sum
-        # slows the orbit loop); extreme rates can overflow it, and the
-        # residual is then inf or nan
-        step = 0.5 * theta * coords * (2.0 * coords.sum(axis=1, keepdims=True) - coords)
-        residual = np.max(np.abs(step - coords), axis=1)
+        # extreme rates can overflow the step, and the residual is then inf or nan
+        residual = np.max(np.abs(_step(theta, coords) - coords), axis=1)
     coords.flags.writeable = False
     return coords, residual
 

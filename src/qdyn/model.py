@@ -78,9 +78,8 @@ def as_state(x, n: int | None = None) -> np.ndarray:
 
 
 def _step(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # x_k + 2*sum_{i != k} x_i == 2*sum(x) - x_k
-    s = x.sum()
-    return 0.5 * theta * x * (2.0 * s - x)
+    # x_k + 2*sum_{i != k} x_i == 2*sum(x) - x_k, for a state or for each row of a stack
+    return 0.5 * theta * x * (2.0 * x.sum(axis=-1, keepdims=True) - x)
 
 
 def apply(rates: Rates, x) -> np.ndarray:

@@ -211,10 +211,21 @@ class TestBasinCommand:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_unallocatable_range_is_one_line_usage_error(self, capsys):
-        # numpy refuses the 728 TiB grid before allocating anything
-        code, out, err = run_cli(capsys, "basin", "--theta", "1,1", "--x1-range", "0:1:100000000000000")
-        assert code == 2
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        counts = [
+            "100000000000000",  # numpy refuses the 728 TiB grid before allocating anything
+            # at numpy's size limit linspace fails with other errors than
+            # MemoryError (its arange rounds the count to a float, so the
+            # first of them already fails at 2^60 - 64); the count bound 2^53
+            # rejects them all
+            "1152921504606846912",
+            "2000000000000000000",
+            "9223372036854775807",
+            "100000000000000000000",
+        ]
+        for count in counts:
+            code, out, err = run_cli(capsys, "basin", "--theta", "1,1", "--x1-range", f"0:1:{count}")
+            assert code == 2, count
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, count
 
     def test_requires_two_rates(self, capsys):
         code, _, err = run_cli(capsys, "basin", "--theta", "1,1,1", "--x1-range", "0:1:2")
@@ -430,6 +441,23 @@ class TestUsage:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == "" and "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fixed-points",),  # no --theta
+            ("basin", "--theta", "1,1", "--x1-range", "a:b:c"),
+            ("basin", "--theta", "1,1", "--x1-range", "0:1:0"),
+            # the = form: argparse reads -1:1:3 on its own as an option
+            ("basin", "--theta", "1,1", "--x1-range=-1:1:3"),
+            ("verify", "--n", "2", "--trials", "1", "--seed", "-1"),
+            ("verify", "--n", "2", "--trials", "0"),
+        ],
+    )
+    def test_input_check_is_one_line_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_verify_rejects_csv(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--n", "2", "--trials", "1", "--format", "csv")

@@ -17,6 +17,11 @@
   and u_k = r_k x_k.  At a feasible point u > 0, and diag(sqrt(u)) carries
   J_SS to the symmetric diag(d) + sqrt(u) sqrt(u)^T: the spectrum is real
   and interlaces the sorted d_k.
+- Permutation equivariance: relabelling the coordinates, H_{Pr}(Px) =
+  P H_r(x), maps each fixed point of support mask m to the permuted mask,
+  with the same spectrum and class.  At n = 2 every sum has two terms and
+  a + b == b + a in floating point, so swapping the rates mirrors the table
+  and every fate bit for bit.
 - The n = 3 interior discriminant is never negative (a proof is recorded
   in `interior_discriminant_n3` and checked by the sympy oracle).
 
@@ -28,7 +33,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyn import FateOutcome, Rates, basin_boundary, classify_fate, interior_discriminant_n3, jacobian, spectrum_at
+from qdyn import (
+    FateOutcome, Rates, basin_boundary, classify, classify_fate, interior_discriminant_n3, jacobian, spectrum_at,
+)
 from qdyn.fixed_points import _all_supports, _points, feasible_nonzero_points
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -186,6 +193,72 @@ class TestSpectralStructure:
             # d_(1) <= l_1 <= d_(2) <= l_2 <= ... <= d_(m) <= l_m
             ds = np.sort(d)
             assert np.all(ds - sym_err <= block) and np.all(block[:-1] <= ds[1:] + sym_err)
+
+
+def permuted_rates(n: int):
+    return st.tuples(vectors(n, log_uniform(0.01, 100.0)), st.permutations(range(n)).map(np.array))
+
+
+class TestPermutationEquivariance:
+    SWAP = [0, 2, 1, 3]  # each planar mask with its two bits swapped
+
+    @given(vectors(2, log_uniform(0.01, 100.0)))
+    @settings(PROPERTY, max_examples=300)
+    def test_planar_swap_mirrors_table_and_fates_bit_for_bit(self, theta):
+        rates, swapped = Rates(theta), Rates(theta[::-1])
+        bits = _all_supports(rates)
+        coords, residual = _points(rates.values, bits)
+        coords_s, residual_s = _points(swapped.values, bits)
+        assert np.array_equal(coords_s[self.SWAP], coords[:, ::-1])
+        assert np.array_equal(residual_s[self.SWAP], residual)
+        # a 7 x 7 grid of starts in units of the axis points 2/r_k, from the
+        # origin past both singleton fixed points to where orbits escape
+        grid = np.linspace(0.0, 3.0, 7)
+        x = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2) * (2.0 / theta)
+        for fate, mirrored in zip(classify_fate(rates, x), classify_fate(swapped, x[:, ::-1])):
+            assert (mirrored.outcome, mirrored.evidence, mirrored.steps_used) == (
+                fate.outcome, fate.evidence, fate.steps_used)
+            assert np.array_equal(mirrored.final_state, fate.final_state[::-1])
+            index = fate.fixed_point_index
+            assert mirrored.fixed_point_index == (None if index is None else self.SWAP[index])
+
+    @given(st.integers(3, 6).flatmap(permuted_rates))
+    @settings(PROPERTY, max_examples=200)
+    def test_enumeration_maps_masks_to_permuted_masks(self, case):
+        theta, perm = case
+        n = theta.size
+        rates, permuted = Rates(theta), Rates(theta[perm])
+        bits = _all_supports(rates)
+        coords, _ = _points(rates.values, bits)
+        # coordinate k of the permuted system is coordinate perm[k] here, so
+        # the point of mask m is the point of the mask whose bit k is bit
+        # perm[k] of m
+        image = (bits[:, perm] << np.arange(n)).sum(axis=1)
+        coords_p = _points(permuted.values, bits)[0][image]
+        # Both tables sum the same reciprocals, in another order: the sums
+        # differ by at most about 2 m eps sum_S(1/r), and the closed form
+        # divides them by 2m - 1 after scaling by 4.  The rest of the
+        # arithmetic is the same on both sides.
+        recip = (bits / theta).sum(axis=1)
+        scale = 4.0 * recip / np.maximum(2 * bits.sum(axis=1) - 1, 1)
+        assert np.all(np.abs(coords_p[:, np.argsort(perm)] - coords).max(axis=1) <= 4 * n * EPS * scale)
+        jac = jacobian(rates, coords)
+        spectra, spectra_p = spectrum_at(rates, coords, jac=jac), spectrum_at(permuted, coords_p)
+        assert classify(spectra_p) == classify(spectra)
+        # eigvals is backward stable: each spectrum is exact for a Jacobian
+        # within a small multiple of n eps ||J||_F of P J P^T (the permuted
+        # Jacobian also carries the coordinates' rounding, of the same size).
+        # By Bauer-Fike each eigenvalue then moves by at most cond_2(V) times
+        # that, V the eigenvectors of J.
+        tols = 16 * n * EPS * np.linalg.norm(jac, axis=(1, 2)) * np.linalg.cond(np.linalg.eig(jac)[1])
+        for spectrum, spectrum_p, tol in zip(spectra, spectra_p, tols):
+            # the canonical order sorts by modulus, so eigenvalues whose
+            # moduli tie within rounding may come in either order: match each
+            # to the nearest one left
+            left = list(spectrum_p)
+            for lam in spectrum:
+                nearest = int(np.argmin(np.abs(np.array(left) - lam)))
+                assert abs(left.pop(nearest) - lam) <= tol
 
 
 class TestInteriorDiscriminantN3:

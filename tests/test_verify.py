@@ -97,6 +97,12 @@ def test_seed_outside_the_philox_key_range_rejected(seed):
         verification_sweep(2, 1, seed)
 
 
+@pytest.mark.parametrize("n, trials", [(1, 1), (2, 0)])
+def test_sweep_needs_two_coordinates_and_one_trial(n, trials):
+    with pytest.raises(DomainError):
+        verification_sweep(n, trials, 0)
+
+
 def test_largest_seed_accepted():
     assert verification_sweep(2, 1, 2**128 - 1).passed
 
