@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import logging
@@ -268,7 +269,10 @@ def _emit(fmt: str, output: dict | Iterable) -> None:
             writer.writerow(row)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qdyn parser, built on the first call and then shared: every
+    `parse_args` returns a fresh namespace, so calls do not see each other."""
     parser = argparse.ArgumentParser(prog="qdyn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -333,9 +337,8 @@ def _setup_logging() -> None:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

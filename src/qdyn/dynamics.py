@@ -13,6 +13,9 @@ into equal parts until it is tol wide.
 
 Every fate runs through one kernel, `_fates`, which steps a stack of starts
 in lockstep and drops each row at the state where a stopping rule fires.
+The map keeps supports, so a state near a fixed point has one candidate,
+the closed-form point on its own large coordinates; no table of fixed
+points is built and fates work at any n.
 `classify_fate` hands it one start or many; `basin_boundary` searches all
 lines of a grid together through it, one call per round: the two bracket
 ends of every line first, then up to 15 equally spaced cuts of every
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, RegionNotApplicable, VerticalLineError
-from .fixed_points import feasible_nonzero_points, interior_fixed_point
+from .fixed_points import _points, interior_fixed_point
 from .model import Rates, _readonly, _step, as_state
 from .stability import StabilityTag, classify, spectrum_at
 
@@ -184,30 +187,27 @@ def classify_fate(rates: Rates, x0, budget: int = DEFAULT_BUDGET) -> FateReport 
     is undetermined only when the iteration budget runs out.  A row's
     report does not depend on the rows stepped with it.
 
-    Only the feasible nonzero fixed points are built as proximity targets,
-    from their closed-form supports (`feasible_nonzero_points`: supports are
-    grown while the deficit sum_{j in S} (1 - r_min(S)/r_j) stays at most
-    1/2), not all 2^n algebraic points.  A hit reports the target's support
-    mask, which is its index in the mask-ordered enumeration.
+    Proximity needs no table of fixed points, so any n works.  The map
+    keeps supports (a positive coordinate stays positive, a zero one zero)
+    and the fixed point on a support is unique and in closed form, so a
+    state has one candidate: the point on its large coordinates,
+    S = {k : x_k > 2 PROXIMITY_RTOL max(1, |x|)}.  Every feasible point
+    within the radius has support S or a superset of it, so a hit reports
+    the smallest such support mask, which is the point's index in the
+    mask-ordered enumeration.  A feasible point with a coordinate within
+    about 3 PROXIMITY_RTOL max(1, |p|) of 0 (rates near the transcritical
+    condition r_k s = 1, or above about 7e10) can be missed, and the orbit
+    then steps on.
     """
     arr = np.asarray(x0, dtype=float)
     if arr.ndim == 2 and arr.shape[1] != rates.n:
         raise DimensionMismatch(f"starts have shape {arr.shape}, expected (k, {rates.n})")
     rows = as_state(arr.ravel()).reshape(arr.shape) if arr.ndim == 2 else as_state(arr, rates.n)[None]
-    targets = _fate_targets(rates)
-    per_call = max(1, _FATE_CELLS // len(targets[2]))
     reports = [
-        FateReport(outcome, steps, _readonly(final), evidence, None if mask < 0 else mask)
-        for start in range(0, len(rows), per_call)
-        for outcome, evidence, steps, final, mask in zip(*_fates(rates, rows[start:start + per_call], budget, targets))
+        FateReport(outcome, steps, _readonly(final), evidence, mask)
+        for outcome, evidence, steps, final, mask in zip(*_fates(rates, rows, budget))
     ]
     return reports if arr.ndim == 2 else reports[0]
-
-
-def _fate_targets(rates: Rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Coordinates, proximity radii and support masks of the fate targets.
-    masks, coords = feasible_nonzero_points(rates)
-    return coords, PROXIMITY_RTOL * np.maximum(1.0, np.max(np.abs(coords), axis=1)), np.array(masks)
 
 
 # Outcome and evidence of each stopping rule, in the order a fate checks
@@ -220,16 +220,9 @@ _EVIDENCE = np.array([FateEvidence.NORM_THRESHOLD, FateEvidence.FIXED_POINT_PROX
                       *[FateEvidence.REGION_CONTAINMENT] * 2, FateEvidence.NORM_THRESHOLD,
                       FateEvidence.ITERATION_CAP], dtype=object)
 _OVERFLOW = 4
-# Row-target pairs per kernel call: larger inputs are fed in slices, rows
-# for `classify_fate` and lines for `basin_boundary` (lines * 15 cuts *
-# targets), which keeps the proximity test's (rows, targets, n) array near a
-# megabyte while there are at most this many targets.  Above that each call
-# takes one row and the array is targets * n * 8 bytes: about 168 MB at
-# n = 20 with equal rates (2^20 - 1 targets).
-_FATE_CELLS = 1 << 13
 
 
-def _fates(rates: Rates, x: np.ndarray, budget: int, targets) -> tuple:
+def _fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
     """The fate kernel: the starts given as the rows of x (shape (k, n)),
     stepped in lockstep.
 
@@ -240,31 +233,43 @@ def _fates(rates: Rates, x: np.ndarray, budget: int, targets) -> tuple:
     its last finite state.  Returns, one entry per row, the outcomes and
     the evidence (object arrays), the steps used (a list), the final states
     (an array of rows) and the support masks of the fixed points reached
-    (a list, -1 where none was).
+    (a list of ints, None where none was).
+
+    The proximity candidate is built only for the rows that pass a gate
+    read off the region tests' lhs: at a fixed point on S, lhs_k = 2/r_k
+    for every k in S, and lhs moves by at most (2n - 1) times the radius
+    within it, so a row can be near one only if some |lhs_k - 2/r_k| is at
+    most 4 n PROXIMITY_RTOL max(1, |x|).
     """
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
-    coords, tols, masks = targets
-    below, above = 2.0 / rates.values - REGION_MARGIN, 2.0 / rates.values + REGION_MARGIN
+    theta, bound, gate = rates.values, 2.0 / rates.values, 4 * rates.n * PROXIMITY_RTOL
+    below, above = bound - REGION_MARGIN, bound + REGION_MARGIN
     rule, steps_used = np.empty(len(x), dtype=int), np.empty(len(x), dtype=int)
-    final, mask, rows = np.empty_like(x), np.full(len(x), -1), np.arange(len(x))
+    final, mask, rows = np.empty_like(x), [None] * len(x), np.arange(len(x))
     with np.errstate(over="ignore", invalid="ignore"):
         for steps in itertools.count():
             lhs = 2.0 * x.sum(axis=1, keepdims=True) - x
             norm = np.abs(x).max(axis=1)
-            near = np.abs(coords - x[:, None]).max(axis=2) <= tols
-            fired = [norm < EPS_CONV, near.any(axis=1), (lhs < below).all(axis=1), (lhs > above).all(axis=1),
-                     norm > R_ESCAPE]
+            near = np.abs(lhs - bound).min(axis=1) <= gate * np.maximum(1.0, norm)
+            hit = np.zeros(len(x), dtype=bool)
+            if near.any():
+                support = np.zeros(x.shape, dtype=bool)
+                support[near], hit[near] = _candidate(theta, x[near], norm[near])
+            fired = [norm < EPS_CONV, hit, (lhs < below).all(axis=1), (lhs > above).all(axis=1), norm > R_ESCAPE]
             done = fired[0] | fired[1] | fired[2] | fired[3] | fired[4] | (steps >= budget)
             if done.any():
                 # `done` itself is the budget rule: only the budget stops a row where no other rule fired
-                at, hit = rows[done], near[done]
+                at = rows[done]
                 rule[at], steps_used[at], final[at] = np.array([*fired, done]).argmax(axis=0)[done], steps, x[done]
-                mask[at] = np.where(rule[at] == 1, masks[hit.argmax(axis=1)], -1)  # rule 1: proximity
+                if hit.any():
+                    reached = hit & ~fired[0]  # rule 1, proximity; masks as Python ints, exact for any n
+                    for row, bits in zip(rows[reached].tolist(), support[reached]):
+                        mask[row] = sum(1 << k for k in np.flatnonzero(bits).tolist())
                 rows, x, lhs = rows[~done], x[~done], lhs[~done]
             if not rows.size:
                 break
-            x_next = 0.5 * rates.values * x * lhs  # _step, reusing the lhs the region tests computed
+            x_next = 0.5 * theta * x * lhs  # _step, reusing the lhs the region tests computed
             finite = np.isfinite(x_next).all(axis=1)
             if not finite.all():
                 at = rows[~finite]
@@ -273,7 +278,19 @@ def _fates(rates: Rates, x: np.ndarray, budget: int, targets) -> tuple:
                 rule[at], steps_used[at], final[at] = _OVERFLOW, steps + 1, x[~finite]
                 rows, x_next = rows[finite], x_next[finite]
             x = x_next
-    return _OUTCOMES[rule], _EVIDENCE[rule], steps_used.tolist(), final, mask.tolist()
+    return _OUTCOMES[rule], _EVIDENCE[rule], steps_used.tolist(), final, mask
+
+
+def _candidate(theta: np.ndarray, x: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's one proximity candidate: the support bits of its
+    coordinates above 2 PROXIMITY_RTOL max(1, |x|), and whether the fixed
+    point on that support is nonzero, feasible and within PROXIMITY_RTOL
+    max(1, |p|) of the row.  The point comes from `_points`, so it is bit
+    for bit the enumeration's."""
+    bits = x > 2.0 * PROXIMITY_RTOL * np.maximum(1.0, norm)[:, None]
+    coords, _ = _points(theta, bits)
+    radius = PROXIMITY_RTOL * np.maximum(1.0, np.abs(coords).max(axis=1))
+    return bits, bits.any(axis=1) & (coords >= 0.0).all(axis=1) & (np.abs(coords - x).max(axis=1) <= radius)
 
 
 def unstable_line_slope(rates: Rates) -> float:
@@ -352,10 +369,8 @@ def basin_boundary(rates: Rates, x1_grid, tol: float = 1e-8, budget: int = DEFAU
     bracket ends of every line in the first round, then the cuts of every
     line still searching.
 
-    Every fate follows the rules of `classify_fate`.
-    The feasible nonzero fixed points it stops at are built once per call
-    (grown over the supports whose deficit stays at most 1/2) and shared by
-    all bracket and cut fates.
+    Every fate follows the rules of `classify_fate`; no fixed point is
+    built before a fate comes near one.
     """
     if rates.n != 2:
         raise DimensionMismatch(f"boundary extraction requires n=2, got n={rates.n}")
@@ -366,16 +381,13 @@ def basin_boundary(rates: Rates, x1_grid, tol: float = 1e-8, budget: int = DEFAU
         raise DimensionMismatch(f"x1 grid must be 1-d, got shape {grid.shape}")
     if np.any(grid < 0.0) or not np.all(np.isfinite(grid)):
         raise DomainError("x1 grid must be finite and nonnegative")
-    targets = _fate_targets(rates)
-    per_call = max(1, _FATE_CELLS // (len(targets[2]) * (_SECTIONS - 1)))
-    return [sample for start in range(0, grid.size, per_call)
-            for sample in _section_search(rates, grid[start:start + per_call], tol, budget, targets)]
+    return _section_search(rates, grid, tol, budget)
 
 
 _SECTIONS = 16  # equal parts a searching bracket is cut into per round
 
 
-def _section_search(rates: Rates, x1: np.ndarray, tol: float, budget: int, targets) -> list[BoundarySample]:
+def _section_search(rates: Rates, x1: np.ndarray, tol: float, budget: int) -> list[BoundarySample]:
     """The samples on the vertical lines x1 (a 1-d array), searched together
     with one fate-kernel call per round."""
     r1, r2 = rates.values
@@ -383,7 +395,7 @@ def _section_search(rates: Rates, x1: np.ndarray, tol: float, budget: int, targe
         a, b = 0.5 * (2.0 / r1 - x1), 2.0 / r2 - 2.0 * x1
         low, high = np.maximum(np.minimum(a, b) - 0.25 * tol, 0.0), np.maximum(np.maximum(a, b) + 0.25 * tol, 0.0)
     ends = np.column_stack((np.repeat(x1, 2), np.column_stack((low, high)).ravel()))
-    low_fate, high_fate = _fates(rates, ends, budget, targets)[0].reshape(-1, 2).T
+    low_fate, high_fate = _fates(rates, ends, budget)[0].reshape(-1, 2).T
     for at in np.flatnonzero(low_fate == FateOutcome.TO_INFINITY):
         log.debug("x1=%g: escapes already at x2=%g", x1[at], low[at])
 
@@ -403,7 +415,7 @@ def _section_search(rates: Rates, x1: np.ndarray, tol: float, budget: int, targe
             cuts = np.where(inner, lo + (hi - lo) / k * cut, hi)
         fates = np.full(cuts.shape, FateOutcome.TO_INFINITY, dtype=object)
         starts = np.column_stack((np.repeat(x1[at], inner.sum(axis=1)), cuts[inner]))
-        fates[inner] = _fates(rates, starts, budget, targets)[0]
+        fates[inner] = _fates(rates, starts, budget)[0]
         points = np.column_stack((lo, cuts))
         fates = np.column_stack((low_fate[at], fates))
         first = (fates == FateOutcome.TO_INFINITY).argmax(axis=1)

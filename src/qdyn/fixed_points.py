@@ -138,41 +138,6 @@ def enumerate_fixed_points(rates: Rates) -> list[FixedPoint]:
     ]
 
 
-def feasible_nonzero_points(rates: Rates) -> tuple[list[int], np.ndarray]:
-    """Masks and coordinates (one row each) of the feasible nonzero fixed
-    points, mask-ascending.
-
-    Bit for bit the feasible non-origin entries of `enumerate_fixed_points`,
-    without building the others.  On a support S the smallest-rate coordinate
-    has the sign of the slack 1/2 - sum_{j in S} (1 - r_min(S)/r_j); the
-    deficit sum only grows with S, so every subset of a feasible support is
-    feasible.  Supports are therefore grown depth-first in increasing index
-    order and a branch is dropped once its deficit exceeds 1/2 (plus a
-    round-off margin; the kept points pass the exact coordinate test).  The
-    cost is proportional to the points returned, which is 2^n - 1 for equal
-    rates, so the enumeration cap still applies.
-    """
-    n = rates.n
-    if n > MAX_ENUM_DIM:
-        raise DomainError(f"n={n} exceeds the enumeration cap ({MAX_ENUM_DIM})")
-    rate = rates.values.tolist()
-    masks: list[int] = []
-    # (first index to add, support size, mask, sum of 1/r_j, smallest rate)
-    stack: list[tuple[int, int, int, float, float]] = [(0, 0, 0, 0.0, float("inf"))]
-    while stack:
-        first, size, mask, recip_sum, r_min = stack.pop()
-        for k in range(first, n):
-            low, total = min(r_min, rate[k]), recip_sum + 1.0 / rate[k]
-            if size + 1 - low * total > 0.5 + 1e-9:
-                continue
-            masks.append(mask | 1 << k)
-            stack.append((k + 1, size + 1, mask | 1 << k, total, low))
-    masks.sort()
-    coords, _ = _points(rates.values, _support_bits(masks, n))
-    feasible = np.all(coords >= 0.0, axis=1)
-    return [mask for mask, ok in zip(masks, feasible.tolist()) if ok], coords[feasible]
-
-
 def coefficient_determinant(n: int) -> float:
     """Determinant of the n x n matrix with 1 on the diagonal and 2 elsewhere.
 

@@ -1,13 +1,19 @@
 """Shared oracles for the test suite: finite differences, brute-force fixed
-point search, stable quadratic roots, feasible-rate sampling."""
+point search, stable quadratic roots, feasible-rate sampling, and the fate
+kernel run against a table of every feasible nonzero fixed point."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from qdyn import Rates, interior_fixed_point, jacobian
+from qdyn.dynamics import (
+    _EVIDENCE, _OUTCOMES, _OVERFLOW, EPS_CONV, PROXIMITY_RTOL, R_ESCAPE, REGION_MARGIN,
+)
+from qdyn.fixed_points import _all_supports, _points
 from qdyn.model import _step
 
 
@@ -86,3 +92,54 @@ def explicit_coefficient_matrix(n: int) -> np.ndarray:
     out = np.full((n, n), 2.0)
     np.fill_diagonal(out, 1.0)
     return out
+
+
+def feasible_nonzero_points(rates: Rates) -> tuple[list[int], np.ndarray]:
+    """Masks and coordinates (one row each) of the feasible nonzero fixed
+    points, mask-ascending: the rows of the full enumeration whose
+    coordinates are all nonnegative, without the origin."""
+    coords, _ = _points(rates.values, _all_supports(rates))
+    keep = np.all(coords >= 0.0, axis=1)
+    keep[0] = False
+    return np.flatnonzero(keep).tolist(), coords[keep]
+
+
+def table_fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
+    """The fate kernel's stopping rules with proximity tested against the
+    table of every feasible nonzero fixed point, where the lowest mask
+    within its radius wins; returns what `dynamics._fates` returns.
+
+    The rows are stepped together as in the kernel, in slices that keep the
+    (rows, points, n) distance array near a few megabytes.
+    """
+    masks, coords = feasible_nonzero_points(rates)
+    radius = PROXIMITY_RTOL * np.maximum(1.0, np.max(np.abs(coords), axis=1))
+    below, above = 2.0 / rates.values - REGION_MARGIN, 2.0 / rates.values + REGION_MARGIN
+    rule, steps_used = np.empty(len(x), dtype=int), np.empty(len(x), dtype=int)
+    final, mask = np.empty_like(x), np.full(len(x), -1)
+    per_slice = max(1, (1 << 16) // (len(masks) * rates.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(x), per_slice):
+            rows = np.arange(start, min(start + per_slice, len(x)))
+            state = x[rows]
+            for steps in itertools.count():
+                lhs = 2.0 * state.sum(axis=1, keepdims=True) - state
+                norm = np.abs(state).max(axis=1)
+                near = np.abs(coords - state[:, None]).max(axis=2) <= radius
+                fired = [norm < EPS_CONV, near.any(axis=1), (lhs < below).all(axis=1), (lhs > above).all(axis=1),
+                         norm > R_ESCAPE, np.full(len(rows), steps >= budget)]
+                done = np.any(fired, axis=0)
+                at = rows[done]
+                rule[at], steps_used[at], final[at] = np.argmax(fired, axis=0)[done], steps, state[done]
+                mask[at] = np.where(rule[at] == 1, np.array(masks)[near[done].argmax(axis=1)], -1)
+                rows, state, lhs = rows[~done], state[~done], lhs[~done]
+                if not rows.size:
+                    break
+                state_next = 0.5 * rates.values * state * lhs
+                finite = np.isfinite(state_next).all(axis=1)
+                at = rows[~finite]
+                rule[at], steps_used[at], final[at] = _OVERFLOW, steps + 1, state[~finite]
+                rows, state = rows[finite], state_next[finite]
+                if not rows.size:
+                    break
+    return _OUTCOMES[rule], _EVIDENCE[rule], steps_used.tolist(), final, [None if m < 0 else m for m in mask.tolist()]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qdyn import Rates, enumerate_fixed_points
-from qdyn.cli import main
+from qdyn.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +178,14 @@ class TestSimulateCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["fate"]["outcome"] == "to_origin"
+
+    @pytest.mark.parametrize("n", [21, 32, 70])
+    def test_any_dimension_reaches_the_interior_point(self, capsys, n):
+        # no enumeration cap on fates; the mask is printed as an exact int
+        x0 = ",".join([repr(2.0 / (2 * n - 1))] * n)
+        code, out, err = run_cli(capsys, "simulate", "--theta", ",".join(["1"] * n), "--x0", x0, "--steps", "2")
+        assert code == 0 and err == ""
+        assert f"fate=to_fixed_point steps_used=0 evidence=fixed_point_proximity fixed_point_index={2**n - 1} " in out
 
 
 class TestBasinCommand:
@@ -539,6 +547,45 @@ class TestUsage:
 
 def csv_rows(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; every call must print and
+    return what it would with a parser of its own."""
+
+    def test_each_call_equals_one_with_a_fresh_parser(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")  # help text wraps at the terminal width
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "json", "budget": 5}))
+        simulate = ["simulate", "--theta", "1,1", "--x0", "0.1,0.1", "--steps", "3"]
+        argvs = [
+            ["simulate", "--theta", "1,1"],  # --x0 missing
+            simulate,
+            ["basin", "--theta", "0.4,0.6", "--x1-range", "0:1:2", "--format", "text"],  # bad choice
+            [*simulate, "--config", str(cfg)],
+            simulate,
+            ["-h"],
+            ["simulate", "-h"],
+            [],
+            ["fixed-points", "--theta", "0.4,0.6", "--format", "csv"],
+            ["classify", "--theta", "1,1,1", "--support", "1,0,1"],
+            simulate,
+            ["basin", "--theta", "0.4,0.6", "--x1-range", "0:6:4", "--tol", "1e-6"],
+            ["verify", "--n", "2", "--trials", "1"],
+            ["verify", "--n", "3", "--trials", "2", "--seed", "4", "--format", "json"],
+        ]
+        build_parser()
+        before = build_parser.cache_info().misses
+        shared = [run_cli(capsys, *argv) for argv in argvs]
+        assert build_parser.cache_info().misses == before
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+        assert json.loads(shared[3][1])["fate"]["outcome"] == "to_origin"  # the config's json
+        assert shared[4] == shared[1] and shared[4][1].startswith("step,x1,x2\n")  # and csv again
 
 
 class TestFormatsAgree:

@@ -26,9 +26,10 @@ from qdyn import (
     unstable_line_slope,
     unstable_ray,
 )
-from qdyn.fixed_points import feasible_nonzero_points
+from qdyn.dynamics import PROXIMITY_RTOL, _candidate, _fates
+from qdyn.fixed_points import _points
 from qdyn.verify import make_rng, sample_in_region, sample_rates
-from helpers import sample_feasible_interior
+from helpers import feasible_nonzero_points, sample_feasible_interior, table_fates
 
 
 class TestIterate:
@@ -208,9 +209,18 @@ class TestClassifyFate:
         # masks 2 and 3 share the coordinates (0, 1); the lower mask wins
         assert classify_fate(Rates([1.0, 2.0]), [0.0, 1.0]).fixed_point_index == 2
 
-    def test_cap(self):
-        with pytest.raises(DomainError, match=r"n=21 exceeds the enumeration cap \(20\)"):
-            classify_fate(Rates(np.ones(21)), np.zeros(21))
+    def test_simulates_at_n21_and_n70(self):
+        # a fate builds no table of fixed points, so it has no enumeration cap
+        assert classify_fate(Rates(np.ones(21)), np.zeros(21)).outcome is FateOutcome.TO_ORIGIN
+        assert classify_fate(Rates(np.ones(21)), np.full(21, 0.1)).outcome is FateOutcome.TO_INFINITY
+        # the interior point's mask has 70 bits: an exact Python int, past int64
+        rates = Rates(np.ones(70))
+        report = classify_fate(rates, interior_fixed_point(rates).coords)
+        assert report.outcome is FateOutcome.TO_FIXED_POINT and report.steps_used == 0
+        assert type(report.fixed_point_index) is int and report.fixed_point_index == 2**70 - 1
+        axis = np.zeros(70)
+        axis[69] = 2.0
+        assert classify_fate(rates, axis).fixed_point_index == 1 << 69
 
     def test_overflowing_step_escapes_from_the_last_finite_state(self):
         # no region or threshold holds at x0, and the first step overflows
@@ -270,6 +280,32 @@ def start_stacks(draw):
     return rates, np.array(rows)
 
 
+def kernel_result(result):
+    outcomes, evidence, steps, final, masks = result
+    return list(outcomes), list(evidence), steps, final.tobytes(), masks
+
+
+def oracle_case(rng, draw):
+    """Rates at n = 2..10, U(0.1, 3) or (every third draw) within 2% of one
+    level, so that many supports are feasible; and starts drawn as the fates
+    benchmark draws them (between the MBAR1 and MBAR2 scales along a random
+    direction), every feasible nonzero point, and each point perturbed by a
+    relative 1e-13 to 1e-10."""
+    n = 2 + draw % 9
+    theta = rng.uniform(0.1, 3.0) * (1.0 + 0.02 * rng.uniform(-1.0, 1.0, n)) if draw % 3 == 0 else rng.uniform(
+        0.1, 3.0, n)
+    rows = []
+    for _ in range(20):
+        u = rng.exponential(size=n)
+        u /= u.sum()
+        critical = 2.0 / (theta * (2.0 - u))
+        rows.append(rng.uniform(critical.min(), critical.max()) * u)
+    _, points = feasible_nonzero_points(Rates(theta))
+    delta = 10.0 ** rng.uniform(-13.0, -10.0, size=(len(points), 1))
+    perturbed = points * (1.0 + delta * rng.uniform(-1.0, 1.0, size=points.shape))
+    return Rates(theta), np.vstack([rows, points, perturbed])
+
+
 class TestFateKernel:
     @given(start_stacks(), st.sampled_from([1, 2, 3, 4, 5, DEFAULT_BUDGET]))
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -289,6 +325,70 @@ class TestFateKernel:
     def test_rows_are_validated(self, rates_04_06, starts):
         with pytest.raises((DimensionMismatch, DomainError)):
             classify_fate(rates_04_06, starts)
+
+    def test_equals_the_target_table_oracle(self):
+        # outcome, evidence, steps, final state and mask bit for bit against
+        # proximity tested on the table of all feasible nonzero points
+        rng = make_rng(31)
+        starts = hits = 0
+        for draw in range(135):
+            rates, x = oracle_case(rng, draw)
+            result = kernel_result(_fates(rates, x, DEFAULT_BUDGET))
+            assert result == kernel_result(table_fates(rates, x, DEFAULT_BUDGET)), (draw, rates.values)
+            starts, hits = starts + len(x), hits + sum(m is not None for m in result[4])
+        assert starts > 10_000 and hits > starts / 2
+
+    def test_gate_passes_every_state_within_the_radius(self):
+        # the gate bounds how far lhs can move from 2/r within the radius:
+        # (2n - 1) times it, the most when every coordinate moves one way
+        rng = make_rng(32)
+        for draw in range(90):
+            rates, _ = oracle_case(rng, draw)
+            _, points = feasible_nonzero_points(rates)
+            radius = PROXIMITY_RTOL * np.maximum(1.0, np.abs(points).max(axis=1, keepdims=True))
+            signs = np.where(rng.random(points.shape) < 0.5, -1.0, 1.0)
+            signs[points == 0.0] = 1.0
+            x = np.vstack([points + 0.999 * radius, points + 0.999 * radius * signs])
+            keep = (x >= 0.0).all(axis=1) & (np.tile(points, (2, 1)) > 3.0 * np.tile(radius, (2, 1))).any(axis=1)
+            oracle = table_fates(rates, x[keep], DEFAULT_BUDGET)
+            assert all(e is FateEvidence.FIXED_POINT_PROXIMITY for e in oracle[1]) and set(oracle[2]) == {0}
+            assert kernel_result(_fates(rates, x[keep], DEFAULT_BUDGET)) == kernel_result(oracle), rates.values
+
+    def test_candidate_points_are_the_enumeration_rows(self):
+        # the candidate is `_points` on its support, whose sums over the
+        # gathered reciprocals do not depend on the rows solved with it
+        rng = make_rng(33)
+        for n in range(8, 13):
+            rates = Rates(rng.uniform(1.0, 1.05, n))
+            masks, points = feasible_nonzero_points(rates)
+            pick = rng.choice(len(masks), size=min(len(masks), 200), replace=False)
+            bits, hit = _candidate(rates.values, points[pick], np.abs(points[pick]).max(axis=1))
+            assert hit.all()
+            assert bits.tolist() == [[bool(masks[i] >> k & 1) for k in range(n)] for i in pick]
+            assert np.array_equal(_points(rates.values, bits)[0], points[pick])
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_near_the_transcritical_condition_a_point_can_be_missed(self, n):
+        # r_n just above the rate where the interior point's last coordinate,
+        # 2s - 2/r_n, is 0, so that the coordinate ranges from about 1e-13 to
+        # 1e-9.  The table stops a start at the point at once: at the point,
+        # or at the point without its last coordinate once that is inside
+        # the radius.  The kernel's candidate drops the coordinate below
+        # 2 PROXIMITY_RTOL max(1, |x|), so in between it misses and steps on
+        # (to the origin, to infinity, or to the axis point, as rounding has it).
+        missed = 0
+        for eps in np.geomspace(1e-13, 1e-9, 41):
+            theta = np.ones(n)
+            theta[-1] = (4 * n - 6) / (4 * (n - 1)) * (1.0 + eps)
+            rates = Rates(theta)
+            x = np.array([interior_fixed_point(rates).coords])
+            small = x[0, -1] / (PROXIMITY_RTOL * max(1.0, np.abs(x).max()))
+            kernel, oracle = kernel_result(_fates(rates, x, 1000)), kernel_result(table_fates(rates, x, 1000))
+            assert oracle[1:3] == ([FateEvidence.FIXED_POINT_PROXIMITY], [0])
+            if kernel != oracle:
+                assert small <= 3.0 and kernel[2][0] > 0, eps
+                missed += 1
+        assert missed > 0
 
 
 class TestUnstableLine:
@@ -495,15 +595,6 @@ class TestBasinBoundary:
         basin_boundary(rates_04_06, grid)
         assert len(calls) <= max(alone)
         assert max(calls) > 9  # every round cuts each searching line into several parts
-
-    def test_builds_fate_targets_once(self, rates_04_06, monkeypatch):
-        from qdyn import dynamics
-
-        calls = []
-        original = dynamics.feasible_nonzero_points
-        monkeypatch.setattr(dynamics, "feasible_nonzero_points", lambda r: calls.append(r) or original(r))
-        basin_boundary(rates_04_06, [0.0, 5.0 / 9.0, 6.0], tol=1e-6)
-        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "theta, grid",

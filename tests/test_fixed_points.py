@@ -14,7 +14,7 @@ from qdyn import (
     interior_fixed_point,
 )
 from qdyn.dynamics import unstable_ray
-from qdyn.fixed_points import _points, _support_bits, feasible_nonzero_points
+from qdyn.fixed_points import _points, _support_bits
 from qdyn.model import _step
 from helpers import explicit_coefficient_matrix, newton_fixed_point_search
 
@@ -127,6 +127,13 @@ class TestEnumeration:
     def test_count_n4(self):
         assert len(enumerate_fixed_points(Rates([1.0, 2.0, 0.5, 1.5]))) == 16
 
+    def test_degenerate_support_keeps_exact_zero(self):
+        # rates (1, 2): the interior point (0, 1) has an exact zero and is
+        # feasible, so it shares its coordinates with the axis point
+        points = enumerate_fixed_points(Rates([1.0, 2.0]))
+        assert [p.feasible for p in points] == [True, True, True, True]
+        assert np.array_equal(points[2].coords, [0.0, 1.0]) and np.array_equal(points[3].coords, [0.0, 1.0])
+
     def test_cap(self):
         with pytest.raises(DomainError, match="cap"):
             enumerate_fixed_points(Rates(np.ones(21)))
@@ -206,29 +213,6 @@ class TestPointTable:
         np.testing.assert_allclose(point.coords[[0, 69]], [2.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
         assert not point.coords[1:69].any()
         np.testing.assert_allclose(unstable_ray(rates), np.ones(70), rtol=1e-14)
-
-
-class TestFeasibleNonzeroPoints:
-    @given(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=2, max_size=10))
-    @settings(max_examples=100, deadline=None)
-    def test_equals_enumeration_filter(self, values):
-        # a small value set forces tied rates and deficits of exactly 1/2
-        rates = Rates(values)
-        kept = [p for p in enumerate_fixed_points(rates) if p.feasible and not p.is_origin]
-        masks, coords = feasible_nonzero_points(rates)
-        assert masks == [p.support.mask_int for p in kept]
-        assert np.array_equal(coords, np.array([p.coords for p in kept]).reshape(len(kept), rates.n))
-
-    def test_degenerate_support_keeps_exact_zero(self):
-        # rates (1, 2): the interior point (0, 1) has an exact zero and is
-        # feasible, so it shares its coordinates with the axis point
-        masks, coords = feasible_nonzero_points(Rates([1.0, 2.0]))
-        assert masks == [1, 2, 3]
-        assert np.array_equal(coords[1], [0.0, 1.0]) and np.array_equal(coords[2], [0.0, 1.0])
-
-    def test_cap(self):
-        with pytest.raises(DomainError, match=r"n=21 exceeds the enumeration cap \(20\)"):
-            feasible_nonzero_points(Rates(np.ones(21)))
 
 
 class TestCoefficientDeterminant:

@@ -8,6 +8,10 @@
   does not flag is at most tol wide, and fresh fates of its ends go to the
   origin and to infinity.
 - Singletons: every support {k} has the feasible point x_k = 2/r_k.
+- Support invariance: x_k' = (r_k x_k / 2)(x_k + 2 sum_{i != k} x_i), so a
+  zero coordinate stays zero and a positive one stays positive short of
+  underflow.  A fate therefore needs only the fixed point on its own
+  support as a proximity candidate.
 - Scaling conjugacy: H_{r/c}(c x) = c H_r(x).  For c a power of two every
   product in the closed forms scales exactly, so tables, Jacobians and
   spectra can be compared bit for bit.
@@ -34,9 +38,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdyn import (
-    FateOutcome, Rates, basin_boundary, classify, classify_fate, interior_discriminant_n3, jacobian, spectrum_at,
+    FateOutcome, Rates, basin_boundary, classify, classify_fate, interior_discriminant_n3, iterate, jacobian,
+    spectrum_at,
 )
-from qdyn.fixed_points import _all_supports, _points, feasible_nonzero_points
+from qdyn.fixed_points import _all_supports, _points
+from helpers import feasible_nonzero_points
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -132,6 +138,36 @@ class TestSingletons:
         masks, coords = feasible_nonzero_points(Rates(theta))
         singles = [masks.index(1 << k) for k in range(theta.size)]
         assert np.array_equal(coords[singles], np.diag(2.0 / theta))
+
+
+@st.composite
+def support_starts(draw):
+    """A start between the MBAR1 and MBAR2 scales with some coordinates set
+    to zero and some shrunk by up to 1e-150."""
+    rates, x = draw(starts(n_max=8))
+    zero = np.array(draw(st.lists(st.booleans(), min_size=rates.n, max_size=rates.n)))
+    shrink = 10.0 ** -np.array(draw(st.lists(st.sampled_from([0, 0, 5, 50, 150]), min_size=rates.n,
+                                             max_size=rates.n)))
+    return rates, np.where(zero, 0.0, x * shrink)
+
+
+class TestSupportInvariance:
+    @given(support_starts())
+    @settings(PROPERTY, max_examples=300)
+    def test_orbits_keep_their_support(self, case):
+        rates, x0 = case
+        orbit = iterate(rates, x0, 1000)
+        tiny = np.log(np.finfo(float).tiny)
+        for x, y in zip(orbit[:-1], orbit[1:]):
+            assert np.all(y[x == 0.0] == 0.0)
+            # the step forms (r_k / 2) x_k, then its product with lhs_k >= x_k;
+            # a coordinate may underflow to 0 only where one of them is below
+            # the smallest normal float
+            on = x > 0.0
+            with np.errstate(divide="ignore"):  # log(0) = -inf where the first product underflows
+                half = np.log(0.5 * rates.values[on] * x[on])
+            lhs = 2.0 * x.sum() - x[on]
+            assert np.all(y[on][(half > tiny) & (half + np.log(lhs) > tiny)] > 0.0)
 
 
 class TestScalingConjugacy:
