@@ -41,18 +41,11 @@ from .fixed_points import (
 from .model import Rates, apply, as_state, jacobian
 from .stability import (
     TAU_UNIT,
-    CharPolyN2,
-    RootLocation,
     StabilityClass,
     StabilityTag,
-    char_poly_coeffs_n2,
     classify,
     eigenvalue_two_residual,
-    interior_discriminant_n3,
-    interior_secondary_eig_n2,
-    interior_secondary_eigs_n3,
     nonhyperbolic_condition,
-    root_location,
     sorted_spectrum,
     spectrum_at,
 )
@@ -65,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundarySample",
-    "CharPolyN2",
     "DEFAULT_BUDGET",
     "DimensionMismatch",
     "DomainError",
@@ -81,7 +73,6 @@ __all__ = [
     "Rates",
     "RegionKind",
     "RegionNotApplicable",
-    "RootLocation",
     "StabilityClass",
     "StabilityTag",
     "SupportMask",
@@ -90,22 +81,17 @@ __all__ = [
     "apply",
     "as_state",
     "basin_boundary",
-    "char_poly_coeffs_n2",
     "classify",
     "classify_fate",
     "coefficient_determinant",
     "enumerate_fixed_points",
     "eigenvalue_two_residual",
     "fixed_point_for_support",
-    "interior_discriminant_n3",
     "interior_fixed_point",
-    "interior_secondary_eig_n2",
-    "interior_secondary_eigs_n3",
     "iterate",
     "jacobian",
     "nonhyperbolic_condition",
     "region_membership",
-    "root_location",
     "sorted_spectrum",
     "spectrum_at",
     "stable_tangent_n2",

@@ -147,8 +147,9 @@ def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
     The (max_steps + 1, n) array is allocated before the first step, so a
     count whose array cannot exist fails at once, even for an orbit that
     would stop early: past numpy's size limit with a DomainError, and below
-    it, where the allocator refuses, with numpy's MemoryError.  The filled rows are returned as a copy, so an
-    early stop does not keep the large buffer alive.
+    it, where the allocator refuses, with numpy's MemoryError.  The filled
+    rows are returned as a copy, so an early stop does not keep the large
+    buffer alive.
     """
     try:
         max_steps = operator.index(max_steps)

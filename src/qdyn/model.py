@@ -54,10 +54,6 @@ class Rates:
     def n(self) -> int:
         return self.values.size
 
-    def reciprocal_sum(self) -> float:
-        """Sum of 1/r_k over all coordinates."""
-        return float(np.sum(1.0 / self.values))
-
 
 def as_state(x, n: int | None = None) -> np.ndarray:
     """Validate x as a state in the nonnegative orthant and return it as an array.

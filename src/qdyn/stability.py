@@ -5,17 +5,21 @@ Hessenberg + shifted-QR path via numpy).  A table of fixed points, given as
 coordinate rows, gets its Jacobians as one stack, its spectra from one
 stacked solver call sorted row by row into canonical order, and its
 eigenvalue-2 residuals from one stacked determinant; a single point is the
-one-row case.  The closed forms for n = 2 and n = 3 below exist as
-independent cross-checks.  A striking structural fact, verified here
-numerically: every fixed point except the origin has the eigenvalue 2, so
-the origin is the only attractor.
+one-row case.
+
+Every fixed point except the origin has the eigenvalue 2, so the origin is
+the only attractor; the test suite proves this for every support size m
+with sympy, and `eigenvalue_two_residual` measures it in floats.  At a
+feasible nonzero point the other m - 1 eigenvalues of the support block lie
+in [0, 1] and those off the support are r_k s (s the coordinate sum).  So
+the point is nonhyperbolic where some r_k s is 1, and otherwise a saddle
+when m >= 2 or some r_k s < 1, repelling if not.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,25 +47,6 @@ class StabilityClass:
     inside: int  # eigenvalues with |lam| < 1 - tol
     outside: int  # eigenvalues with |lam| > 1 + tol
     on_unit: int  # eigenvalues within tol of the unit circle
-
-
-class RootLocation(enum.Enum):
-    ONE_ROOT_ABOVE_ONE_OTHER_INSIDE_UNIT = "one_root_above_one_other_inside_unit"
-    ONE_ROOT_ABOVE_ONE_OTHER_OUTSIDE_UNIT = "one_root_above_one_other_outside_unit"
-    NOT_APPLICABLE = "not_applicable"
-
-
-class CharPolyN2(NamedTuple):
-    """Coefficients of lam^2 + b*lam + c at the interior point (n = 2).
-
-    f_at_one and f_at_minus_one are the factored closed forms of F(1) and
-    F(-1), exposed for the saddle argument tests.
-    """
-
-    b: float
-    c: float
-    f_at_one: float
-    f_at_minus_one: float
 
 
 def sorted_spectrum(values) -> np.ndarray:
@@ -123,88 +108,6 @@ def classify(eigenvalues, tol: float = TAU_UNIT):
     return classes if mods.ndim > 1 else classes[0]
 
 
-def root_location(b: float, c: float) -> RootLocation:
-    """Locate the roots of F(lam) = lam^2 + b*lam + c relative to 1.
-
-    When F(1) < 0 exactly one root lies in (1, inf); the other root is
-    inside the unit circle iff F(-1) > 0.  When F(1) >= 0 the dichotomy
-    does not apply.
-    """
-    f_one = 1.0 + b + c
-    if f_one >= 0.0:
-        return RootLocation.NOT_APPLICABLE
-    f_minus_one = 1.0 - b + c
-    if f_minus_one > 0.0:
-        return RootLocation.ONE_ROOT_ABOVE_ONE_OTHER_INSIDE_UNIT
-    return RootLocation.ONE_ROOT_ABOVE_ONE_OTHER_OUTSIDE_UNIT
-
-
-def char_poly_coeffs_n2(rates: Rates) -> CharPolyN2:
-    """Characteristic polynomial of the Jacobian at the interior point, n = 2."""
-    if rates.n != 2:
-        raise DimensionMismatch(f"closed form requires n=2, got n={rates.n}")
-    t1, t2 = (float(v) for v in rates.values)
-    prod = t1 * t2
-    b = -2.0 * (t1 + t2) ** 2 / (3.0 * prod)
-    c = (4.0 * (t1 + t2) ** 2 - 4.0 * (5.0 * prod - 2.0 * t1**2 - 2.0 * t2**2)) / (9.0 * prod)
-    f_at_one = (2.0 * t1 - t2) * (t1 - 2.0 * t2) / (3.0 * prod)
-    f_at_minus_one = (2.0 * t1**2 + 2.0 * t2**2 + prod) / prod
-    return CharPolyN2(b, c, f_at_one, f_at_minus_one)
-
-
-def interior_secondary_eig_n2(rates: Rates) -> float:
-    """The non-2 eigenvalue at the interior point for n = 2."""
-    if rates.n != 2:
-        raise DimensionMismatch(f"closed form requires n=2, got n={rates.n}")
-    t1, t2 = rates.values
-    return float(2.0 * (t1**2 + t2**2 - t1 * t2) / (3.0 * t1 * t2))
-
-
-def interior_discriminant_n3(rates: Rates) -> float:
-    """Discriminant of the quadratic factor of the interior characteristic
-    polynomial for n = 3.
-
-    Never negative for positive rates, so the pair is real.  With e1, e2, e3
-    the elementary symmetric functions of the rates, 25 e3^2 times the
-    discriminant is a quadratic in e3 that decreases up to e3 = 7 e1 e2 / 45,
-    beyond the AM-GM bound e3 <= e1 e2 / 9.  So with e1 and e2 fixed it is
-    least at the largest e3, where two rates are equal, and at rates
-    (1, 1, c) it is 16 (c - 1)^2 (c - 2)^2.  It is zero (a double
-    eigenvalue) exactly at rates proportional to (1, 1, 1) or to a
-    permutation of (1, 1, 2), where rounding can leave it a few eps below 0.
-    """
-    if rates.n != 3:
-        raise DimensionMismatch(f"closed form requires n=3, got n={rates.n}")
-    recip = rates.reciprocal_sum()
-    total = float(rates.values.sum())
-    pair = float(
-        rates.values[0] * rates.values[1]
-        + rates.values[0] * rates.values[2]
-        + rates.values[1] * rates.values[2]
-    )
-    return (
-        0.16 * recip**2 * total**2
-        - 11.2 * recip * total
-        + 1.92 * recip**2 * pair
-        + 36.0
-    )
-
-
-def interior_secondary_eigs_n3(rates: Rates) -> tuple[complex, complex]:
-    """The two non-2 eigenvalues at the interior point for n = 3.
-
-    Returned as (lam_minus, lam_plus), as complex numbers: the discriminant
-    is never negative (see `interior_discriminant_n3`), so both are real,
-    up to a rounding-sized imaginary part where it is zero.
-    """
-    d = interior_discriminant_n3(rates)
-    recip = rates.reciprocal_sum()
-    total = float(rates.values.sum())
-    base = 0.4 * recip * total - 2.0
-    root = np.sqrt(complex(d))
-    return complex((base - root) / 2.0), complex((base + root) / 2.0)
-
-
 def eigenvalue_two_residual(rates: Rates, point, jac=None):
     """|det(J - 2I)| at a non-origin fixed point, normalized by ||J||_inf^n.
 
@@ -228,7 +131,15 @@ def nonhyperbolic_condition(rates: Rates, support: SupportMask) -> bool:
     """Certificate that the fixed point on `support` is nonhyperbolic.
 
     True iff r_i * sum_{j in support} 1/r_j equals (2*m - 1)/2 for some i in
-    the support, where m is the support size, within relative NONHYP_REL_TOL.
+    the support, where m is the support size, within relative NONHYP_REL_TOL;
+    that is r_i s = 1 with s the sum of the point's coordinates, so x_i = 0.
+
+    False does not mean hyperbolic.  A feasible nonzero point is
+    nonhyperbolic exactly when r_k s = 1 for some k, in the support or not,
+    and r_k s is an eigenvalue for each k off the support, which this
+    certificate does not test.  At rates (1, 0.5) the point (2, 0) on
+    support {0} has the spectrum {2, 1}, and `classify` reports it
+    nonhyperbolic, but the certificate is False.
     """
     if support.n != rates.n:
         raise DimensionMismatch(f"support is for n={support.n}, rates have n={rates.n}")

@@ -1,15 +1,18 @@
 """Shared oracles for the test suite: finite differences, brute-force fixed
-point search, stable quadratic roots, feasible-rate sampling, and the fate
-kernel run against a table of every feasible nonzero fixed point."""
+point search, stable quadratic roots, feasible-rate sampling, the fate
+kernel run against a table of every feasible nonzero fixed point, and the
+closed-form interior spectra for n = 2 and n = 3."""
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from qdyn import Rates, interior_fixed_point, jacobian
+from qdyn import DimensionMismatch, Rates, interior_fixed_point, jacobian
 from qdyn.dynamics import (
     _EVIDENCE, _OUTCOMES, _OVERFLOW, EPS_CONV, PROXIMITY_RTOL, R_ESCAPE, REGION_MARGIN,
 )
@@ -143,3 +146,104 @@ def table_fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
                 if not rows.size:
                     break
     return _OUTCOMES[rule], _EVIDENCE[rule], steps_used.tolist(), final, [None if m < 0 else m for m in mask.tolist()]
+
+
+class RootLocation(enum.Enum):
+    ONE_ROOT_ABOVE_ONE_OTHER_INSIDE_UNIT = "one_root_above_one_other_inside_unit"
+    ONE_ROOT_ABOVE_ONE_OTHER_OUTSIDE_UNIT = "one_root_above_one_other_outside_unit"
+    NOT_APPLICABLE = "not_applicable"
+
+
+class CharPolyN2(NamedTuple):
+    """Coefficients of lam^2 + b*lam + c at the interior point (n = 2).
+
+    f_at_one and f_at_minus_one are the factored closed forms of F(1) and
+    F(-1), exposed for the saddle argument tests.
+    """
+
+    b: float
+    c: float
+    f_at_one: float
+    f_at_minus_one: float
+
+
+def root_location(b: float, c: float) -> RootLocation:
+    """Locate the roots of F(lam) = lam^2 + b*lam + c relative to 1.
+
+    When F(1) < 0 exactly one root lies in (1, inf); the other root is
+    inside the unit circle iff F(-1) > 0.  When F(1) >= 0 the dichotomy
+    does not apply.
+    """
+    f_one = 1.0 + b + c
+    if f_one >= 0.0:
+        return RootLocation.NOT_APPLICABLE
+    f_minus_one = 1.0 - b + c
+    if f_minus_one > 0.0:
+        return RootLocation.ONE_ROOT_ABOVE_ONE_OTHER_INSIDE_UNIT
+    return RootLocation.ONE_ROOT_ABOVE_ONE_OTHER_OUTSIDE_UNIT
+
+
+def char_poly_coeffs_n2(rates: Rates) -> CharPolyN2:
+    """Characteristic polynomial of the Jacobian at the interior point, n = 2."""
+    if rates.n != 2:
+        raise DimensionMismatch(f"closed form requires n=2, got n={rates.n}")
+    t1, t2 = (float(v) for v in rates.values)
+    prod = t1 * t2
+    b = -2.0 * (t1 + t2) ** 2 / (3.0 * prod)
+    c = (4.0 * (t1 + t2) ** 2 - 4.0 * (5.0 * prod - 2.0 * t1**2 - 2.0 * t2**2)) / (9.0 * prod)
+    f_at_one = (2.0 * t1 - t2) * (t1 - 2.0 * t2) / (3.0 * prod)
+    f_at_minus_one = (2.0 * t1**2 + 2.0 * t2**2 + prod) / prod
+    return CharPolyN2(b, c, f_at_one, f_at_minus_one)
+
+
+def interior_secondary_eig_n2(rates: Rates) -> float:
+    """The non-2 eigenvalue at the interior point for n = 2."""
+    if rates.n != 2:
+        raise DimensionMismatch(f"closed form requires n=2, got n={rates.n}")
+    t1, t2 = rates.values
+    return float(2.0 * (t1**2 + t2**2 - t1 * t2) / (3.0 * t1 * t2))
+
+
+def interior_discriminant_n3(rates: Rates) -> float:
+    """Discriminant of the quadratic factor of the interior characteristic
+    polynomial for n = 3.
+
+    Never negative for positive rates, so the pair is real.  With e1, e2, e3
+    the elementary symmetric functions of the rates, 25 e3^2 times the
+    discriminant is a quadratic in e3 that decreases up to e3 = 7 e1 e2 / 45,
+    beyond the AM-GM bound e3 <= e1 e2 / 9.  So with e1 and e2 fixed it is
+    least at the largest e3, where two rates are equal, and at rates
+    (1, 1, c) it is 16 (c - 1)^2 (c - 2)^2.  It is zero (a double
+    eigenvalue) exactly at rates proportional to (1, 1, 1) or to a
+    permutation of (1, 1, 2), where rounding can leave it a few eps below 0.
+    """
+    if rates.n != 3:
+        raise DimensionMismatch(f"closed form requires n=3, got n={rates.n}")
+    recip = float(np.sum(1.0 / rates.values))
+    total = float(rates.values.sum())
+    pair = float(
+        rates.values[0] * rates.values[1]
+        + rates.values[0] * rates.values[2]
+        + rates.values[1] * rates.values[2]
+    )
+    return (
+        0.16 * recip**2 * total**2
+        - 11.2 * recip * total
+        + 1.92 * recip**2 * pair
+        + 36.0
+    )
+
+
+def interior_secondary_eigs_n3(rates: Rates) -> tuple[complex, complex]:
+    """The two non-2 eigenvalues at the interior point for n = 3.
+
+    Returned as (lam_minus, lam_plus), as complex numbers: the discriminant
+    is never negative (see `interior_discriminant_n3`), so both are real,
+    up to a rounding-sized imaginary part where it is zero.
+    """
+    d = interior_discriminant_n3(rates)
+    recip = float(np.sum(1.0 / rates.values))
+    total = float(rates.values.sum())
+    base = 0.4 * recip * total - 2.0
+    root = np.sqrt(complex(d))
+    return complex((base - root) / 2.0), complex((base + root) / 2.0)

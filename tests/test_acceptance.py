@@ -21,9 +21,8 @@ from qdyn import (
     spectrum_at,
 )
 from qdyn.dynamics import RegionKind
-from qdyn.stability import char_poly_coeffs_n2
 from qdyn.verify import make_rng, sample_in_region, sample_rates
-from helpers import newton_fixed_point_search, quadratic_roots, sample_feasible_interior
+from helpers import char_poly_coeffs_n2, newton_fixed_point_search, quadratic_roots, sample_feasible_interior
 
 SWEEP_SEED = 20260809
 SWEEP_TRIALS = 500

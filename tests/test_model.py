@@ -51,10 +51,6 @@ class TestRates:
         with pytest.raises(ValueError):
             r.values[0] = 5.0
 
-    def test_reciprocal_sums(self):
-        r = Rates([0.5, 2.0, 4.0])
-        assert r.reciprocal_sum() == pytest.approx(2.0 + 0.5 + 0.25)
-
 
 class TestApply:
     def test_origin_is_fixed(self):

@@ -5,25 +5,27 @@ from qdyn import (
     DimensionMismatch,
     DomainError,
     Rates,
-    RootLocation,
     StabilityTag,
     SupportMask,
-    char_poly_coeffs_n2,
     classify,
     eigenvalue_two_residual,
     enumerate_fixed_points,
     fixed_point_for_support,
-    interior_discriminant_n3,
     interior_fixed_point,
-    interior_secondary_eig_n2,
-    interior_secondary_eigs_n3,
     jacobian,
     nonhyperbolic_condition,
-    root_location,
     sorted_spectrum,
     spectrum_at,
 )
-from helpers import quadratic_roots
+from helpers import (
+    RootLocation,
+    char_poly_coeffs_n2,
+    interior_discriminant_n3,
+    interior_secondary_eig_n2,
+    interior_secondary_eigs_n3,
+    quadratic_roots,
+    root_location,
+)
 
 
 def sample_rates(rng, n, low=0.05, high=3.0):
@@ -310,6 +312,15 @@ class TestNonhyperbolicCondition:
             for i in range(rates.n):
                 support = SupportMask(rates.n, 1 << i)
                 assert not nonhyperbolic_condition(rates, support)
+
+    def test_off_support_eigenvalue_one_is_not_certified(self):
+        # r2 s = 1 off the support {0}: the spectrum at (2, 0) is {2, 1}
+        rates = Rates([1.0, 0.5])
+        support = SupportMask.from_bits([1, 0])
+        spectrum = spectrum_at(rates, fixed_point_for_support(rates, support))
+        np.testing.assert_array_equal(spectrum, [2.0, 1.0])
+        assert classify(spectrum).tag is StabilityTag.NONHYPERBOLIC
+        assert not nonhyperbolic_condition(rates, support)
 
     def test_empty_support_rejected(self, rates_ones3):
         with pytest.raises(DomainError):

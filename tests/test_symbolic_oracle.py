@@ -5,8 +5,11 @@ every nonzero support solves H(x) = x, and J(x) - 2I is singular there, so
 2 is an eigenvalue.  The map and its Jacobian are built by sympy from the
 defining polynomial; only the closed form is taken from the package's
 documentation, and a rational draw ties it back to the float enumeration.
-The steps of the proof that the n = 3 interior discriminant is never
-negative are checked here as well.
+
+For every support size m, a proof with symbolic m shows that 2 is an
+eigenvalue at every nonzero fixed point, and that at a feasible one it is
+the only eigenvalue of the support block above 1.  The steps of the proof that the n = 3
+interior discriminant is never negative are checked here as well.
 """
 
 import itertools
@@ -16,7 +19,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from qdyn import Rates, enumerate_fixed_points, interior_discriminant_n3  # noqa: E402
+from qdyn import Rates, enumerate_fixed_points  # noqa: E402
+from helpers import interior_discriminant_n3  # noqa: E402
 
 
 def closed_form(rates, support):
@@ -57,6 +61,42 @@ def test_closed_form_matches_the_enumeration():
         mask = sum(1 << k for k in support)
         exact = np.array([float(v) for v in closed_form(theta, support)])
         np.testing.assert_allclose(points[mask].coords, exact, rtol=1e-14, atol=0.0)
+
+
+def test_eigenvalue_two_for_every_support_size():
+    # On a support S of m coordinates, with s = sum(x) and R = sum_S 1/r_k,
+    # the fixed-point equation gives x_k = 2s - 2/r_k, and J_SS is
+    # diag(d) + u 1^T with d_k = r_k (s - x_k) and u_k = r_k x_k.  By the
+    # matrix determinant lemma, det(J_SS - lam I) is prod_S(d_k - lam) f(lam)
+    # with f(lam) = 1 + sum_S u_k / (d_k - lam).  The steps below hold for
+    # one generic k, and each term summed over S is a + b/r_k with a and b
+    # free of r_k, so its sum is m a + R b.
+    r, s, m, R = sympy.symbols("r s m R", positive=True)
+
+    def sum_over_support(term):
+        w = sympy.Dummy("w", positive=True)
+        poly = sympy.Poly(sympy.cancel(term.subs(r, 1 / w)), w)
+        assert poly.degree() <= 1
+        return m * poly.coeff_monomial(1) + R * poly.coeff_monomial(w)
+
+    x = 2 * s - 2 / r
+    u, d = r * x, r * (s - x)
+    assert sympy.simplify(u - 2 * (r * s - 1)) == 0
+    assert sympy.simplify(d - (2 - r * s)) == 0
+    assert sympy.simplify(u / (d - 1) + 2) == 0
+    assert sympy.simplify(u / (d - 2) - (-2 + 2 / (r * s))) == 0
+    # sum_S x_k = s fixes s, which is positive, so d_k - 2 = -r_k s is never 0
+    (s_fixed,) = sympy.solve(sum_over_support(x) - s, s)
+    assert sympy.simplify(s_fixed - 2 * R / (2 * m - 1)) == 0
+    f_two = 1 + sum_over_support(u / (d - 2))
+    assert sympy.simplify(f_two - (1 - 2 * m + 2 * R / s)) == 0
+    assert sympy.simplify(f_two.subs(s, s_fixed)) == 0
+    # f(1) < 0 for every m >= 1 (where no d_k is 1, that is no x_k is 0).
+    # At a feasible point every u_k > 0 and every d_k < 1 (the type theorem
+    # in test_theorems.py), so f rises from -inf to 1 above the largest d_k
+    # and 2 is the one eigenvalue of J_SS above 1
+    f_one = 1 + sum_over_support(u / (d - 1))
+    assert sympy.simplify(f_one - (1 - 2 * m)) == 0
 
 
 def test_n3_discriminant_proof_steps():

@@ -21,28 +21,39 @@
   and u_k = r_k x_k.  At a feasible point u > 0, and diag(sqrt(u)) carries
   J_SS to the symmetric diag(d) + sqrt(u) sqrt(u)^T: the spectrum is real
   and interlaces the sorted d_k.
+- Fixed-point types: at a feasible point on S (m = |S|), x_k = 2s - 2/r_k
+  and s = 2R/(2m - 1) with R = sum_S 1/r_k.  Every x_j >= 0 gives
+  1/r_j <= s, so 1/r_k = R - sum_{j != k} 1/r_j >= s/2, and 1 <= r_k s <= 2
+  on S: every d_k = 2 - r_k s lies in [0, 1].  The eigenvalue 2 is the
+  largest of J_SS (the sympy oracle), and the other m - 1 lie in
+  [min d, max d].  So with no r_k s equal to 1 the point is never
+  attracting: it has (m - 1) + #{k not in S : r_k s < 1} eigenvalues inside
+  the unit circle, and is a saddle if that count is positive, repelling
+  otherwise.  It is nonhyperbolic exactly where some r_k s is 1.
 - Permutation equivariance: relabelling the coordinates, H_{Pr}(Px) =
   P H_r(x), maps each fixed point of support mask m to the permuted mask,
   with the same spectrum and class.  At n = 2 every sum has two terms and
   a + b == b + a in floating point, so swapping the rates mirrors the table
   and every fate bit for bit.
 - The n = 3 interior discriminant is never negative (a proof is recorded
-  in `interior_discriminant_n3` and checked by the sympy oracle).
+  in `interior_discriminant_n3` in `tests/helpers.py` and checked by the
+  sympy oracle).
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdyn import (
-    FateOutcome, Rates, basin_boundary, classify, classify_fate, interior_discriminant_n3, iterate, jacobian,
-    spectrum_at,
+    TAU_UNIT, FateOutcome, Rates, StabilityClass, StabilityTag, basin_boundary, classify, classify_fate, iterate,
+    jacobian, spectrum_at,
 )
 from qdyn.fixed_points import _all_supports, _points
-from helpers import feasible_nonzero_points
+from helpers import feasible_nonzero_points, interior_discriminant_n3
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -200,9 +211,34 @@ class TestScalingConjugacy:
             assert scaled == outcome
 
 
+# Below this distance of some r_k s from 1 the closed-form type is not
+# compared: an eigenvalue may lie near the TAU_UNIT band
+TYPE_MARGIN = 1e-6
+
+
+def precise_class(theta, on):
+    """`classify` of the 50-digit spectrum at the feasible point on the
+    support `on`, from the closed form in mpmath."""
+    with mpmath.workdps(50):
+        r = [mpmath.mpf(float(t)) for t in theta]
+        support = np.flatnonzero(on).tolist()
+        s = 2 * mpmath.fsum(1 / r[k] for k in support) / (2 * len(support) - 1)
+        x = [2 * s - 2 / r[k] if on[k] else mpmath.mpf(0) for k in range(len(r))]
+        jac = mpmath.matrix([[r[i] * (s if i == j else x[i]) for j in range(len(r))] for i in range(len(r))])
+        return classify([complex(lam) for lam in mpmath.eig(jac, left=False, right=False)], TAU_UNIT)
+
+
 class TestSpectralStructure:
     @given(st.integers(2, 8).flatmap(lambda n: vectors(n, log_uniform(0.01, 100.0))))
     @settings(PROPERTY, max_examples=300)
+    # The draws keep every r_k s at least 1e-3 from 1.  These rates put
+    # r_k s about 1e-8 from 1, on and off S, and inside the TAU_UNIT band.
+    # (Exactly 1 on S makes u_k = 0, outside the Bauer-Fike bound below.)
+    @example(np.array([1.0, 0.5 * (1.0 + 1e-8)]))
+    @example(np.array([1.0, 0.5 * (1.0 - 1e-8)]))
+    @example(np.array([1.0, 0.5 * (1.0 + 1e-11)]))
+    @example(np.array([1.0, 1.0, 0.75 * (1.0 + 1e-8)]))
+    @example(np.array([1.0, 1.0, 0.75 * (1.0 + 1e-11)]))
     def test_feasible_spectra_are_real_and_interlace(self, theta):
         rates, n = Rates(theta), theta.size
         masks, coords = feasible_nonzero_points(rates)
@@ -229,6 +265,16 @@ class TestSpectralStructure:
             # d_(1) <= l_1 <= d_(2) <= l_2 <= ... <= d_(m) <= l_m
             ds = np.sort(d)
             assert np.all(ds - sym_err <= block) and np.all(block[:-1] <= ds[1:] + sym_err)
+            # the type theorem: 1 <= r_k s <= 2 on S, and the class follows
+            # from m and the r_k s off S
+            rs = theta * s
+            assert np.all((1.0 - 16 * n * EPS <= rs[on]) & (rs[on] <= 2.0 + 16 * n * EPS))
+            if np.min(np.abs(rs - 1.0)) < TYPE_MARGIN:
+                assert classify(spectrum) == precise_class(theta, on)
+            else:
+                inside = int(on.sum()) - 1 + int(np.sum(rs[~on] < 1.0))
+                tag = StabilityTag.SADDLE if inside else StabilityTag.REPELLING
+                assert classify(spectrum) == StabilityClass(tag, inside, n - inside, 0)
 
 
 def permuted_rates(n: int):
