@@ -31,7 +31,7 @@ from .dynamics import DEFAULT_BUDGET, basin_boundary, classify_fate, iterate
 from .errors import QdynError
 from .fixed_points import SupportMask, _all_supports, _points
 from .model import Rates
-from .stability import _STACK_ROWS, TAU_UNIT, classify, spectrum_at
+from .stability import TAU_UNIT, classify, spectrum_at
 from .verify import verification_sweep
 
 DEFAULT_BISECT_TOL = 1e-8
@@ -138,9 +138,7 @@ def _checked_overrides(overrides) -> dict:
 def _points_output(cfg: RunConfig, rates: Rates, masks: Iterable[int], bits: np.ndarray) -> tuple[int, dict | Iterable]:
     # one JSON record or CSV row per support, read off the columns of the fixed-point table
     coords, residual = _points(rates.values, bits)
-    spectra = np.concatenate(
-        [spectrum_at(rates, coords[i:i + _STACK_ROWS]) for i in range(0, len(coords), _STACK_ROWS)]
-    )
+    spectra = spectrum_at(rates, coords)
     # eigenvalues as [re, im] pairs for JSON, as one flat re, im, re, im, ... row for CSV
     shape = (len(coords), rates.n, 2) if cfg.format == "json" else (len(coords), 2 * rates.n)
     columns = zip(
@@ -228,8 +226,6 @@ def cmd_basin(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | Ite
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | Iterable]:
-    if args.n < 2 or args.n > 12:
-        raise QdynError(f"verify requires 2 <= n <= 12, got n = {args.n}")
     summary = verification_sweep(args.n, args.trials, cfg.seed)
     output = _verify_lines(summary) if cfg.format == "text" else {
         "n": summary.n,
@@ -344,7 +340,14 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         code, output = args.handler(cfg, args)
-        _emit(cfg.format, output)
+        try:
+            _emit(cfg.format, output)
+            sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        except BrokenPipeError:
+            # the reader closed early: stop writing, and send what stdout
+            # still buffers to devnull so the exit flush reports nothing
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return code
     except (QdynError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,11 @@
 
 Eigenvalues come from a dense nonsymmetric solver (LAPACK's balancing +
 Hessenberg + shifted-QR path via numpy).  A table of fixed points, given as
-coordinate rows, gets its Jacobians as one stack, its spectra from one
-stacked solver call sorted row by row into canonical order, and its
-eigenvalue-2 residuals from one stacked determinant; a single point is the
+coordinate rows, gets its Jacobians in stacks of at most _STACK_ROWS rows,
+each built only when it is reached; each stack gets its spectra from one
+stacked solver call, sorted row by row into canonical order, and its
+eigenvalue-2 residuals from one stacked determinant.  A table that fits one
+stack costs one Jacobian build and one solver call; a single point is the
 one-row case.
 
 Every fixed point except the origin has the eigenvalue 2, so the origin is
@@ -29,8 +31,8 @@ from .model import Rates, jacobian
 
 TAU_UNIT = 1e-9  # half-width of the modulus band treated as "on the unit circle"
 NONHYP_REL_TOL = 1e-12  # relative tolerance for the nonhyperbolicity certificate
-# Callers pass a large table in slices of this many rows, so that its
-# Jacobian stack stays small (13 MB at n = 20)
+# rows per Jacobian stack, so a table of any size is built and solved in
+# stacks of at most 13 MB at n = 20; 2^12, so a verify table is one stack
 _STACK_ROWS = 4096
 
 
@@ -57,24 +59,29 @@ def sorted_spectrum(values) -> np.ndarray:
     return np.take_along_axis(v, order, axis=-1)
 
 
-def _coords(point) -> np.ndarray:
-    return point.coords if isinstance(point, FixedPoint) else np.asarray(point, dtype=float)
+def _stacks(rates: Rates, point, jac):
+    """The Jacobian stacks at `point`: the caller's `jac` as given, else one
+    per _STACK_ROWS coordinate rows (one for a single point), each built
+    only when the caller reaches it."""
+    x = point.coords if isinstance(point, FixedPoint) else np.asarray(point, dtype=float)
+    if jac is None and x.ndim > 1 and len(x) > _STACK_ROWS:
+        return (jacobian(rates, x[start:start + _STACK_ROWS]) for start in range(0, len(x), _STACK_ROWS))
+    return [jacobian(rates, x) if jac is None else jac]
 
 
 def spectrum_at(rates: Rates, point, jac=None) -> np.ndarray:
     """All n eigenvalues of the Jacobian at a fixed point, in canonical order.
 
     `point` is a FixedPoint or its coordinates; coordinates given as rows
-    (shape (k, n)) get one spectrum per row from one stacked solver call.
-    `jac` is the Jacobian (stack) at `point` when the caller has built it.
+    (shape (k, n)) get one spectrum per row, from one stacked solver call
+    per stack of at most _STACK_ROWS rows.  `jac` is the Jacobian (stack) at
+    `point` when the caller has built it, and is solved as one stack.
     """
-    if jac is None:
-        jac = jacobian(rates, _coords(point))
     try:
-        eigs = np.linalg.eigvals(jac)
+        spectra = [sorted_spectrum(np.linalg.eigvals(stack)) for stack in _stacks(rates, point, jac)]
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
-    return sorted_spectrum(eigs)
+    return spectra[0] if len(spectra) == 1 else np.concatenate(spectra)
 
 
 def classify(eigenvalues, tol: float = TAU_UNIT):
@@ -116,15 +123,15 @@ def eigenvalue_two_residual(rates: Rates, point, jac=None):
     across dimensions.  `point` and `jac` are as in `spectrum_at`; rows of
     coordinates get a list with one residual per row.
     """
-    if jac is None:
-        jac = jacobian(rates, _coords(point))
-    norms = np.max(np.sum(np.abs(jac), axis=-1), axis=-1)
-    if np.any(norms == 0.0):
-        raise DomainError("null Jacobian: the eigenvalue-2 identity excludes the origin")
-    dets = np.abs(np.linalg.det(jac - 2.0 * np.eye(rates.n)))
-    # Python's float power: numpy's array power can differ in the last bit
-    residuals = [det / norm**rates.n for det, norm in zip(np.ravel(dets).tolist(), np.ravel(norms).tolist())]
-    return residuals if jac.ndim > 2 else residuals[0]
+    residuals = []
+    for stack in _stacks(rates, point, jac):
+        norms = np.max(np.sum(np.abs(stack), axis=-1), axis=-1)
+        if np.any(norms == 0.0):
+            raise DomainError("null Jacobian: the eigenvalue-2 identity excludes the origin")
+        dets = np.abs(np.linalg.det(stack - 2.0 * np.eye(rates.n)))
+        # Python's float power: numpy's array power can differ in the last bit
+        residuals += [det / norm**rates.n for det, norm in zip(np.ravel(dets).tolist(), np.ravel(norms).tolist())]
+    return residuals if stack.ndim > 2 else residuals[0]
 
 
 def nonhyperbolic_condition(rates: Rates, support: SupportMask) -> bool:

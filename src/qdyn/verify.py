@@ -18,7 +18,7 @@ from .dynamics import RegionKind, region_membership
 from .errors import DomainError
 from .fixed_points import _all_supports, _points
 from .model import Rates, apply, jacobian
-from .stability import _STACK_ROWS, StabilityTag, classify, eigenvalue_two_residual, spectrum_at
+from .stability import StabilityTag, classify, eigenvalue_two_residual, spectrum_at
 
 RATE_LOW = 0.05
 RATE_HIGH = 3.0
@@ -103,16 +103,11 @@ def _check_one_trial(rates: Rates, rng: np.random.Generator) -> dict[str, float]
     count_err = float(np.count_nonzero(np.any((coords != 0.0) != (bits == 1), axis=1)))
     residual = float(np.max(residuals / np.maximum(1.0, np.max(np.abs(coords), axis=1))))
 
-    # row 0 is the origin, the only point without the eigenvalue 2; each
-    # slice of rows gets one Jacobian stack, shared by spectra and residuals
-    spectra, eig_resid = [], 0.0
-    for start in range(0, len(coords), _STACK_ROWS):
-        rows = coords[start:start + _STACK_ROWS]
-        jacs = jacobian(rates, rows)
-        spectra.append(spectrum_at(rates, rows, jacs))
-        nonzero = slice(1 if start == 0 else 0, None)
-        eig_resid = max(eig_resid, *eigenvalue_two_residual(rates, rows[nonzero], jacs[nonzero]))
-    spectra = np.concatenate(spectra)
+    # the table's one Jacobian stack (n <= 12), shared by spectra and
+    # residuals; row 0 is the origin, the only point without the eigenvalue 2
+    jacs = jacobian(rates, coords)
+    spectra = spectrum_at(rates, coords, jacs)
+    eig_resid = max(eigenvalue_two_residual(rates, coords[1:], jacs[1:]))
     eig_dist = float(np.max(np.min(np.abs(spectra[1:] - 2.0), axis=1)))
     attracting = [cls.tag is StabilityTag.ATTRACTING for cls in classify(spectra)]
     attracting_err = float((not attracting[0]) + sum(attracting[1:]))
@@ -137,9 +132,10 @@ def _check_one_trial(rates: Rates, rng: np.random.Generator) -> dict[str, float]
 
 
 def verification_sweep(n: int, trials: int, seed: int) -> VerificationSummary:
-    """Run all randomized checks over `trials` seeded rate draws."""
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    """Run all randomized checks over `trials` seeded rate draws at
+    dimension 2 <= n <= 12, whose 2^n fixed points are one Jacobian stack."""
+    if not 2 <= n <= 12:
+        raise DomainError(f"verify requires 2 <= n <= 12, got n = {n}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     rng = make_rng(seed)

@@ -82,7 +82,7 @@ class TestFixedPointsCommand:
         assert stacks == [(8 if argv[0] == "fixed-points" else 1, 3)]
 
     def test_large_tables_are_stacked_in_slices(self, capsys, monkeypatch):
-        from qdyn import cli as cli_module, model, stability
+        from qdyn import model, stability
 
         stacks = []
 
@@ -92,7 +92,7 @@ class TestFixedPointsCommand:
 
         _, whole, _ = run_cli(capsys, "fixed-points", "--theta", "0.4,0.6,1.1", "--format", "csv")
         monkeypatch.setattr(stability, "jacobian", counted)
-        monkeypatch.setattr(cli_module, "_STACK_ROWS", 3)
+        monkeypatch.setattr(stability, "_STACK_ROWS", 3)
         _, sliced, _ = run_cli(capsys, "fixed-points", "--theta", "0.4,0.6,1.1", "--format", "csv")
         assert stacks == [3, 3, 2]
         assert sliced == whole
@@ -533,6 +533,33 @@ class TestUsage:
         assert logged.returncode == 0
         assert logged.stdout == quiet.stdout
         assert "overflow" in logged.stderr
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            # 256 JSON records, far more than the pipe holds: qdyn is still
+            # writing when the reader closes after one line
+            (("fixed-points", "--theta", ",".join(["1"] * 8)), 1),
+            # a few lines that qdyn writes only after the reader has closed
+            (("classify", "--theta", "1,1", "--support", "1,0"), 0),
+        ],
+        ids=["mid-write", "before-write"],
+    )
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_reader_ends_the_run_quietly(self, argv, lines, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k not in ("QDYN_LOG", "PYTHONUNBUFFERED")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qdyn.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+        )
+        for _ in range(lines):
+            assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        assert proc.wait() == 0
+        assert proc.stderr.read() == ""
+        proc.stderr.close()
 
     def test_module_invocation(self):
         # console entry point semantics via python -m style execution

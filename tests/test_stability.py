@@ -227,6 +227,44 @@ class TestStackedSpectra:
         assert isinstance(eigenvalue_two_residual(rates_04_06, rows), list)
         assert isinstance(eigenvalue_two_residual(rates_04_06, point), float)
 
+    def test_large_tables_are_built_and_solved_in_bounded_stacks(self, monkeypatch):
+        from qdyn import model, stability
+
+        rates = Rates([0.4, 0.6, 1.1])
+        points = enumerate_fixed_points(rates)
+        coords = np.array([p.coords for p in points])
+        spectra = spectrum_at(rates, coords)
+        residuals = eigenvalue_two_residual(rates, coords[1:])
+        stacks = []
+
+        def counted(rates, x):
+            stacks.append(len(x) if x.ndim > 1 else "point")
+            return model.jacobian(rates, x)
+
+        monkeypatch.setattr(stability, "jacobian", counted)
+        monkeypatch.setattr(stability, "_STACK_ROWS", 3)
+        assert np.array_equal(spectrum_at(rates, coords), spectra)
+        assert eigenvalue_two_residual(rates, coords[1:]) == residuals
+        assert stacks == [3, 3, 2, 3, 3, 1]
+
+        stacks.clear()
+        empty = np.zeros((0, 3))
+        assert spectrum_at(rates, empty).shape == (0, 3)
+        assert eigenvalue_two_residual(rates, empty) == []
+        # a single point is one stack whatever the bound
+        monkeypatch.setattr(stability, "_STACK_ROWS", 1)
+        for point in (points[7], coords[7]):
+            assert np.array_equal(spectrum_at(rates, point), spectra[7])
+            assert eigenvalue_two_residual(rates, point) == residuals[6]
+        assert stacks == [0, 0, "point", "point", "point", "point"]
+
+        # a caller's stack is solved as given, never rebuilt or cut
+        stacks.clear()
+        jacs = model.jacobian(rates, coords)
+        assert np.array_equal(spectrum_at(rates, coords, jacs), spectra)
+        assert eigenvalue_two_residual(rates, coords[1:], jacs[1:]) == residuals
+        assert stacks == []
+
     def test_jacobian_rejects_other_shapes(self, rates_04_06):
         for x in (np.zeros((2, 2, 2)), np.zeros((3, 3))):
             with pytest.raises(DimensionMismatch):
