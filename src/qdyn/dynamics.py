@@ -37,7 +37,6 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, RegionNotApplicable, VerticalLineError
 from .fixed_points import _points, interior_fixed_point
 from .model import Rates, _readonly, _step, as_state
-from .stability import StabilityTag, classify, spectrum_at
 
 log = logging.getLogger("qdyn.dynamics")
 
@@ -321,15 +320,16 @@ def unstable_ray(rates: Rates) -> np.ndarray:
 
 def stable_tangent_n2(rates: Rates) -> np.ndarray:
     """Tangent vector (1, -r2/r1) of the basin boundary at the interior
-    saddle point (n = 2)."""
+    saddle point (n = 2).
+
+    A strictly positive interior point is always a saddle: its spectrum is
+    {2, lam2} with lam2 between d_1 and d_2, d_k = 2 - r_k s in [0, 1), since
+    every x_k > 0 gives r_k s > 1.  So positivity is the whole precondition.
+    """
     if rates.n != 2:
         raise DimensionMismatch(f"the tangent is an n=2 closed form, got n={rates.n}")
-    point = interior_fixed_point(rates)
-    if not point.feasible or not np.all(point.coords > 0.0):
+    if not np.all(interior_fixed_point(rates).coords > 0.0):
         raise DomainError("the interior fixed point must be strictly positive")
-    tag = classify(spectrum_at(rates, point)).tag
-    if tag is not StabilityTag.SADDLE:
-        raise DomainError(f"the interior fixed point is {tag.value}, not a saddle")
     t1, t2 = rates.values
     return np.array([1.0, -t2 / t1])
 

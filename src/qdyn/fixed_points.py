@@ -32,15 +32,6 @@ class SupportMask:
         if not 0 <= self.mask_int < 1 << self.n:
             raise DimensionMismatch(f"mask {self.mask_int} out of range for n={self.n}")
 
-    @property
-    def nonzero(self) -> frozenset[int]:
-        return frozenset(self.indices())
-
-    @property
-    def r(self) -> int:
-        """Number of zero coordinates."""
-        return self.n - self.mask_int.bit_count()
-
     def bits(self) -> tuple[int, ...]:
         return tuple(self.mask_int >> k & 1 for k in range(self.n))
 

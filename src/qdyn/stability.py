@@ -15,7 +15,8 @@ with sympy, and `eigenvalue_two_residual` measures it in floats.  At a
 feasible nonzero point the other m - 1 eigenvalues of the support block lie
 in [0, 1] and those off the support are r_k s (s the coordinate sum).  So
 the point is nonhyperbolic where some r_k s is 1, and otherwise a saddle
-when m >= 2 or some r_k s < 1, repelling if not.
+when m >= 2 or some r_k s < 1, repelling if not.  `nonhyperbolic_condition`
+tests r_k s = 1 for all n rates at once, with no eigensolver.
 """
 
 from __future__ import annotations
@@ -135,18 +136,16 @@ def eigenvalue_two_residual(rates: Rates, point, jac=None):
 
 
 def nonhyperbolic_condition(rates: Rates, support: SupportMask) -> bool:
-    """Certificate that the fixed point on `support` is nonhyperbolic.
+    """Certificate that the fixed point on `support` has the eigenvalue 1.
 
-    True iff r_i * sum_{j in support} 1/r_j equals (2*m - 1)/2 for some i in
-    the support, where m is the support size, within relative NONHYP_REL_TOL;
-    that is r_i s = 1 with s the sum of the point's coordinates, so x_i = 0.
-
-    False does not mean hyperbolic.  A feasible nonzero point is
-    nonhyperbolic exactly when r_k s = 1 for some k, in the support or not,
-    and r_k s is an eigenvalue for each k off the support, which this
-    certificate does not test.  At rates (1, 0.5) the point (2, 0) on
-    support {0} has the spectrum {2, 1}, and `classify` reports it
-    nonhyperbolic, but the certificate is False.
+    On a support S of m coordinates, with R = sum_{j in S} 1/r_j, the point's
+    coordinate sum is s = 2R/(2m - 1).  Its spectrum is r_k s for each k off
+    S together with the roots of the support block, and one of those is 1
+    exactly when r_k s = 1 for some k in S.  So the certificate is True iff
+    r_k R equals (2m - 1)/2 for some k, within relative NONHYP_REL_TOL.  A
+    feasible nonzero point has no other eigenvalue on the unit circle, so
+    there the certificate decides, up to its tolerance, whether the point is
+    nonhyperbolic.
     """
     if support.n != rates.n:
         raise DimensionMismatch(f"support is for n={support.n}, rates have n={rates.n}")
@@ -155,7 +154,4 @@ def nonhyperbolic_condition(rates: Rates, support: SupportMask) -> bool:
         raise DomainError("certificate requires a nonempty support")
     restricted = float(np.sum(1.0 / rates.values[list(indices)]))
     target = (2.0 * len(indices) - 1.0) / 2.0
-    for i in indices:
-        if abs(float(rates.values[i]) * restricted - target) <= NONHYP_REL_TOL * target:
-            return True
-    return False
+    return bool(np.any(np.abs(rates.values * restricted - target) <= NONHYP_REL_TOL * target))

@@ -1,7 +1,8 @@
 """Shared oracles for the test suite: finite differences, brute-force fixed
 point search, stable quadratic roots, feasible-rate sampling, the fate
-kernel run against a table of every feasible nonzero fixed point, and the
-closed-form interior spectra for n = 2 and n = 3."""
+kernel run against a table of every feasible nonzero fixed point, the
+50-digit spectrum at a fixed point, and the closed-form interior spectra
+for n = 2 and n = 3."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import itertools
 import math
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from qdyn import DimensionMismatch, Rates, interior_fixed_point, jacobian
@@ -105,6 +107,19 @@ def feasible_nonzero_points(rates: Rates) -> tuple[list[int], np.ndarray]:
     keep = np.all(coords >= 0.0, axis=1)
     keep[0] = False
     return np.flatnonzero(keep).tolist(), coords[keep]
+
+
+def precise_spectrum(theta, on) -> list[complex]:
+    """The 50-digit mpmath spectrum at the fixed point on the support `on`
+    (1 or True where the coordinate is in it), feasible or not, from the
+    closed form x_k = 2s - 2/r_k, s = 2 sum_S(1/r) / (2m - 1)."""
+    with mpmath.workdps(50):
+        r = [mpmath.mpf(float(t)) for t in theta]
+        support = np.flatnonzero(on).tolist()
+        s = 2 * mpmath.fsum(1 / r[k] for k in support) / (2 * len(support) - 1)
+        x = [2 * s - 2 / r[k] if on[k] else mpmath.mpf(0) for k in range(len(r))]
+        jac = mpmath.matrix([[r[i] * (s if i == j else x[i]) for j in range(len(r))] for i in range(len(r))])
+        return [complex(lam) for lam in mpmath.eig(jac, left=False, right=False)]
 
 
 def table_fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:

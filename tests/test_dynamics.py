@@ -455,9 +455,13 @@ class TestStableTangent:
         np.testing.assert_allclose(stable_tangent_n2(Rates([0.4, 0.6])), [1.0, -1.5])
         np.testing.assert_allclose(stable_tangent_n2(Rates([1.0, 1.0])), [1.0, -1.0])
         np.testing.assert_allclose(stable_tangent_n2(Rates([0.5, 0.8])), [1.0, -1.6])
+        # r2 s = 1 + eps/3 puts lam2 within TAU_UNIT of 1, where classify
+        # reports nonhyperbolic, but x2 = 2 eps/3 > 0 keeps it below 1
+        for eps in (1e-10, 1e-12):
+            np.testing.assert_allclose(stable_tangent_n2(Rates([2.0 * (1.0 - eps), 1.0])), [1.0, -0.5])
 
     def test_is_eigenvector_of_secondary_eigenvalue(self):
-        for theta in ([0.4, 0.6], [0.5, 0.8], [1.3, 0.9]):
+        for theta in ([0.4, 0.6], [0.5, 0.8], [1.3, 0.9], [2.0 * (1.0 - 1e-10), 1.0], [2.0 * (1.0 - 1e-12), 1.0]):
             rates = Rates(theta)
             v = stable_tangent_n2(rates)
             jac = jacobian(rates, interior_fixed_point(rates).coords)

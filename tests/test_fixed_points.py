@@ -25,10 +25,9 @@ class TestSupportMask:
         assert m.indices() == (0, 2)
         assert m.bits() == (1, 0, 1)
         assert m.mask_int == 5
-        assert m.r == 1
 
     def test_from_bits(self):
-        assert SupportMask.from_bits([0, 1, 1]).nonzero == frozenset({1, 2})
+        assert SupportMask.from_bits([0, 1, 1]).indices() == (1, 2)
 
     def test_rejects_out_of_range(self):
         for mask in (-1, 4, 1 << 5):
@@ -53,8 +52,6 @@ class TestSupportMask:
         n = support.n
         assert support.bits() == tuple(row)
         assert support.indices() == tuple(k for k in range(n) if row[k])
-        assert support.nonzero == frozenset(support.indices())
-        assert support.r == n - len(support.indices())
         assert SupportMask.from_bits(support.bits()) == support
 
 

@@ -23,6 +23,7 @@ from helpers import (
     interior_discriminant_n3,
     interior_secondary_eig_n2,
     interior_secondary_eigs_n3,
+    precise_spectrum,
     quadratic_roots,
     root_location,
 )
@@ -351,14 +352,25 @@ class TestNonhyperbolicCondition:
                 support = SupportMask(rates.n, 1 << i)
                 assert not nonhyperbolic_condition(rates, support)
 
-    def test_off_support_eigenvalue_one_is_not_certified(self):
+    def test_off_support_eigenvalue_one_is_certified(self):
         # r2 s = 1 off the support {0}: the spectrum at (2, 0) is {2, 1}
         rates = Rates([1.0, 0.5])
         support = SupportMask.from_bits([1, 0])
         spectrum = spectrum_at(rates, fixed_point_for_support(rates, support))
         np.testing.assert_array_equal(spectrum, [2.0, 1.0])
         assert classify(spectrum).tag is StabilityTag.NONHYPERBOLIC
-        assert not nonhyperbolic_condition(rates, support)
+        assert nonhyperbolic_condition(rates, support)
+
+    def test_agrees_with_the_precise_spectrum_on_every_mask(self):
+        # every nonzero mask, infeasible ones included: the certificate is
+        # True exactly where the 50-digit spectrum has an eigenvalue at 1,
+        # on the support (r_k s = 1 in the support block) or off it
+        for theta in [(1, 0.5), (1, 1, 0.75), (0.5, 1, 0.25), (2, 1, 1, 0.7)]:
+            rates, n = Rates(theta), len(theta)
+            for mask in range(1, 1 << n):
+                spectrum = np.array(precise_spectrum(theta, (mask >> np.arange(n)) & 1))
+                has_one = bool(np.any(np.abs(spectrum - 1.0) <= 1e-10))
+                assert nonhyperbolic_condition(rates, SupportMask(n, mask)) == has_one, (theta, mask)
 
     def test_empty_support_rejected(self, rates_ones3):
         with pytest.raises(DomainError):

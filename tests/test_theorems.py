@@ -29,7 +29,10 @@
   [min d, max d].  So with no r_k s equal to 1 the point is never
   attracting: it has (m - 1) + #{k not in S : r_k s < 1} eigenvalues inside
   the unit circle, and is a saddle if that count is positive, repelling
-  otherwise.  It is nonhyperbolic exactly where some r_k s is 1.
+  otherwise.  It is nonhyperbolic exactly where some r_k s is 1, which
+  `nonhyperbolic_condition` tests for every k with no eigensolver.  In
+  the plane a strictly positive interior point therefore is a saddle, and
+  `stable_tangent_n2` solves no spectrum to confirm it.
 - Permutation equivariance: relabelling the coordinates, H_{Pr}(Px) =
   P H_r(x), maps each fixed point of support mask m to the permuted mask,
   with the same spectrum and class.  At n = 2 every sum has two terms and
@@ -42,18 +45,17 @@
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdyn import (
-    TAU_UNIT, FateOutcome, Rates, StabilityClass, StabilityTag, basin_boundary, classify, classify_fate, iterate,
-    jacobian, spectrum_at,
+    TAU_UNIT, FateOutcome, Rates, StabilityClass, StabilityTag, SupportMask, basin_boundary, classify, classify_fate,
+    iterate, jacobian, nonhyperbolic_condition, spectrum_at,
 )
 from qdyn.fixed_points import _all_supports, _points
-from helpers import feasible_nonzero_points, interior_discriminant_n3
+from helpers import feasible_nonzero_points, interior_discriminant_n3, precise_spectrum
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -219,13 +221,7 @@ TYPE_MARGIN = 1e-6
 def precise_class(theta, on):
     """`classify` of the 50-digit spectrum at the feasible point on the
     support `on`, from the closed form in mpmath."""
-    with mpmath.workdps(50):
-        r = [mpmath.mpf(float(t)) for t in theta]
-        support = np.flatnonzero(on).tolist()
-        s = 2 * mpmath.fsum(1 / r[k] for k in support) / (2 * len(support) - 1)
-        x = [2 * s - 2 / r[k] if on[k] else mpmath.mpf(0) for k in range(len(r))]
-        jac = mpmath.matrix([[r[i] * (s if i == j else x[i]) for j in range(len(r))] for i in range(len(r))])
-        return classify([complex(lam) for lam in mpmath.eig(jac, left=False, right=False)], TAU_UNIT)
+    return classify(precise_spectrum(theta, on), TAU_UNIT)
 
 
 class TestSpectralStructure:
@@ -269,9 +265,14 @@ class TestSpectralStructure:
             # from m and the r_k s off S
             rs = theta * s
             assert np.all((1.0 - 16 * n * EPS <= rs[on]) & (rs[on] <= 2.0 + 16 * n * EPS))
+            # the certificate tests r_k s = 1 for every k with no eigensolver
+            certified = nonhyperbolic_condition(rates, SupportMask(n, mask))
             if np.min(np.abs(rs - 1.0)) < TYPE_MARGIN:
-                assert classify(spectrum) == precise_class(theta, on)
+                expected = precise_class(theta, on)
+                assert classify(spectrum) == expected
+                assert not certified or expected.tag is StabilityTag.NONHYPERBOLIC
             else:
+                assert not certified
                 inside = int(on.sum()) - 1 + int(np.sum(rs[~on] < 1.0))
                 tag = StabilityTag.SADDLE if inside else StabilityTag.REPELLING
                 assert classify(spectrum) == StabilityClass(tag, inside, n - inside, 0)
