@@ -17,9 +17,6 @@ from .dynamics import (
     classify_fate,
     iterate,
     region_membership,
-    stable_tangent_n2,
-    unstable_line_slope,
-    unstable_ray,
 )
 from .errors import (
     DimensionMismatch,
@@ -27,13 +24,11 @@ from .errors import (
     EigenSolverError,
     QdynError,
     RegionNotApplicable,
-    VerticalLineError,
 )
 from .fixed_points import (
     MAX_ENUM_DIM,
     FixedPoint,
     SupportMask,
-    coefficient_determinant,
     enumerate_fixed_points,
     fixed_point_for_support,
     interior_fixed_point,
@@ -77,13 +72,11 @@ __all__ = [
     "StabilityTag",
     "SupportMask",
     "TAU_UNIT",
-    "VerticalLineError",
     "apply",
     "as_state",
     "basin_boundary",
     "classify",
     "classify_fate",
-    "coefficient_determinant",
     "enumerate_fixed_points",
     "eigenvalue_two_residual",
     "fixed_point_for_support",
@@ -94,7 +87,4 @@ __all__ = [
     "region_membership",
     "sorted_spectrum",
     "spectrum_at",
-    "stable_tangent_n2",
-    "unstable_line_slope",
-    "unstable_ray",
 ]

@@ -1,5 +1,5 @@
-"""Trajectory iteration, fate classification, invariant regions, and
-invariant-manifold data.
+"""Trajectory iteration, fate classification, invariant regions, and the
+planar basin boundary.
 
 The global picture driving everything here: the polyhedral regions MBAR1
 (all constraints x_k + 2*sum_{i != k} x_i <= 2/r_k) and MBAR2 (all >=) are
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, RegionNotApplicable, VerticalLineError
-from .fixed_points import _points, interior_fixed_point
+from .errors import DimensionMismatch, DomainError, RegionNotApplicable
+from .fixed_points import _points
 from .model import Rates, _readonly, _step, as_state
 
 log = logging.getLogger("qdyn.dynamics")
@@ -291,47 +291,6 @@ def _candidate(theta: np.ndarray, x: np.ndarray, norm: np.ndarray) -> tuple[np.n
     coords, _ = _points(theta, bits)
     radius = PROXIMITY_RTOL * np.maximum(1.0, np.abs(coords).max(axis=1))
     return bits, bits.any(axis=1) & (coords >= 0.0).all(axis=1) & (np.abs(coords - x).max(axis=1) <= radius)
-
-
-def unstable_line_slope(rates: Rates) -> float:
-    """Slope of the invariant line through the origin and the interior point
-    (n = 2): (2*r2 - r1) / (2*r1 - r2)."""
-    if rates.n != 2:
-        raise DimensionMismatch(f"the line slope is an n=2 closed form, got n={rates.n}")
-    t1, t2 = rates.values
-    denom = 2.0 * t1 - t2
-    if denom == 0.0:
-        raise VerticalLineError("2*r1 == r2: the invariant line is vertical")
-    return float((2.0 * t2 - t1) / denom)
-
-
-def unstable_ray(rates: Rates) -> np.ndarray:
-    """Direction of the invariant ray through the interior fixed point,
-    normalized to unit inf-norm (read-only).
-
-    Coordinate ratios along the ray are preserved by the map, so it is the
-    unstable manifold of the interior point whenever that point is feasible.
-    """
-    point = interior_fixed_point(rates)
-    if not point.feasible:
-        raise DomainError("the interior fixed point is infeasible; no ray in the orthant")
-    return _readonly(point.coords / float(np.max(point.coords)))
-
-
-def stable_tangent_n2(rates: Rates) -> np.ndarray:
-    """Tangent vector (1, -r2/r1) of the basin boundary at the interior
-    saddle point (n = 2).
-
-    A strictly positive interior point is always a saddle: its spectrum is
-    {2, lam2} with lam2 between d_1 and d_2, d_k = 2 - r_k s in [0, 1), since
-    every x_k > 0 gives r_k s > 1.  So positivity is the whole precondition.
-    """
-    if rates.n != 2:
-        raise DimensionMismatch(f"the tangent is an n=2 closed form, got n={rates.n}")
-    if not np.all(interior_fixed_point(rates).coords > 0.0):
-        raise DomainError("the interior fixed point must be strictly positive")
-    t1, t2 = rates.values
-    return np.array([1.0, -t2 / t1])
 
 
 def basin_boundary(rates: Rates, x1_grid, tol: float = 1e-8, budget: int = DEFAULT_BUDGET) -> list[BoundarySample]:

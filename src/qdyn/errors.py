@@ -20,6 +20,3 @@ class RegionNotApplicable(QdynError):
 class EigenSolverError(QdynError):
     """The eigenvalue iteration did not converge."""
 
-
-class VerticalLineError(QdynError):
-    """The invariant line through the interior point is vertical (undefined slope)."""

@@ -128,13 +128,3 @@ def enumerate_fixed_points(rates: Rates) -> list[FixedPoint]:
         for mask, (x, ok, res) in enumerate(zip(coords, feasible, residual.tolist()))
     ]
 
-
-def coefficient_determinant(n: int) -> float:
-    """Determinant of the n x n matrix with 1 on the diagonal and 2 elsewhere.
-
-    Closed form (-1)^(n-1) * (2n - 1); the coefficient matrix of the linear
-    system behind `_points`.
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return float((-1.0) ** (n - 1) * (2 * n - 1))

@@ -13,7 +13,6 @@ from qdyn import (
     Rates,
     RegionKind,
     RegionNotApplicable,
-    VerticalLineError,
     apply,
     basin_boundary,
     classify_fate,
@@ -22,9 +21,6 @@ from qdyn import (
     iterate,
     jacobian,
     region_membership,
-    stable_tangent_n2,
-    unstable_line_slope,
-    unstable_ray,
 )
 from qdyn.dynamics import PROXIMITY_RTOL, _candidate, _fates
 from qdyn.fixed_points import _points
@@ -117,6 +113,9 @@ class TestRegionMembership:
             region_membership(balanced, [0.1, 0.1], RegionKind.M3)
         with pytest.raises(RegionNotApplicable):
             region_membership(lopsided, [0.1, 0.1], RegionKind.M1)
+        for region in (RegionKind.M5, RegionKind.M6):
+            with pytest.raises(RegionNotApplicable, match=r"requires r2 > 2\*r1"):
+                region_membership(balanced, [0.1, 0.1], region)
         assert region_membership(lopsided, [0.1, 0.1], RegionKind.M3)
 
     def test_m_regions_need_n2(self, rates_ones3):
@@ -392,36 +391,38 @@ class TestFateKernel:
 
 
 class TestUnstableLine:
+    # the invariant line through the origin and the interior point (n = 2)
+    # has slope x2/x1 = (2 r2 - r1)/(2 r1 - r2); at 2 r1 = r2 the point has
+    # x1 = 0 and the line is the x2 axis
     def test_slope_examples(self):
-        assert unstable_line_slope(Rates([0.4, 0.6])) == pytest.approx(4.0, abs=1e-12)
-        assert unstable_line_slope(Rates([1.0, 1.0])) == pytest.approx(1.0)
-        assert unstable_line_slope(Rates([0.6, 0.4])) == pytest.approx(0.25, abs=1e-12)
+        for theta, slope in (([0.4, 0.6], 4.0), ([1.0, 1.0], 1.0), ([0.6, 0.4], 0.25)):
+            x1, x2 = interior_fixed_point(Rates(theta)).coords
+            assert x2 / x1 == pytest.approx(slope, abs=1e-12)
+        assert interior_fixed_point(Rates([1.0, 2.0])).coords[0] == 0.0
 
-    def test_vertical_case(self):
-        with pytest.raises(VerticalLineError):
-            unstable_line_slope(Rates([1.0, 2.0]))
-
-    def test_slope_matches_interior_ratio(self, rates_04_06):
-        coords = interior_fixed_point(rates_04_06).coords
-        assert unstable_line_slope(rates_04_06) == pytest.approx(coords[1] / coords[0], rel=1e-12)
+    def test_slope_matches_interior_ratio(self):
+        for theta in ([0.4, 0.6], [1.0, 1.0], [0.6, 0.4], [0.5, 0.8], [1.3, 0.9], [0.8, 0.2]):
+            (x1, x2), (t1, t2) = interior_fixed_point(Rates(theta)).coords, theta
+            assert x2 / x1 == pytest.approx((2.0 * t2 - t1) / (2.0 * t1 - t2), rel=1e-12)
 
 
 class TestUnstableRay:
+    # coordinate ratios on the ray through the interior point are preserved
+    # by the map; its direction at unit inf-norm is coords / max(coords)
     def test_symmetric_direction(self, rates_ones3):
-        np.testing.assert_allclose(unstable_ray(rates_ones3), [1.0, 1.0, 1.0])
+        coords = interior_fixed_point(rates_ones3).coords
+        np.testing.assert_allclose(coords / coords.max(), [1.0, 1.0, 1.0])
 
     def test_direction_04_06(self, rates_04_06):
-        np.testing.assert_allclose(unstable_ray(rates_04_06), [0.25, 1.0], atol=1e-12)
-
-    def test_infeasible_interior_rejected(self):
-        with pytest.raises(DomainError):
-            unstable_ray(Rates([0.8, 0.2]))
+        coords = interior_fixed_point(rates_04_06).coords
+        np.testing.assert_allclose(coords / coords.max(), [0.25, 1.0], atol=1e-12)
 
     def test_ratio_preserved_under_map(self):
-        # note r3 = 2*r1 makes the interior point degenerate: (0, 0, 1/2);
+        # note r3 = 2*r1 makes the interior point degenerate: (0, 0, 1);
         # the ray collapses onto the x3 axis but stays invariant
         rates = Rates([1.0, 1.0, 2.0])
-        direction = unstable_ray(rates)
+        coords = interior_fixed_point(rates).coords
+        direction = coords / coords.max()
         np.testing.assert_allclose(direction, [0.0, 0.0, 1.0])
         for scale in (0.3, 1.7):
             x = scale * direction
@@ -433,7 +434,8 @@ class TestUnstableRay:
 
     def test_ratio_preserved_generic_triple(self):
         rates = Rates([1.0, 1.1, 0.9])
-        direction = unstable_ray(rates)
+        coords = interior_fixed_point(rates).coords
+        direction = coords / coords.max()
         assert np.all(direction > 0.0)
         for scale in (0.3, 1.7):
             x = scale * direction
@@ -451,27 +453,28 @@ class TestUnstableRay:
 
 
 class TestStableTangent:
+    # the basin boundary is tangent to (1, -r2/r1) at a strictly positive
+    # interior point (n = 2), the eigenvector of its secondary eigenvalue
+    # lam2 = 2 (r1^2 + r2^2 - r1 r2) / (3 r1 r2); the other eigenvalue is 2
     def test_examples(self):
-        np.testing.assert_allclose(stable_tangent_n2(Rates([0.4, 0.6])), [1.0, -1.5])
-        np.testing.assert_allclose(stable_tangent_n2(Rates([1.0, 1.0])), [1.0, -1.0])
-        np.testing.assert_allclose(stable_tangent_n2(Rates([0.5, 0.8])), [1.0, -1.6])
         # r2 s = 1 + eps/3 puts lam2 within TAU_UNIT of 1, where classify
         # reports nonhyperbolic, but x2 = 2 eps/3 > 0 keeps it below 1
-        for eps in (1e-10, 1e-12):
-            np.testing.assert_allclose(stable_tangent_n2(Rates([2.0 * (1.0 - eps), 1.0])), [1.0, -0.5])
+        examples = [([0.4, 0.6], [1.0, -1.5]), ([1.0, 1.0], [1.0, -1.0]), ([0.5, 0.8], [1.0, -1.6])]
+        examples += [([2.0 * (1.0 - eps), 1.0], [1.0, -0.5]) for eps in (1e-10, 1e-12)]
+        for theta, tangent in examples:
+            rates = Rates(theta)
+            values, vectors = np.linalg.eig(jacobian(rates, interior_fixed_point(rates).coords))
+            v = vectors[:, np.argmin(values)]
+            np.testing.assert_allclose(v / v[0], tangent)
 
     def test_is_eigenvector_of_secondary_eigenvalue(self):
-        for theta in ([0.4, 0.6], [0.5, 0.8], [1.3, 0.9], [2.0 * (1.0 - 1e-10), 1.0], [2.0 * (1.0 - 1e-12), 1.0]):
+        for theta in ([0.4, 0.6], [1.0, 1.0], [0.5, 0.8], [1.3, 0.9], [2.0 * (1.0 - 1e-10), 1.0], [2.0 * (1.0 - 1e-12), 1.0]):
             rates = Rates(theta)
-            v = stable_tangent_n2(rates)
-            jac = jacobian(rates, interior_fixed_point(rates).coords)
             t1, t2 = rates.values
+            v = np.array([1.0, -t2 / t1])
+            jac = jacobian(rates, interior_fixed_point(rates).coords)
             lam2 = 2.0 * (t1**2 + t2**2 - t1 * t2) / (3.0 * t1 * t2)
             assert np.max(np.abs(jac @ v - lam2 * v)) <= 1e-10
-
-    def test_rejects_infeasible_interior(self):
-        with pytest.raises(DomainError):
-            stable_tangent_n2(Rates([0.8, 0.2]))
 
 
 class TestBasinBoundary:

@@ -8,12 +8,10 @@ from qdyn import (
     DomainError,
     Rates,
     SupportMask,
-    coefficient_determinant,
     enumerate_fixed_points,
     fixed_point_for_support,
     interior_fixed_point,
 )
-from qdyn.dynamics import unstable_ray
 from qdyn.fixed_points import _points, _support_bits
 from qdyn.model import _step
 from helpers import explicit_coefficient_matrix, newton_fixed_point_search
@@ -87,6 +85,10 @@ class TestFixedPointForSupport:
         fp = fixed_point_for_support(rates_ones3, SupportMask(3, 0))
         np.testing.assert_array_equal(fp.coords, [0.0, 0.0, 0.0])
         assert fp.is_origin and fp.feasible and fp.residual == 0.0
+
+    def test_support_for_another_n_rejected(self, rates_ones3):
+        with pytest.raises(DimensionMismatch):
+            fixed_point_for_support(rates_ones3, SupportMask(2, 1))
 
     def test_restriction_consistency_is_exact(self):
         # the support solution must equal the interior solution of the
@@ -209,24 +211,22 @@ class TestPointTable:
         assert point.feasible and point.residual < 1e-15
         np.testing.assert_allclose(point.coords[[0, 69]], [2.0 / 3.0, 2.0 / 3.0], rtol=1e-15)
         assert not point.coords[1:69].any()
-        np.testing.assert_allclose(unstable_ray(rates), np.ones(70), rtol=1e-14)
 
 
 class TestCoefficientDeterminant:
+    # the n x n matrix with 1 on the diagonal and 2 elsewhere, the
+    # coefficient matrix behind the closed-form points, has determinant
+    # (-1)^(n-1) (2n - 1), so every support has exactly one point
     def test_small_cases(self):
-        assert coefficient_determinant(2) == -3.0
-        assert coefficient_determinant(1) == 1.0
-        assert coefficient_determinant(5) == 9.0
+        for n, closed in ((1, 1.0), (2, -3.0), (5, 9.0)):
+            lu = float(np.linalg.det(explicit_coefficient_matrix(n)))
+            assert abs(lu - closed) <= 1e-10 * abs(closed)
 
     def test_against_lu_factorization(self):
         for n in range(1, 13):
             lu = float(np.linalg.det(explicit_coefficient_matrix(n)))
-            closed = coefficient_determinant(n)
+            closed = (-1.0) ** (n - 1) * (2 * n - 1)
             assert abs(lu - closed) <= 1e-10 * abs(closed)
-
-    def test_rejects_zero(self):
-        with pytest.raises(DomainError):
-            coefficient_determinant(0)
 
 
 class TestBruteForceUniqueness:

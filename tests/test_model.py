@@ -28,6 +28,8 @@ class TestRates:
     def test_rejects_single_rate(self):
         with pytest.raises(DomainError, match="n must be >= 2"):
             Rates([0.4])
+        with pytest.raises(DomainError, match="rates must be a 1-d vector"):
+            Rates([[1.0, 2.0]])
 
     def test_rejects_nonpositive_and_nonfinite(self):
         with pytest.raises(DomainError):

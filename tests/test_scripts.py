@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import qdyn
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -21,5 +23,6 @@ def test_code_lines_totals_the_package():
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py")], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
-    assert [name for name, _ in rows] == sorted(p.name for p in (ROOT / "src" / "qdyn").glob("*.py")) + ["total"]
-    assert int(rows[-1][1]) == sum(int(count) for _, count in rows[:-1])
+    assert [name for name, _ in rows] == sorted(p.name for p in (ROOT / "src" / "qdyn").glob("*.py")) + ["total", "__all__"]
+    assert int(rows[-2][1]) == sum(int(count) for _, count in rows[:-2])
+    assert int(rows[-1][1]) == len(qdyn.__all__)

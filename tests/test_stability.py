@@ -90,6 +90,8 @@ class TestClassify:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError):
             classify([1.0], tol=0.0)
+        with pytest.raises(DomainError, match="empty spectrum"):
+            classify([])
 
     def test_rejects_nan_tolerance(self):
         with pytest.raises(DomainError):
@@ -270,6 +272,8 @@ class TestStackedSpectra:
         for x in (np.zeros((2, 2, 2)), np.zeros((3, 3))):
             with pytest.raises(DimensionMismatch):
                 jacobian(rates_04_06, x)
+        with pytest.raises(DomainError, match="state must be finite"):
+            jacobian(rates_04_06, [np.inf, 0.0])
 
     def test_null_jacobian_rejected(self):
         with pytest.raises(DomainError, match="null Jacobian"):
@@ -375,3 +379,5 @@ class TestNonhyperbolicCondition:
     def test_empty_support_rejected(self, rates_ones3):
         with pytest.raises(DomainError):
             nonhyperbolic_condition(rates_ones3, SupportMask(3, 0))
+        with pytest.raises(DimensionMismatch):
+            nonhyperbolic_condition(rates_ones3, SupportMask(2, 1))

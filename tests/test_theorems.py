@@ -31,8 +31,9 @@
   the unit circle, and is a saddle if that count is positive, repelling
   otherwise.  It is nonhyperbolic exactly where some r_k s is 1, which
   `nonhyperbolic_condition` tests for every k with no eigensolver.  In
-  the plane a strictly positive interior point therefore is a saddle, and
-  `stable_tangent_n2` solves no spectrum to confirm it.
+  the plane a strictly positive interior point therefore is a saddle, with
+  no spectrum solved to confirm it, and the basin boundary leaves it along
+  (1, -r2/r1) (`TestStableTangent` in `tests/test_dynamics.py`).
 - Permutation equivariance: relabelling the coordinates, H_{Pr}(Px) =
   P H_r(x), maps each fixed point of support mask m to the permuted mask,
   with the same spectrum and class.  At n = 2 every sum has two terms and

@@ -53,6 +53,46 @@ def test_count_check_sees_a_repeated_point():
     assert metrics["fixed-point count == 2^n"] == 0.0
 
 
+def _draws(n, trials, seed):
+    # the sweep's rate draws and trial metrics, in draw order
+    rng = make_rng(seed)
+    draws = []
+    for _ in range(trials):
+        rates = sample_rates(rng, n)
+        draws.append((repr(rates.values.tolist()), _check_one_trial(rates, rng)))
+    return draws
+
+
+def test_sweep_records_the_first_five_failures(monkeypatch):
+    name = "eigenvalue-2 distance min |lam - 2|"
+    draws = _draws(3, 20, 17)
+    tol = float(np.median([metrics[name] for _, metrics in draws]))
+    offenders = [theta for theta, metrics in draws if metrics[name] > tol]
+    assert 5 < len(offenders) < len(draws)
+    monkeypatch.setitem(CHECK_TOLERANCES, name, tol)
+    summary = verification_sweep(3, 20, 17)
+    assert not summary.passed
+    assert [c.name for c in summary.checks if not c.passed] == [name]
+    check = next(c for c in summary.checks if c.name == name)
+    assert check.tolerance == tol
+    assert check.failures == tuple(offenders[:5])
+
+
+def test_sweep_counts_each_region_miss(monkeypatch):
+    # every one of the 2 * POINTS_PER_REGION sampled states leaves its region
+    from qdyn import verify
+
+    name = "MBAR one-step invariance and monotonicity"
+    monkeypatch.setattr(verify, "region_membership", lambda rates, x, region: False)
+    draws = _draws(3, 7, 17)
+    assert [metrics[name] for _, metrics in draws] == [4.0] * 7
+    summary = verification_sweep(3, 7, 17)
+    assert not summary.passed
+    check = next(c for c in summary.checks if c.name == name)
+    assert check.worst == 4.0 and not check.passed
+    assert check.failures == tuple(theta for theta, _ in draws[:5])
+
+
 def test_one_jacobian_stack_per_trial(monkeypatch):
     # the whole table of 2^n points gets its Jacobians in one build, shared
     # by the spectra and the eigenvalue-2 residuals
