@@ -23,7 +23,6 @@ from .errors import (
     DomainError,
     EigenSolverError,
     QdynError,
-    RegionNotApplicable,
 )
 from .fixed_points import (
     MAX_ENUM_DIM,
@@ -67,7 +66,6 @@ __all__ = [
     "R_ESCAPE",
     "Rates",
     "RegionKind",
-    "RegionNotApplicable",
     "StabilityClass",
     "StabilityTag",
     "SupportMask",

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, RegionNotApplicable
+from .errors import DimensionMismatch, DomainError
 from .fixed_points import _points
 from .model import Rates, _readonly, _step, as_state
 
@@ -48,14 +48,6 @@ PROXIMITY_RTOL = 1e-11  # fixed-point detection, relative to max(1, |coords|)
 
 
 class RegionKind(enum.Enum):
-    # M1/M2 need r1 < 2*r2 and r2 < 2*r1; M3/M4 need r1 > 2*r2; M5/M6 need
-    # r2 > 2*r1.  All six are n=2 only; MBAR1/MBAR2 exist for every n.
-    M1 = "m1"
-    M2 = "m2"
-    M3 = "m3"
-    M4 = "m4"
-    M5 = "m5"
-    M6 = "m6"
     MBAR1 = "mbar1"
     MBAR2 = "mbar2"
 
@@ -105,8 +97,7 @@ class BoundarySample:
 
 
 def region_membership(rates: Rates, x, region: RegionKind) -> bool:
-    """Non-strict membership test; raises RegionNotApplicable outside the
-    parameter regime where the region is defined."""
+    """Non-strict membership of x in MBAR1 or MBAR2, at any n."""
     arr = as_state(x, rates.n)
     # lhs_k = x_k + 2*sum_{i != k} x_i, bound_k = 2/r_k; a sum past the
     # float range is inf, which lies above every bound
@@ -115,24 +106,7 @@ def region_membership(rates: Rates, x, region: RegionKind) -> bool:
     bound = 2.0 / rates.values
     if region is RegionKind.MBAR1:
         return bool(np.all(lhs <= bound))
-    if region is RegionKind.MBAR2:
-        return bool(np.all(lhs >= bound))
-    if rates.n != 2:
-        raise RegionNotApplicable(f"{region.value} is defined only for n=2, got n={rates.n}")
-    t1, t2 = rates.values
-    if region in (RegionKind.M1, RegionKind.M2):
-        if not (t1 < 2.0 * t2 and t2 < 2.0 * t1):
-            raise RegionNotApplicable(f"{region.value} requires r1 < 2*r2 and r2 < 2*r1")
-        if region is RegionKind.M1:
-            return bool(lhs[0] <= bound[0] and lhs[1] <= bound[1])
-        return bool(lhs[0] >= bound[0] and lhs[1] >= bound[1])
-    if region in (RegionKind.M3, RegionKind.M4):
-        if not t1 > 2.0 * t2:
-            raise RegionNotApplicable(f"{region.value} requires r1 > 2*r2")
-        return bool(lhs[0] <= bound[0]) if region is RegionKind.M3 else bool(lhs[1] >= bound[1])
-    if not t2 > 2.0 * t1:
-        raise RegionNotApplicable(f"{region.value} requires r2 > 2*r1")
-    return bool(lhs[1] <= bound[1]) if region is RegionKind.M5 else bool(lhs[0] >= bound[0])
+    return bool(np.all(lhs >= bound))
 
 
 def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:

@@ -13,10 +13,6 @@ class DomainError(QdynError):
     """Input outside the accepted domain (negative, nonfinite, or bad shape)."""
 
 
-class RegionNotApplicable(QdynError):
-    """The requested invariant region is undefined for these rates."""
-
-
 class EigenSolverError(QdynError):
     """The eigenvalue iteration did not converge."""
 

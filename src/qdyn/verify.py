@@ -78,8 +78,6 @@ def sample_in_region(rng: np.random.Generator, rates: Rates, region: RegionKind)
     Along a random direction u (sum 1), the scale s satisfies all MBAR1
     constraints iff s <= min_k 2/(r_k*(2 - u_k)); MBAR2 flips the bound.
     """
-    if region not in (RegionKind.MBAR1, RegionKind.MBAR2):
-        raise DomainError("sampling is provided only for the MBAR regions")
     # a uniform direction on the simplex: exponentials via inverse CDF on
     # (0, 1], normalized to sum 1
     e = -np.log(1.0 - rng.random(rates.n))

@@ -51,12 +51,11 @@ def sweep():
         n = 2 + k % 7
         rates = sample_rates(rng, n)
         points = enumerate_fixed_points(rates)
-        records = []
-        for fp in points:
-            spectrum = spectrum_at(rates, fp)
-            residual2 = None if fp.is_origin else eigenvalue_two_residual(rates, fp)
-            records.append((fp, spectrum, residual2))
-        draws.append((rates, records))
+        # one stacked solve per draw; the origin (mask 0) has no eigenvalue 2
+        coords = np.array([fp.coords for fp in points])
+        spectra = spectrum_at(rates, coords)
+        residuals = [None] + eigenvalue_two_residual(rates, coords[1:])
+        draws.append((rates, list(zip(points, spectra, residuals))))
     elapsed = time.perf_counter() - t0
     return draws, elapsed
 

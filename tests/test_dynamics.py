@@ -12,7 +12,6 @@ from qdyn import (
     FateReport,
     Rates,
     RegionKind,
-    RegionNotApplicable,
     apply,
     basin_boundary,
     classify_fate,
@@ -80,22 +79,23 @@ class TestIterate:
 
 class TestRegionMembership:
     def test_m1_example(self, rates_04_06):
-        assert region_membership(rates_04_06, [0.1, 0.1], RegionKind.M1)
+        # the paper's planar region M1 is MBAR1 at n = 2 (test_theorems.py)
+        assert region_membership(rates_04_06, [0.1, 0.1], RegionKind.MBAR1)
 
     def test_interior_point_on_both_closed_regions(self):
         # the interior point solves the constraints with equality; for unit
         # rates the float evaluation is exact, so it sits in both closed sets
         rates = Rates([1.0, 1.0])
         coords = interior_fixed_point(rates).coords
-        assert region_membership(rates, coords, RegionKind.M1)
-        assert region_membership(rates, coords, RegionKind.M2)
+        assert region_membership(rates, coords, RegionKind.MBAR1)
+        assert region_membership(rates, coords, RegionKind.MBAR2)
 
     def test_interior_point_equalities_up_to_roundoff(self, rates_04_06):
         coords = interior_fixed_point(rates_04_06).coords
         lhs = 2.0 * coords.sum() - coords
         np.testing.assert_allclose(lhs, 2.0 / rates_04_06.values, rtol=1e-14)
-        assert region_membership(rates_04_06, coords * (1.0 - 1e-9), RegionKind.M1)
-        assert region_membership(rates_04_06, coords * (1.0 + 1e-9), RegionKind.M2)
+        assert region_membership(rates_04_06, coords * (1.0 - 1e-9), RegionKind.MBAR1)
+        assert region_membership(rates_04_06, coords * (1.0 + 1e-9), RegionKind.MBAR2)
 
     def test_origin_in_mbar1_any_n(self, rates_ones3):
         assert region_membership(rates_ones3, [0.0, 0.0, 0.0], RegionKind.MBAR1)
@@ -106,24 +106,8 @@ class TestRegionMembership:
         assert not region_membership(rates, [1e308, 1e308], RegionKind.MBAR1)
         assert region_membership(rates, [1e308, 1e308], RegionKind.MBAR2)
 
-    def test_regime_gating(self):
-        balanced = Rates([0.4, 0.6])
-        lopsided = Rates([0.8, 0.2])
-        with pytest.raises(RegionNotApplicable):
-            region_membership(balanced, [0.1, 0.1], RegionKind.M3)
-        with pytest.raises(RegionNotApplicable):
-            region_membership(lopsided, [0.1, 0.1], RegionKind.M1)
-        for region in (RegionKind.M5, RegionKind.M6):
-            with pytest.raises(RegionNotApplicable, match=r"requires r2 > 2\*r1"):
-                region_membership(balanced, [0.1, 0.1], region)
-        assert region_membership(lopsided, [0.1, 0.1], RegionKind.M3)
-
-    def test_m_regions_need_n2(self, rates_ones3):
-        with pytest.raises(RegionNotApplicable):
-            region_membership(rates_ones3, [0.1, 0.1, 0.1], RegionKind.M1)
-
     def test_invariance_sweep(self):
-        # one map application keeps membership for every applicable region
+        # one map application keeps membership of MBAR1 and MBAR2 at n = 2..6
         rng = make_rng(21)
         checked = 0
         while checked < 500:
@@ -138,26 +122,6 @@ class TestRegionMembership:
             else:
                 assert np.all(x_next >= x)
             checked += 1
-
-    def test_planar_region_invariance(self):
-        rng = make_rng(22)
-        cases = [
-            (Rates([0.4, 0.6]), (RegionKind.M1, RegionKind.M2)),
-            (Rates([0.8, 0.2]), (RegionKind.M3, RegionKind.M4)),
-            (Rates([0.2, 0.8]), (RegionKind.M5, RegionKind.M6)),
-        ]
-        for rates, regions in cases:
-            for region in regions:
-                kept = 0
-                while kept < 40:
-                    x = 8.0 * rng.random(2)
-                    try:
-                        if not region_membership(rates, x, region):
-                            continue
-                    except RegionNotApplicable:
-                        pytest.fail("regime mismatch in test setup")
-                    assert region_membership(rates, apply(rates, x), region)
-                    kept += 1
 
 
 class TestClassifyFate:

@@ -10,6 +10,12 @@ For every support size m, a proof with symbolic m shows that 2 is an
 eigenvalue at every nonzero fixed point, and that at a feasible one it is
 the only eigenvalue of the support block above 1.  The steps of the proof that the n = 3
 interior discriminant is never negative are checked here as well.
+
+The paper's planar regions M1..M6 are MBAR1/MBAR2: with lhs_k =
+x_k + 2*sum_{i != k} x_i, the identity 2 lhs_j - lhs_k = 3 x_k +
+2*sum_{i != j, k} x_i gives lhs_k <= 2 lhs_j on the orthant, so where
+r_j > 2 r_k one constraint of each MBAR region implies another (the
+property test in test_theorems.py checks the implications exactly).
 """
 
 import itertools
@@ -97,6 +103,20 @@ def test_eigenvalue_two_for_every_support_size():
     # and 2 is the one eigenvalue of J_SS above 1
     f_one = 1 + sum_over_support(u / (d - 1))
     assert sympy.simplify(f_one - (1 - 2 * m)) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_region_constraints_are_redundant_past_a_rate_ratio_of_two(n):
+    x = sympy.symbols(f"x1:{n + 1}", nonnegative=True)
+    lhs = [2 * sum(x) - x[k] for k in range(n)]
+    for j, k in itertools.permutations(range(n), 2):
+        rest = sum(x[i] for i in range(n) if i not in (j, k))
+        assert sympy.expand(2 * lhs[j] - lhs[k] - (3 * x[k] + 2 * rest)) == 0
+    # with r_j = 2 r_k + d, d > 0: lhs_j <= 2/r_j gives lhs_k <= 4/r_j < 2/r_k
+    # (MBAR1), and lhs_k >= 2/r_k gives lhs_j >= 1/r_k > 2/r_j (MBAR2)
+    r, d = sympy.symbols("r d", positive=True)
+    assert sympy.factor(2 / r - 4 / (2 * r + d)).is_positive
+    assert sympy.factor(1 / r - 2 / (2 * r + d)).is_positive
 
 
 def test_n3_discriminant_proof_steps():

@@ -34,6 +34,13 @@
   the plane a strictly positive interior point therefore is a saddle, with
   no spectrum solved to confirm it, and the basin boundary leaves it along
   (1, -r2/r1) (`TestStableTangent` in `tests/test_dynamics.py`).
+- Region redundancy: with lhs_k = x_k + 2 sum_{i != k} x_i, 2 lhs_j -
+  lhs_k = 3 x_k + 2 sum_{i != j, k} x_i >= 0 (the sympy oracle), so
+  lhs_k <= 2 lhs_j.  Where r_j > 2 r_k, MBAR1's constraint j (lhs_j <=
+  2/r_j) implies its constraint k strictly, since lhs_k <= 4/r_j < 2/r_k,
+  and MBAR2's constraint k implies its constraint j strictly.  This holds
+  at every n; at n = 2 it makes the paper's regime-gated regions M1..M6
+  the two MBAR regions, so the package has only MBAR1 and MBAR2.
 - Permutation equivariance: relabelling the coordinates, H_{Pr}(Px) =
   P H_r(x), maps each fixed point of support mask m to the permuted mask,
   with the same spectrum and class.  At n = 2 every sum has two terms and
@@ -45,6 +52,8 @@
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,6 +286,44 @@ class TestSpectralStructure:
                 inside = int(on.sum()) - 1 + int(np.sum(rs[~on] < 1.0))
                 tag = StabilityTag.SADDLE if inside else StabilityTag.REPELLING
                 assert classify(spectrum) == StabilityClass(tag, inside, n - inside, 0)
+
+
+@st.composite
+def lopsided_cases(draw):
+    """Exact rational rates with r_j = (2 + e) r_k, e > 0, for a drawn pair
+    j != k, a start with x_j = 1 and the other coordinates shrunk by a drawn
+    weight (the bound lhs_k <= 2 lhs_j is tight at weight 0), and a scale t
+    in (0, 1]."""
+    n = draw(st.integers(2, 6))
+    unit = st.fractions(0, 1, max_denominator=10**6)
+    theta = draw(st.lists(st.fractions(Fraction(1, 1000), 3, max_denominator=1000), min_size=n, max_size=n))
+    j, k = draw(st.permutations(range(n)))[:2]
+    theta[j] = (2 + draw(unit.filter(bool))) * theta[k]
+    weight = draw(unit)
+    x = [Fraction(1) if i == j else weight * draw(unit) for i in range(n)]
+    return theta, x, j, k, draw(unit.filter(bool))
+
+
+def constraint_sums(x):
+    return [2 * sum(x) - v for v in x]
+
+
+class TestRegionRedundancy:
+    @given(lopsided_cases())
+    @example(([Fraction(1), 2 + Fraction(1, 10**12)], [Fraction(0), Fraction(1)], 1, 0, Fraction(1)))
+    @PROPERTY
+    def test_one_constraint_implies_the_other(self, case):
+        theta, x, j, k, t = case
+        lhs = constraint_sums(x)
+        assert lhs[k] <= 2 * lhs[j]
+        # MBAR1: constraint j holds, with equality at t = 1
+        inside = constraint_sums([t * 2 / (theta[j] * lhs[j]) * v for v in x])
+        assert inside[j] <= 2 / theta[j]
+        assert inside[k] < 2 / theta[k]
+        # MBAR2: constraint k holds, with equality at t = 1
+        outside = constraint_sums([2 / (t * theta[k] * lhs[k]) * v for v in x])
+        assert outside[k] >= 2 / theta[k]
+        assert outside[j] > 2 / theta[j]
 
 
 def permuted_rates(n: int):

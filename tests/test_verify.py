@@ -22,13 +22,6 @@ def test_sampled_points_live_in_their_region():
         assert region_membership(rates, x2, RegionKind.MBAR2)
 
 
-def test_sampling_other_regions_rejected():
-    rng = make_rng(3)
-    rates = sample_rates(rng, 2)
-    with pytest.raises(DomainError):
-        sample_in_region(rng, rates, RegionKind.M1)
-
-
 def test_sweep_summary_shape_and_pass():
     summary = verification_sweep(n=3, trials=20, seed=17)
     assert summary.passed
