@@ -6,7 +6,9 @@ formats, the first being the default; --config keys override the flags.
 Handlers print nothing: each returns its exit code and the one output its
 format prints, the JSON payload for json and otherwise its CSV rows or text
 lines, and `main` prints it once, on stdout, with shortest round-trip float
-formatting, so identical configurations give byte-identical runs.
+formatting, so identical configurations give byte-identical runs.  The JSON
+of fixed-points and classify comes as text, rendered from the fixed-point
+table's columns and byte-identical to json.dumps(payload, indent=2).
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error.  QDYN_LOG sets diagnostic verbosity on stderr, never the numbers.
 """
@@ -135,49 +137,61 @@ def _checked_overrides(overrides) -> dict:
     return checked
 
 
-def _points_output(cfg: RunConfig, rates: Rates, masks: Iterable[int], bits: np.ndarray) -> tuple[int, dict | Iterable]:
+# One fixed-points record as json.dumps(indent=2) prints it inside the payload;
+# a list field holds the items of _column at depth 1 (or 2) without its brackets,
+# and "index" repeats the mask, the position in the mask-ordered enumeration.
+_RECORD = (
+    '    {{\n      "mask": {0},\n      "support": [\n        {1}\n      ],\n      "coords": [\n        {2}\n      ],\n'
+    '      "feasible": {3},\n      "residual": {4},\n'
+    '      "eigenvalues": [\n        [\n          {5}\n        ]\n      ],\n      "class": {6},\n'
+    '      "inside": {7},\n      "outside": {8},\n      "on_unit": {9},\n      "index": {0}\n    }}'
+)
+
+
+def _column(values: list, depth: int) -> list[str]:
+    """Each record's value of one column, encoded by json's C encoder in one
+    call and indented as in _RECORD; depth is the list nesting of a value.
+    Items are split at ", ", which no number and no class tag holds."""
+    text = json.dumps(values)[depth + 1 : -depth - 1].replace("]" * depth + ", " + "[" * depth, "\0")
+    if depth == 2:  # the [re, im] pairs of one record
+        text = text.replace("], [", "\n        ],\n        [\n          ")
+    return text.replace(", ", ",\n" + " " * (6 + 2 * depth)).split("\0")
+
+
+def _points_output(cfg: RunConfig, rates: Rates, masks: Iterable[int], bits: np.ndarray) -> tuple[int, str | Iterable]:
     # one JSON record or CSV row per support, read off the columns of the fixed-point table
     coords, residual = _points(rates.values, bits)
     spectra = spectrum_at(rates, coords)
-    # eigenvalues as [re, im] pairs for JSON, as one flat re, im, re, im, ... row for CSV
-    shape = (len(coords), rates.n, 2) if cfg.format == "json" else (len(coords), 2 * rates.n)
-    columns = zip(
-        masks, bits.tolist(), coords.tolist(), np.all(coords >= 0.0, axis=1).tolist(), residual.tolist(),
-        np.stack([spectra.real, spectra.imag], axis=-1).reshape(shape).tolist(), classify(spectra, cfg.tau_unit),
-    )
+    classes = classify(spectra, cfg.tau_unit)
+    feasible = np.all(coords >= 0.0, axis=1).tolist()
+    pairs = np.stack([spectra.real, spectra.imag], axis=-1)
     if cfg.format == "json":
-        records = [
-            {
-                "mask": mask,
-                "support": support,
-                "coords": x,
-                "feasible": feasible,
-                "residual": res,
-                "eigenvalues": pairs,
-                "class": cls.tag.value,
-                "inside": cls.inside,
-                "outside": cls.outside,
-                "on_unit": cls.on_unit,
-                "index": mask,  # the position in the mask-ordered enumeration
-            }
-            for mask, support, x, feasible, res, pairs, cls in columns
-        ]
-        return 0, {"theta": rates.values.tolist(), "n": rates.n, "fixed_points": records}
+        # the same text as json.dumps(indent=2) of the records, a column at a time
+        records = map(
+            _RECORD.format, _column(list(masks), 0), _column(bits.tolist(), 1), _column(coords.tolist(), 1),
+            _column(feasible, 0), _column(residual.tolist(), 0), _column(pairs.tolist(), 2),
+            *(_column(col, 0) for col in zip(*[(c.tag.value, c.inside, c.outside, c.on_unit) for c in classes])),
+        )
+        head = json.dumps({"theta": rates.values.tolist(), "n": rates.n}, indent=2)[:-2]  # less its "\n}"
+        return 0, f'{head},\n  "fixed_points": [\n' + ",\n".join(records) + "\n  ]\n}"
     header = ["mask", "support", "feasible", "residual", *(f"x{k + 1}" for k in range(rates.n))]
     header += [f"eig{k + 1}_{part}" for k in range(rates.n) for part in ("re", "im")] + ["class"]
     rows = (
         [mask, "".join(map(str, support)), str(feasible).lower(), res, *x, *flat, cls.tag.value]
-        for mask, support, x, feasible, res, flat, cls in columns
+        for mask, support, x, feasible, res, flat, cls in zip(
+            masks, bits.tolist(), coords.tolist(), feasible, residual.tolist(),
+            pairs.reshape(len(coords), -1).tolist(), classes,
+        )
     )
     return 0, itertools.chain([header], rows)
 
 
-def cmd_fixed_points(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | Iterable]:
+def cmd_fixed_points(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str | Iterable]:
     rates = cfg.rates()
     return _points_output(cfg, rates, range(1 << rates.n), _all_supports(rates))
 
 
-def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | Iterable]:
+def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str | Iterable]:
     rates = cfg.rates()
     bits = args.support.split(",")
     if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
@@ -247,15 +261,17 @@ def _verify_lines(summary) -> Iterable[str]:
     yield f"verified {summary.trials} draws at n={summary.n}, seed={summary.seed}: {verdict}"
 
 
-def _emit(fmt: str, output: dict | Iterable) -> None:
-    """Print a handler's output in its format: for json the payload, for
-    csv and text each row, a str row verbatim (text lines, simulate's fate
-    trailer) and any other row as a CSV record.
+def _emit(fmt: str, output: dict | str | Iterable) -> None:
+    """Print a handler's output in its format: for json a str verbatim (the
+    text fixed-points and classify render, byte-identical to
+    json.dumps(indent=2) of their payload) and any other payload through
+    json.dumps(indent=2); for csv and text each row, a str row verbatim
+    (text lines, simulate's fate trailer) and any other row as a CSV record.
 
     csv writes a float cell (numpy float64 included) with float's repr, the
     shortest round-trip form, as json.dumps does."""
     if fmt == "json":
-        print(json.dumps(output, indent=2))
+        print(output if isinstance(output, str) else json.dumps(output, indent=2))
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")
     for row in output:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdyn import Rates, enumerate_fixed_points
 from qdyn.cli import build_parser, main
@@ -705,6 +708,48 @@ class TestFormatsAgree:
         payload, text = self.both(capsys, ("verify", "--n", "2", "--trials", "1"), "text")
         assert not payload["passed"]
         self.check_verify_lines(payload, text)
+
+
+RECORD_KEYS = ["mask", "support", "coords", "feasible", "residual", "eigenvalues", "class", "inside", "outside",
+               "on_unit", "index"]
+RATE_LISTS = st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=8)
+
+
+class TestJsonText:
+    """fixed-points and classify render their JSON from the table's columns;
+    the text must be what json.dumps(indent=2) prints for its own payload."""
+
+    def json_out(self, *argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--format", "json"]) == 0
+        text = out.getvalue()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        for rec in payload["fixed_points"]:
+            assert list(rec) == RECORD_KEYS
+        return text, payload
+
+    @settings(max_examples=40, deadline=None)
+    @given(RATE_LISTS)
+    def test_fixed_points_round_trip(self, theta):
+        _, payload = self.json_out("fixed-points", "--theta", ",".join(map(repr, theta)))
+        assert [rec["mask"] for rec in payload["fixed_points"]] == list(range(2 ** len(theta)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(RATE_LISTS.flatmap(lambda theta: st.tuples(st.just(theta), st.lists(
+        st.sampled_from("01"), min_size=len(theta), max_size=len(theta)))))
+    def test_classify_round_trip(self, draw):
+        theta, bits = draw
+        _, payload = self.json_out("classify", "--theta", ",".join(map(repr, theta)), "--support", ",".join(bits))
+        (rec,) = payload["fixed_points"]
+        assert rec["support"] == [int(b) for b in bits]
+
+    def test_nonfinite_spelling(self):
+        # the 7 supports that join the 1e-100 rate to a 1e200 one have coordinates near
+        # 1e100, and their residual, with a 1e200 rate times them squared, overflows
+        text, _ = self.json_out("fixed-points", "--theta", "1e200,1e200,1e200,1e-100")
+        assert text.count('"residual": Infinity,') == 7
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
