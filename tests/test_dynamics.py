@@ -1,6 +1,9 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qdyn import (
@@ -21,8 +24,9 @@ from qdyn import (
     jacobian,
     region_membership,
 )
-from qdyn.dynamics import PROXIMITY_RTOL, _candidate, _fates
+from qdyn.dynamics import _BLOCK_CELLS, PROXIMITY_RTOL, R_ESCAPE, _candidate, _fates, _step_block
 from qdyn.fixed_points import _points
+from qdyn.model import _step
 from qdyn.verify import make_rng, sample_in_region, sample_rates
 from helpers import feasible_nonzero_points, sample_feasible_interior, table_fates
 
@@ -168,6 +172,16 @@ class TestClassifyFate:
         with pytest.raises(DomainError):
             classify_fate(rates_04_06, [0.1, 0.1], budget=0)
 
+    @pytest.mark.parametrize("budget", [2.5, float("inf"), "3"])
+    def test_budget_must_be_an_integer(self, rates_04_06, budget):
+        with pytest.raises(DomainError, match="integer"):
+            classify_fate(rates_04_06, [4.999, 0.0], budget=budget)
+
+    def test_budget_accepts_numpy_integers(self, rates_04_06):
+        report = classify_fate(rates_04_06, [4.999, 0.0], budget=np.int64(3))
+        assert report.outcome is FateOutcome.UNDETERMINED and type(report.steps_used) is int
+        assert report.steps_used == 3
+
     def test_degenerate_support_reports_first_mask(self):
         # masks 2 and 3 share the coordinates (0, 1); the lower mask wins
         assert classify_fate(Rates([1.0, 2.0]), [0.0, 1.0]).fixed_point_index == 2
@@ -217,13 +231,13 @@ def kernel_fields(report):
 
 
 @st.composite
-def start_stacks(draw):
+def start_stacks(draw, overflowing=st.booleans()):
     """Rates at n = 2..8 and a stack of starts: between the scales where the
     MBAR1 and MBAR2 constraints bind, at feasible fixed points, and (with
     one rate at 1e-300 and one at 1e300) starts whose first step overflows."""
     n = draw(st.integers(2, 8))
     theta = np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)))
-    overflowing = draw(st.booleans())
+    overflowing = draw(overflowing)
     if overflowing:
         theta[:2] = 1e-300, 1e300
     rates = Rates(theta)
@@ -246,6 +260,16 @@ def start_stacks(draw):
 def kernel_result(result):
     outcomes, evidence, steps, final, masks = result
     return list(outcomes), list(evidence), steps, final.tobytes(), masks
+
+
+def long_orbit_starts():
+    """Starts on three lines of the planar basin boundary at rates (0.5, 0.8),
+    below and above it by a relative 1e-16 to 0.9; their fates stop at every
+    state from 0 to 40."""
+    rates = Rates([0.5, 0.8])
+    d = np.geomspace(1e-16, 0.9, 60)
+    return rates, np.array([[s.x1, x2] for s in basin_boundary(rates, [1.44, 2.52, 2.88], tol=1e-15)
+                            for x2 in np.concatenate([s.x2_low * (1.0 - d), s.x2_high * (1.0 + d)])])
 
 
 def oracle_case(rng, draw):
@@ -300,6 +324,90 @@ class TestFateKernel:
             assert result == kernel_result(table_fates(rates, x, DEFAULT_BUDGET)), (draw, rates.values)
             starts, hits = starts + len(x), hits + sum(m is not None for m in result[4])
         assert starts > 10_000 and hits > starts / 2
+
+    # The kernel checks the rules once per block of 4, 8, 16, then 32 states,
+    # at most _BLOCK_CELLS cells; the next four tests put a stop at every
+    # offset of those blocks and compare with the table oracle, which checks
+    # them at every state.
+    def test_stops_at_every_state_up_to_40_equal_the_oracle(self):
+        rates, x = long_orbit_starts()
+        result = kernel_result(_fates(rates, x, DEFAULT_BUDGET))
+        assert set(range(41)) <= set(result[2])
+        assert result == kernel_result(table_fates(rates, x, DEFAULT_BUDGET))
+
+    def test_every_budget_up_to_70_equals_the_oracle(self):
+        rates, x = long_orbit_starts()
+        for budget in range(1, 71):
+            assert kernel_result(_fates(rates, x, budget)) == kernel_result(table_fates(rates, x, budget)), budget
+
+    def test_cell_capped_stack_equals_the_oracle(self):
+        # the long orbits and their neighbours up to 4 ulps away: 3240 rows,
+        # so that the first rounds step one state at a time
+        rates, x = long_orbit_starts()
+        shifted = [x]
+        for toward in (np.inf, 0.0):
+            y = x
+            for _ in range(4):
+                y = np.nextafter(y, toward)
+                shifted.append(y)
+        x = np.vstack(shifted)
+        assert x.size > _BLOCK_CELLS
+        result = kernel_result(_fates(rates, x, DEFAULT_BUDGET))
+        assert set(range(41)) <= set(result[2])
+        assert result == kernel_result(table_fates(rates, x, DEFAULT_BUDGET))
+
+    @given(start_stacks(overflowing=st.just(True)), st.sampled_from([1, 2, 3, 4, 5, DEFAULT_BUDGET]))
+    @settings(derandomize=True, deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_overflowing_rows_equal_the_oracle_and_log_once_each(self, caplog, case, budget):
+        rates, x = case
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="qdyn.dynamics"):
+            result = _fates(rates, x, budget)
+        assert kernel_result(result) == kernel_result(table_fates(rates, x, budget))
+        # an overflow escapes from a finite state at or below R_ESCAPE, where the escape rule does not fire
+        overflowed = [steps for outcome, evidence, steps, final in zip(*result[:4]) if outcome is
+                      FateOutcome.TO_INFINITY and evidence is FateEvidence.NORM_THRESHOLD and final.max() <= R_ESCAPE]
+        assert [record.args[0] for record in caplog.records] == sorted(overflowed)
+        assert all(record.message.endswith(f"at {record.args[0]} states") for record in caplog.records)
+
+    def test_block_step_is_the_map_step_bit_for_bit(self):
+        # exponents from the subnormals to past the float range, zeros, and
+        # n past the eight coordinates where numpy's row sum changes its order
+        rng = make_rng(36)
+        for draw in range(300):
+            n, rows = 2 + draw % 40, 1 + draw % 13
+            x = np.ldexp(rng.random((rows, n)), rng.integers(-1080, 1000, (rows, n)))
+            x[rng.random((rows, n)) < 0.2] = 0.0
+            theta = rng.uniform(0.1, 3.0, n)
+            states, lhs = np.empty((2, n, rows)), np.empty((1, n, rows))
+            states[0] = x.T
+            with np.errstate(over="ignore", invalid="ignore"):
+                _step_block((0.5 * theta)[:, None], states, lhs)
+                assert states[1].T.tobytes() == _step(theta, x).tobytes()
+                assert lhs[0].T.tobytes() == (2.0 * x.sum(axis=1, keepdims=True) - x).tobytes()
+
+    def test_working_set_of_a_large_stack(self):
+        # 20,000 starts at n = 16 (2.56 MB): the cell cap steps them one
+        # state at a time.  Under tracemalloc, the per-step kernel that
+        # blocks replaced peaked at 5.4 times the input's bytes, this one at
+        # 4.7; blocks of two states at this size would take 6.8.
+        rng = make_rng(35)
+        rates = sample_rates(rng, 16)
+        u = rng.exponential(size=(20_000, 16))
+        u /= u.sum(axis=1, keepdims=True)
+        critical = 2.0 / (rates.values * (2.0 - u))
+        low, high = critical.min(axis=1, keepdims=True), critical.max(axis=1, keepdims=True)
+        x = (low + (high - low) * rng.random((20_000, 1))) * u
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            classify_fate(rates, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.0 * x.nbytes
 
     def test_gate_passes_every_state_within_the_radius(self):
         # the gate bounds how far lhs can move from 2/r within the radius:
