@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .fixed_points import _points
-from .model import Rates, _readonly, _step, as_state
+from .model import Rates, _step, as_state
 
 log = logging.getLogger("qdyn.dynamics")
 
@@ -98,17 +98,34 @@ class BoundarySample:
         return 0.5 * (self.x2_low + self.x2_high)
 
 
-def region_membership(rates: Rates, x, region: RegionKind) -> bool:
-    """Non-strict membership of x in MBAR1 or MBAR2, at any n."""
-    arr = as_state(x, rates.n)
+def region_membership(rates: Rates, x, region: RegionKind):
+    """Non-strict membership of x in MBAR1 or MBAR2, at any n; for states
+    given as rows (shape (k, n)), an array with one bool per row."""
+    rows, stacked = _state_rows(rates, x)
+    inside = _in_region(rates.values, rows, region is RegionKind.MBAR1)
+    return inside if stacked else bool(inside[0])
+
+
+def _in_region(theta: np.ndarray, x: np.ndarray, mbar1) -> np.ndarray:
+    """Non-strict membership of each state of x (rows on its last axis) in
+    MBAR1 where `mbar1` is True and in MBAR2 where it is False, under one
+    rate vector or one per state (theta broadcast against x)."""
     # lhs_k = x_k + 2*sum_{i != k} x_i, bound_k = 2/r_k; a sum past the
     # float range is inf, which lies above every bound
     with np.errstate(over="ignore"):
-        lhs = 2.0 * arr.sum() - arr
-    bound = 2.0 / rates.values
-    if region is RegionKind.MBAR1:
-        return bool(np.all(lhs <= bound))
-    return bool(np.all(lhs >= bound))
+        lhs = 2.0 * x.sum(axis=-1, keepdims=True) - x
+    bound = 2.0 / theta
+    return np.where(mbar1, np.all(lhs <= bound, axis=-1), np.all(lhs >= bound, axis=-1))
+
+
+def _state_rows(rates: Rates, x) -> tuple[np.ndarray, bool]:
+    # x validated as states, as rows of shape (k, n), and whether it came as rows
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 2:
+        return as_state(arr, rates.n)[None], False
+    if arr.shape[1] != rates.n:
+        raise DimensionMismatch(f"states have shape {arr.shape}, expected (k, {rates.n})")
+    return as_state(arr.ravel()).reshape(arr.shape), True
 
 
 def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
@@ -176,15 +193,11 @@ def classify_fate(rates: Rates, x0, budget: int = DEFAULT_BUDGET) -> FateReport 
     condition r_k s = 1, or above about 7e10) can be missed, and the orbit
     then steps on.
     """
-    arr = np.asarray(x0, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] != rates.n:
-        raise DimensionMismatch(f"starts have shape {arr.shape}, expected (k, {rates.n})")
-    rows = as_state(arr.ravel()).reshape(arr.shape) if arr.ndim == 2 else as_state(arr, rates.n)[None]
-    reports = [
-        FateReport(outcome, steps, _readonly(final), evidence, mask)
-        for outcome, evidence, steps, final, mask in zip(*_fates(rates, rows, budget))
-    ]
-    return reports if arr.ndim == 2 else reports[0]
+    rows, stacked = _state_rows(rates, x0)
+    outcomes, evidence, steps, final, masks = _fates(rates, rows, budget)
+    final.flags.writeable = False  # each report's final state is a read-only row view of it
+    reports = list(map(FateReport, outcomes, steps, final, evidence, masks))
+    return reports if stacked else reports[0]
 
 
 # Outcome and evidence of each stopping rule, in the order a fate checks

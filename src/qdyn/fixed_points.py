@@ -77,7 +77,8 @@ def _support_bits(masks: Sequence[int], n: int) -> np.ndarray:
 
 def _points(theta: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates and residuals |H(x) - x|_inf, one row per row of support
-    bits (1 where the coordinate is in the support).
+    bits (1 where the coordinate is in the support), under one rate vector
+    or one rate row per row of bits (theta of shape (n,) or (k, n)).
 
     The nonzero coordinates are the reduced form of the Cramer solution on
     the support, 4*sum_S(1/r) - (4m - 2)/r_k over 2m - 1 for a support S of
@@ -85,14 +86,14 @@ def _points(theta: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray
     large subsystems).  Supports of one size are solved in one broadcast, so
     each row's sums are the ones a 1-d solve on that support would give.
     """
-    sizes = bits.sum(axis=1)
+    sizes, rates = bits.sum(axis=1), np.broadcast_to(theta, bits.shape)
     coords = np.zeros(bits.shape)
     for m in set(sizes.tolist()) - {0}:  # the origin's row stays zero
         rows = np.nonzero(sizes == m)[0]
-        idx = np.nonzero(bits[rows])[1].reshape(rows.size, m)
-        recip = 1.0 / theta[idx]
+        at = rows[:, None], np.nonzero(bits[rows])[1].reshape(rows.size, m)
+        recip = 1.0 / rates[at]
         # a singleton is the plain 2/r case, exact also where 1/r is subnormal
-        coords[rows[:, None], idx] = 2.0 / theta[idx] if m == 1 else (
+        coords[at] = 2.0 / rates[at] if m == 1 else (
             (4.0 * recip.sum(axis=1, keepdims=True) - (4.0 * m - 2.0) * recip) / (2.0 * m - 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
         # extreme rates can overflow the step, and the residual is then inf or nan

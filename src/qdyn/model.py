@@ -22,12 +22,6 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError
 
 
-def _readonly(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class Rates:
     """Strictly positive rate vector of length >= 2."""
@@ -48,7 +42,9 @@ class Rates:
         # points; Python floats overflow to inf without a warning
         if not math.isfinite(4.0 * values.size * sum(1.0 / r for r in values.tolist())):
             raise DomainError("rates too small: 4*n*sum(1/r_k) overflows")
-        object.__setattr__(self, "values", _readonly(values))
+        values = values.copy()  # read-only, so that no caller can change it
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -97,10 +93,16 @@ def jacobian(rates: Rates, x) -> np.ndarray:
         raise DimensionMismatch(f"state has shape {arr.shape}, expected ({rates.n},) or (k, {rates.n})")
     if not np.all(np.isfinite(arr)):
         raise DomainError("state must be finite")
-    rows = arr.reshape(-1, rates.n)
-    diag = np.arange(rates.n)
+    return _jacobian(rates.values, arr.reshape(-1, rates.n)).reshape(arr.shape + (rates.n,))
+
+
+def _jacobian(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # The Jacobians at the rows of a (k, n) stack, under one rate vector or
+    # one rate row per state (theta of shape (n,) or (k, n)).
+    n = rows.shape[1]
+    diag = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
         # entries past the float range become inf; the eigensolver rejects them
-        jac = np.repeat((rates.values * rows)[:, :, None], rates.n, axis=2)
-        jac[:, diag, diag] = rates.values * rows.sum(axis=1, keepdims=True)
-    return jac.reshape(arr.shape + (rates.n,))
+        jac = np.repeat((theta * rows)[:, :, None], n, axis=2)
+        jac[:, diag, diag] = theta * rows.sum(axis=1, keepdims=True)
+    return jac

@@ -34,6 +34,7 @@ TAU_UNIT = 1e-9  # half-width of the modulus band treated as "on the unit circle
 NONHYP_REL_TOL = 1e-12  # relative tolerance for the nonhyperbolicity certificate
 # rows per Jacobian stack, so a table of any size is built and solved in
 # stacks of at most 13 MB at n = 20; 2^12, so a verify table is one stack
+# and a verify chunk is _STACK_ROWS // 2^n draws
 _STACK_ROWS = 4096
 
 
@@ -78,11 +79,16 @@ def spectrum_at(rates: Rates, point, jac=None) -> np.ndarray:
     per stack of at most _STACK_ROWS rows.  `jac` is the Jacobian (stack) at
     `point` when the caller has built it, and is solved as one stack.
     """
+    spectra = [sorted_spectrum(_eigvals(stack)) for stack in _stacks(rates, point, jac)]
+    return spectra[0] if len(spectra) == 1 else np.concatenate(spectra)
+
+
+def _eigvals(stack: np.ndarray) -> np.ndarray:
+    # the unsorted eigenvalues of a Jacobian stack, from one solver call
     try:
-        spectra = [sorted_spectrum(np.linalg.eigvals(stack)) for stack in _stacks(rates, point, jac)]
+        return np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
-    return spectra[0] if len(spectra) == 1 else np.concatenate(spectra)
 
 
 def classify(eigenvalues, tol: float = TAU_UNIT):
@@ -94,26 +100,30 @@ def classify(eigenvalues, tol: float = TAU_UNIT):
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    mods = np.abs(np.asarray(eigenvalues, dtype=complex))
-    rows = np.atleast_2d(mods)
-    size = rows.shape[-1]
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    columns = _classes(np.atleast_2d(eigenvalues), tol)
+    classes = [StabilityClass(*row) for row in zip(*(column.tolist() for column in columns))]
+    return classes if eigenvalues.ndim > 1 else classes[0]
+
+
+# a spectrum's tag is the first of these whose condition on its counts holds
+_TAGS = np.array([StabilityTag.NONHYPERBOLIC, StabilityTag.ATTRACTING, StabilityTag.REPELLING,
+                  StabilityTag.SADDLE], dtype=object)
+
+
+def _classes(spectra: np.ndarray, tol: float) -> tuple:
+    """The fields of `StabilityClass` for a stack of spectra, one per row,
+    as columns: the tags (an object array) and the counts inside, outside
+    and on the unit circle."""
+    mods = np.abs(spectra)
+    size = mods.shape[-1]
     if size == 0:
         raise DomainError("empty spectrum")
-    on_units = np.sum(np.abs(rows - 1.0) <= tol, axis=-1).tolist()
-    insides = np.sum(rows < 1.0 - tol, axis=-1).tolist()
-    outsides = np.sum(rows > 1.0 + tol, axis=-1).tolist()
-    classes = []
-    for inside, outside, on_unit in zip(insides, outsides, on_units):
-        if on_unit > 0:
-            tag = StabilityTag.NONHYPERBOLIC
-        elif inside == size:
-            tag = StabilityTag.ATTRACTING
-        elif outside == size:
-            tag = StabilityTag.REPELLING
-        else:
-            tag = StabilityTag.SADDLE
-        classes.append(StabilityClass(tag, inside, outside, on_unit))
-    return classes if mods.ndim > 1 else classes[0]
+    on_unit = np.sum(np.abs(mods - 1.0) <= tol, axis=-1)
+    inside = np.sum(mods < 1.0 - tol, axis=-1)
+    outside = np.sum(mods > 1.0 + tol, axis=-1)
+    tags = _TAGS[np.select([on_unit > 0, inside == size, outside == size], [0, 1, 2], 3)]
+    return tags, inside, outside, on_unit
 
 
 def eigenvalue_two_residual(rates: Rates, point, jac=None):
@@ -126,13 +136,19 @@ def eigenvalue_two_residual(rates: Rates, point, jac=None):
     """
     residuals = []
     for stack in _stacks(rates, point, jac):
-        norms = np.max(np.sum(np.abs(stack), axis=-1), axis=-1)
-        if np.any(norms == 0.0):
-            raise DomainError("null Jacobian: the eigenvalue-2 identity excludes the origin")
-        dets = np.abs(np.linalg.det(stack - 2.0 * np.eye(rates.n)))
-        # Python's float power: numpy's array power can differ in the last bit
-        residuals += [det / norm**rates.n for det, norm in zip(np.ravel(dets).tolist(), np.ravel(norms).tolist())]
+        residuals += _eig2_residuals(stack)
     return residuals if stack.ndim > 2 else residuals[0]
+
+
+def _eig2_residuals(stack: np.ndarray) -> list[float]:
+    # the residual of each Jacobian of a stack, from one determinant call
+    n = stack.shape[-1]
+    norms = np.max(np.sum(np.abs(stack), axis=-1), axis=-1)
+    if np.any(norms == 0.0):
+        raise DomainError("null Jacobian: the eigenvalue-2 identity excludes the origin")
+    dets = np.abs(np.linalg.det(stack - 2.0 * np.eye(n)))
+    # Python's float power: numpy's array power can differ in the last bit
+    return [det / norm**n for det, norm in zip(np.ravel(dets).tolist(), np.ravel(norms).tolist())]
 
 
 def nonhyperbolic_condition(rates: Rates, support: SupportMask) -> bool:

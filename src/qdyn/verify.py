@@ -6,6 +6,14 @@ reproducible across platforms and numpy versions.  Each draw is checked
 for: fixed-point count and residuals, the eigenvalue-2 identity at every
 non-origin fixed point, the origin being the only attractor, and one-step
 invariance plus monotonicity of the MBAR regions.
+
+Draws are checked in chunks of one Jacobian stack: the 2^n-point tables of
+_STACK_ROWS // 2^n draws are one table, with one Jacobian build, one
+eigensolver call and one determinant call, and the chunk's uniforms come
+from one call to the generator, which hands them out in the order that draw
+after draw would take them.  Each draw's metrics, and the summary folded
+from them in draw order, are bit for bit those of checking one draw at a
+time.
 """
 
 from __future__ import annotations
@@ -14,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RegionKind, region_membership
+from .dynamics import RegionKind, _in_region
 from .errors import DomainError
-from .fixed_points import _all_supports, _points
-from .model import Rates, apply, jacobian
-from .stability import StabilityTag, classify, eigenvalue_two_residual, spectrum_at
+from .fixed_points import _points, _support_bits
+from .model import Rates, _jacobian, _step
+from .stability import _STACK_ROWS, TAU_UNIT, StabilityTag, _classes, _eig2_residuals, _eigvals
 
 RATE_LOW = 0.05
 RATE_HIGH = 3.0
@@ -69,7 +77,12 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def sample_rates(rng: np.random.Generator, n: int) -> Rates:
     """Uniform draw from (RATE_LOW, RATE_HIGH]^n."""
-    return Rates(RATE_HIGH - (RATE_HIGH - RATE_LOW) * rng.random(n))
+    return Rates(_rate_values(rng.random(n)))
+
+
+def _rate_values(uniforms: np.ndarray) -> np.ndarray:
+    # uniforms on [0, 1) to rates on (RATE_LOW, RATE_HIGH]
+    return RATE_HIGH - (RATE_HIGH - RATE_LOW) * uniforms
 
 
 def sample_in_region(rng: np.random.Generator, rates: Rates, region: RegionKind) -> np.ndarray:
@@ -78,60 +91,67 @@ def sample_in_region(rng: np.random.Generator, rates: Rates, region: RegionKind)
     Along a random direction u (sum 1), the scale s satisfies all MBAR1
     constraints iff s <= min_k 2/(r_k*(2 - u_k)); MBAR2 flips the bound.
     """
+    return _region_points(rates.values, rng.random(rates.n + 1), region is RegionKind.MBAR1)
+
+
+def _region_points(theta: np.ndarray, uniforms: np.ndarray, mbar1) -> np.ndarray:
+    """The points of `sample_in_region` from n + 1 uniforms each (on the last
+    axis of `uniforms`, theta broadcast against it): inside MBAR1 where
+    `mbar1` is True, else inside MBAR2."""
     # a uniform direction on the simplex: exponentials via inverse CDF on
     # (0, 1], normalized to sum 1
-    e = -np.log(1.0 - rng.random(rates.n))
-    u = e / e.sum()
-    critical = 2.0 / (rates.values * (2.0 - u))
-    if region is RegionKind.MBAR1:
-        s = float(critical.min()) * rng.random()
-    else:
-        s = float(critical.max()) * (1.0 + 2.0 * rng.random())
-    return s * u
+    e = -np.log(1.0 - uniforms[..., :-1])
+    u = e / e.sum(axis=-1, keepdims=True)
+    critical = 2.0 / (theta * (2.0 - u))
+    scale = uniforms[..., -1]
+    s = np.where(mbar1, critical.min(axis=-1) * scale, critical.max(axis=-1) * (1.0 + 2.0 * scale))
+    return s[..., None] * u
 
 
-def _check_one_trial(rates: Rates, rng: np.random.Generator) -> dict[str, float]:
-    """Worst-case metric per check name (a key of CHECK_TOLERANCES) for a
-    single rate draw; everything is 0-or-positive, bigger is worse."""
-    bits = _all_supports(rates)
-    coords, residuals = _points(rates.values, bits)
+def _check_draws(theta: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per check (in CHECK_TOLERANCES order), the worst metric of each draw
+    whose rates are a row of theta (shape (k, n)); `uniforms` holds the
+    n + 1 uniforms of each of its region samples (shape (k, 2 *
+    POINTS_PER_REGION, n + 1)).  Everything is 0-or-positive, bigger is
+    worse."""
+    k, n = theta.shape
+    size = 1 << n
+    # the draws' tables one after the other, each its 2^n points by mask
+    bits = np.tile(_support_bits(np.arange(size), n), (k, 1))
+    rate_rows = np.repeat(theta, size, axis=0)
+    coords, residuals = _points(rate_rows, bits)
     # a zero inside a support repeats the point of a smaller support, so the
     # 2^n points are distinct exactly when no row's nonzero set differs from
     # its support
-    count_err = float(np.count_nonzero(np.any((coords != 0.0) != (bits == 1), axis=1)))
-    residual = float(np.max(residuals / np.maximum(1.0, np.max(np.abs(coords), axis=1))))
+    count_err = np.any((coords != 0.0) != (bits == 1), axis=1).reshape(k, size).sum(axis=1).astype(float)
+    residual = (residuals / np.maximum(1.0, np.max(np.abs(coords), axis=1))).reshape(k, size).max(axis=1)
 
-    # the table's one Jacobian stack (n <= 12), shared by spectra and
-    # residuals; row 0 is the origin, the only point without the eigenvalue 2
-    jacs = jacobian(rates, coords)
-    spectra = spectrum_at(rates, coords, jacs)
-    eig_resid = max(eigenvalue_two_residual(rates, coords[1:], jacs[1:]))
-    eig_dist = float(np.max(np.min(np.abs(spectra[1:] - 2.0), axis=1)))
-    attracting = [cls.tag is StabilityTag.ATTRACTING for cls in classify(spectra)]
-    attracting_err = float((not attracting[0]) + sum(attracting[1:]))
+    # one Jacobian stack, shared by spectra and residuals; row 0 of each
+    # table is the origin, the only point without the eigenvalue 2
+    jacs = _jacobian(rate_rows, coords)
+    spectra = _eigvals(jacs)
+    eig_dist = np.abs(spectra - 2.0).min(axis=1).reshape(k, size)[:, 1:].max(axis=1)
+    eig_resid = np.reshape(_eig2_residuals(jacs.reshape(k, size, n, n)[:, 1:]), (k, size - 1)).max(axis=1)
+    attracting = (_classes(spectra, TAU_UNIT)[0] == StabilityTag.ATTRACTING).reshape(k, size)
+    attracting_err = (~attracting[:, 0] + attracting[:, 1:].sum(axis=1)).astype(float)
 
-    region_err = 0.0
-    for region in (RegionKind.MBAR1, RegionKind.MBAR2):
-        for _ in range(POINTS_PER_REGION):
-            x = sample_in_region(rng, rates, region)
-            x_next = apply(rates, x)
-            if not region_membership(rates, x_next, region):
-                region_err += 1.0
-            diff = x_next - x if region is RegionKind.MBAR1 else x - x_next
-            region_err = max(region_err, float(np.max(diff)))
-    return {
-        "fixed-point residual (relative)": residual,
-        "fixed-point count == 2^n": count_err,
-        "eigenvalue-2 distance min |lam - 2|": eig_dist,
-        "eigenvalue-2 residual |det(J - 2I)| / ||J||^n": eig_resid,
-        "attracting only at the origin": attracting_err,
-        "MBAR one-step invariance and monotonicity": region_err,
-    }
+    # each draw's samples: POINTS_PER_REGION in MBAR1, then as many in MBAR2
+    mbar1 = np.arange(2 * POINTS_PER_REGION) < POINTS_PER_REGION
+    x = _region_points(theta[:, None], uniforms, mbar1)
+    x_next = _step(theta[:, None], x)
+    missed = ~_in_region(theta[:, None], x_next, mbar1)
+    moved = np.where(mbar1[:, None], x_next - x, x - x_next).max(axis=2)
+    region_err = np.zeros(k)
+    for miss, worst in zip(missed.T, moved.T):  # in sample order, as one draw at a time counts them
+        region_err += miss
+        region_err = np.where(worst > region_err, worst, region_err)
+    return residual, count_err, eig_dist, eig_resid, attracting_err, region_err
 
 
 def verification_sweep(n: int, trials: int, seed: int) -> VerificationSummary:
     """Run all randomized checks over `trials` seeded rate draws at
-    dimension 2 <= n <= 12, whose 2^n fixed points are one Jacobian stack."""
+    dimension 2 <= n <= 12, in chunks of _STACK_ROWS // 2^n draws whose
+    fixed points are one Jacobian stack."""
     if not 2 <= n <= 12:
         raise DomainError(f"verify requires 2 <= n <= 12, got n = {n}")
     if trials < 1:
@@ -141,12 +161,18 @@ def verification_sweep(n: int, trials: int, seed: int) -> VerificationSummary:
     worsts = dict.fromkeys(CHECK_TOLERANCES, 0.0)
     failures: dict[str, list[str]] = {name: [] for name in CHECK_TOLERANCES}
 
-    for _ in range(trials):
-        rates = sample_rates(rng, n)
-        for name, value in _check_one_trial(rates, rng).items():
-            worsts[name] = max(worsts[name], value)
-            if value > CHECK_TOLERANCES[name] and len(failures[name]) < 5:
-                failures[name].append(repr(rates.values.tolist()))
+    chunk = _STACK_ROWS >> n
+    for start in range(0, trials, chunk):
+        k = min(chunk, trials - start)
+        # each draw takes n uniforms for its rates, then n + 1 per region sample
+        uniforms = rng.random((k, n + 2 * POINTS_PER_REGION * (n + 1)))
+        theta = _rate_values(uniforms[:, :n])
+        metrics = _check_draws(theta, uniforms[:, n:].reshape(k, -1, n + 1))
+        for name, values in zip(CHECK_TOLERANCES, metrics):
+            # the fold of one draw at a time: Python's max, draw after draw
+            worsts[name] = max(worsts[name], *values.tolist())
+            offenders = np.flatnonzero(values > CHECK_TOLERANCES[name])[:5 - len(failures[name])]
+            failures[name] += [repr(theta[i].tolist()) for i in offenders]
 
     checks = tuple(
         CheckResult(name, worsts[name], tol, worsts[name] <= tol, tuple(failures[name]))

@@ -1,8 +1,8 @@
 """Shared oracles for the test suite: finite differences, brute-force fixed
 point search, stable quadratic roots, feasible-rate sampling, the fate
 kernel run against a table of every feasible nonzero fixed point, the
-50-digit spectrum at a fixed point, and the closed-form interior spectra
-for n = 2 and n = 3."""
+50-digit spectrum at a fixed point, the verify sweep one draw at a time,
+and the closed-form interior spectra for n = 2 and n = 3."""
 
 from __future__ import annotations
 
@@ -14,12 +14,18 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from qdyn import DimensionMismatch, Rates, interior_fixed_point, jacobian
+from qdyn import (
+    DimensionMismatch, Rates, RegionKind, StabilityTag, apply, classify, eigenvalue_two_residual,
+    interior_fixed_point, jacobian, region_membership, spectrum_at,
+)
 from qdyn.dynamics import (
     _EVIDENCE, _OUTCOMES, _OVERFLOW, EPS_CONV, PROXIMITY_RTOL, R_ESCAPE, REGION_MARGIN,
 )
 from qdyn.fixed_points import _all_supports, _points
 from qdyn.model import _step
+from qdyn.verify import (
+    CHECK_TOLERANCES, POINTS_PER_REGION, CheckResult, VerificationSummary, make_rng, sample_in_region, sample_rates,
+)
 
 
 def fd_jacobian(rates: Rates, x, h: float = 1e-6) -> np.ndarray:
@@ -161,6 +167,60 @@ def table_fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
                 if not rows.size:
                     break
     return _OUTCOMES[rule], _EVIDENCE[rule], steps_used.tolist(), final, [None if m < 0 else m for m in mask.tolist()]
+
+
+def check_one_trial(rates: Rates, rng: np.random.Generator) -> dict[str, float]:
+    """Worst-case metric per check name (a key of CHECK_TOLERANCES) for a
+    single rate draw, through the public per-draw calls; the sweep's checks
+    before they were made in chunks of draws."""
+    bits = _all_supports(rates)
+    coords, residuals = _points(rates.values, bits)
+    count_err = float(np.count_nonzero(np.any((coords != 0.0) != (bits == 1), axis=1)))
+    residual = float(np.max(residuals / np.maximum(1.0, np.max(np.abs(coords), axis=1))))
+
+    jacs = jacobian(rates, coords)
+    spectra = spectrum_at(rates, coords, jacs)
+    eig_resid = max(eigenvalue_two_residual(rates, coords[1:], jacs[1:]))
+    eig_dist = float(np.max(np.min(np.abs(spectra[1:] - 2.0), axis=1)))
+    attracting = [cls.tag is StabilityTag.ATTRACTING for cls in classify(spectra)]
+    attracting_err = float((not attracting[0]) + sum(attracting[1:]))
+
+    region_err = 0.0
+    for region in (RegionKind.MBAR1, RegionKind.MBAR2):
+        for _ in range(POINTS_PER_REGION):
+            x = sample_in_region(rng, rates, region)
+            x_next = apply(rates, x)
+            if not region_membership(rates, x_next, region):
+                region_err += 1.0
+            diff = x_next - x if region is RegionKind.MBAR1 else x - x_next
+            region_err = max(region_err, float(np.max(diff)))
+    return dict(zip(CHECK_TOLERANCES, (residual, count_err, eig_dist, eig_resid, attracting_err, region_err)))
+
+
+def sweep_draws(n: int, trials: int, seed: int) -> list[tuple[str, dict[str, float]]]:
+    """The sweep's rate draws (as the summary prints them) and their
+    `check_one_trial` metrics, one draw at a time, in draw order."""
+    rng = make_rng(seed)
+    draws = []
+    for _ in range(trials):
+        rates = sample_rates(rng, n)
+        draws.append((repr(rates.values.tolist()), check_one_trial(rates, rng)))
+    return draws
+
+
+def sweep_oracle(n: int, trials: int, seed: int) -> VerificationSummary:
+    """The summary `verification_sweep` must give, folded from
+    `sweep_draws` one draw at a time."""
+    worsts = dict.fromkeys(CHECK_TOLERANCES, 0.0)
+    failures: dict[str, list[str]] = {name: [] for name in CHECK_TOLERANCES}
+    for theta, metrics in sweep_draws(n, trials, seed):
+        for name, value in metrics.items():
+            worsts[name] = max(worsts[name], value)
+            if value > CHECK_TOLERANCES[name] and len(failures[name]) < 5:
+                failures[name].append(theta)
+    checks = tuple(CheckResult(name, worsts[name], tol, worsts[name] <= tol, tuple(failures[name]))
+                   for name, tol in CHECK_TOLERANCES.items())
+    return VerificationSummary(n, trials, seed, checks)
 
 
 class RootLocation(enum.Enum):

@@ -18,6 +18,7 @@ from qdyn import (
     eigenvalue_two_residual,
     interior_fixed_point,
     iterate,
+    region_membership,
     spectrum_at,
 )
 from qdyn.dynamics import RegionKind
@@ -136,6 +137,7 @@ def test_criterion_5_region_fates():
         traj = iterate(rates, x, 100_000)
         lhs = 2.0 * traj.sum(axis=1, keepdims=True) - traj
         assert np.all(lhs <= 2.0 / rates.values), "left MBAR1"
+        assert region_membership(rates, traj, RegionKind.MBAR1).all(), "left MBAR1 by region_membership"
         assert np.all(np.diff(traj, axis=0) <= 0.0), "not componentwise decreasing"
         assert np.max(np.abs(traj[-1])) < 1e-12
         worst_steps = max(worst_steps, len(traj) - 1)
@@ -144,6 +146,7 @@ def test_criterion_5_region_fates():
         traj = iterate(rates, x, 100_000)
         lhs = 2.0 * traj.sum(axis=1, keepdims=True) - traj
         assert np.all(lhs >= 2.0 / rates.values), "left MBAR2"
+        assert region_membership(rates, traj, RegionKind.MBAR2).all(), "left MBAR2 by region_membership"
         assert np.all(np.diff(traj, axis=0) >= 0.0), "not componentwise increasing"
         assert np.max(np.abs(traj[-1])) > 1e8
         worst_steps = max(worst_steps, len(traj) - 1)

@@ -769,10 +769,13 @@ def test_golden_stdout(capsys, case):
     # cases were re-recorded when lines began from the closed-form MBAR1 and
     # MBAR2 bracket, and again when each round began to cut a bracket into up
     # to 16 equal parts instead of bisecting it: bracket ends moved, flags
-    # and notes did not.  The last case, basin at (0.4, 0.6) over 0:6:7 with
-    # tol 1e-6, was captured from the retired planar-portrait data script
+    # and notes did not.  The basin case at (0.4, 0.6) over 0:6:7 with tol
+    # 1e-6 was captured from the retired planar-portrait data script
     # (`--grid 2 --boundary-points 7`): its boundary CSV was byte for byte
-    # this stdout, which now stands in for that file.
+    # this stdout, which now stands in for that file.  The two verify cases
+    # after it, n = 8 over 17 draws (JSON) and n = 3 over 600, were captured
+    # before draws were checked in chunks of one Jacobian stack; both cross
+    # a chunk edge (16 draws at n = 8, 512 at n = 3).
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == 0
     assert out == case["stdout"]

@@ -110,6 +110,26 @@ class TestRegionMembership:
         assert not region_membership(rates, [1e308, 1e308], RegionKind.MBAR1)
         assert region_membership(rates, [1e308, 1e308], RegionKind.MBAR2)
 
+    @pytest.mark.parametrize("region", list(RegionKind))
+    def test_rows_give_each_rows_answer(self, region):
+        # a stack gets one bool per row, each the row's own answer: rows on a
+        # face, on an axis, at the bounds, past them and overflowing to inf
+        rates = Rates([0.4, 0.6, 1.5])
+        rows = np.array([
+            [0.1, 0.0, 0.2], [0.0, 0.0, 0.1], [0.0, 3.0, 0.0], [5.0, 0.0, 0.0], [1e308, 1e308, 0.0],
+            [0.0, 0.0, 2.0 / 1.5], [2.0, 2.0, 2.0], [0.0, 0.0, 0.0], [1e-300, 0.0, 1e308], [0.3, 0.2, 0.1],
+        ])
+        answers = region_membership(rates, rows, region)
+        assert answers.dtype == bool and answers.shape == (len(rows),)
+        assert answers.tolist() == [region_membership(rates, x, region) for x in rows]
+        assert set(answers.tolist()) == {False, True}
+        assert region_membership(rates, rows[:0], region).shape == (0,)
+
+    @pytest.mark.parametrize("rows", [[[0.1, 0.1, 0.1]], [[0.1, -0.1]], [[0.1, float("nan")]]])
+    def test_rows_are_validated(self, rates_04_06, rows):
+        with pytest.raises((DimensionMismatch, DomainError)):
+            region_membership(rates_04_06, rows, RegionKind.MBAR1)
+
     def test_invariance_sweep(self):
         # one map application keeps membership of MBAR1 and MBAR2 at n = 2..6
         rng = make_rng(21)
@@ -307,6 +327,18 @@ class TestFateKernel:
         assert [r.outcome for r in classify_fate(rates_04_06, [[0.1, 0.1], [3.0, 3.0]])] == [
             FateOutcome.TO_ORIGIN, FateOutcome.TO_INFINITY,
         ]
+
+    def test_final_states_are_read_only(self, rates_04_06):
+        # each report's final state is a row view of one read-only array, and
+        # refuses to be made writeable again
+        one = classify_fate(rates_04_06, [0.1, 0.1])
+        reports = classify_fate(rates_04_06, np.array([[0.1, 0.1], [3.0, 3.0], [1.0, 1.5]]))
+        for state in [one.final_state] + [r.final_state for r in reports]:
+            assert not state.flags.writeable
+            with pytest.raises(ValueError):
+                state.flags.writeable = True
+            with pytest.raises(ValueError):
+                state[0] = 0.0
 
     @pytest.mark.parametrize("starts", [[[0.1, 0.1, 0.1]], [[0.1, -0.1]], [[0.1, float("nan")]]])
     def test_rows_are_validated(self, rates_04_06, starts):

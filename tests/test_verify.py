@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qdyn import DomainError, Rates, RegionKind, region_membership
-from qdyn.verify import CHECK_TOLERANCES, _check_one_trial, make_rng, sample_in_region, sample_rates, verification_sweep
+from qdyn import DomainError, RegionKind, region_membership
+from qdyn.verify import (
+    CHECK_TOLERANCES, POINTS_PER_REGION, _check_draws, make_rng, sample_in_region, sample_rates, verification_sweep,
+)
+from helpers import check_one_trial, sweep_draws, sweep_oracle
 
 
 def test_sample_rates_in_open_closed_interval():
@@ -31,7 +36,7 @@ def test_sweep_summary_shape_and_pass():
 
 def test_trial_metrics_are_named_by_the_checks():
     rng = make_rng(5)
-    metrics = _check_one_trial(sample_rates(rng, 3), rng)
+    metrics = check_one_trial(sample_rates(rng, 3), rng)
     assert list(metrics) == list(CHECK_TOLERANCES)
     summary = verification_sweep(n=3, trials=2, seed=5)
     assert [(c.name, c.tolerance) for c in summary.checks] == list(CHECK_TOLERANCES.items())
@@ -39,26 +44,38 @@ def test_trial_metrics_are_named_by_the_checks():
 
 def test_count_check_sees_a_repeated_point():
     # rates (1, 2): the full support solves to (0, 1), the point of support
-    # {1}, so only 3 of the 4 algebraic points are distinct
-    metrics = _check_one_trial(Rates([1.0, 2.0]), make_rng(0))
-    assert metrics["fixed-point count == 2^n"] == 1.0
-    metrics = _check_one_trial(Rates([1.0, 1.5]), make_rng(0))
-    assert metrics["fixed-point count == 2^n"] == 0.0
+    # {1}, so only 3 of the 4 algebraic points are distinct; the chunk's other
+    # draw, (1, 1.5), has 4
+    uniforms = make_rng(0).random((2, 2 * POINTS_PER_REGION, 3))
+    metrics = dict(zip(CHECK_TOLERANCES, _check_draws(np.array([[1.0, 2.0], [1.0, 1.5]]), uniforms)))
+    assert metrics["fixed-point count == 2^n"].tolist() == [1.0, 0.0]
 
 
-def _draws(n, trials, seed):
-    # the sweep's rate draws and trial metrics, in draw order
-    rng = make_rng(seed)
-    draws = []
-    for _ in range(trials):
-        rates = sample_rates(rng, n)
-        draws.append((repr(rates.values.tolist()), _check_one_trial(rates, rng)))
-    return draws
+# (n, trials): every n with a few draws, then draw counts on both sides of a
+# chunk edge (16 draws a chunk at n = 8, 512 at n = 3, 1 at n = 12)
+EDGES = [(n, 3) for n in range(2, 10)] + [(10, 2), (11, 2), (12, 2)] + [
+    (8, 15), (8, 16), (8, 17), (8, 33), (3, 511), (3, 512), (3, 513)]
+
+
+@pytest.mark.parametrize("n, trials", EDGES)
+def test_sweep_equals_the_draw_by_draw_oracle(n, trials):
+    seed = 1000 * n + trials
+    assert verification_sweep(n, trials, seed) == sweep_oracle(n, trials, seed)
+
+
+@pytest.mark.parametrize("n, trials", [(2, 7), (8, 17), (3, 513), (12, 2)])
+def test_every_draw_offending_keeps_the_first_five_in_draw_order(monkeypatch, n, trials):
+    for name in CHECK_TOLERANCES:
+        monkeypatch.setitem(CHECK_TOLERANCES, name, -1.0)
+    summary = verification_sweep(n, trials, 3)
+    assert summary == sweep_oracle(n, trials, 3)
+    firsts = tuple(theta for theta, _ in sweep_draws(n, min(trials, 5), 3))
+    assert all(not c.passed and c.failures == firsts for c in summary.checks)
 
 
 def test_sweep_records_the_first_five_failures(monkeypatch):
     name = "eigenvalue-2 distance min |lam - 2|"
-    draws = _draws(3, 20, 17)
+    draws = sweep_draws(3, 20, 17)
     tol = float(np.median([metrics[name] for _, metrics in draws]))
     offenders = [theta for theta, metrics in draws if metrics[name] > tol]
     assert 5 < len(offenders) < len(draws)
@@ -76,9 +93,8 @@ def test_sweep_counts_each_region_miss(monkeypatch):
     from qdyn import verify
 
     name = "MBAR one-step invariance and monotonicity"
-    monkeypatch.setattr(verify, "region_membership", lambda rates, x, region: False)
-    draws = _draws(3, 7, 17)
-    assert [metrics[name] for _, metrics in draws] == [4.0] * 7
+    draws = sweep_draws(3, 7, 17)
+    monkeypatch.setattr(verify, "_in_region", lambda theta, x, mbar1: np.zeros(x.shape[:-1], dtype=bool))
     summary = verification_sweep(3, 7, 17)
     assert not summary.passed
     check = next(c for c in summary.checks if c.name == name)
@@ -86,32 +102,62 @@ def test_sweep_counts_each_region_miss(monkeypatch):
     assert check.failures == tuple(theta for theta, _ in draws[:5])
 
 
-def test_one_jacobian_stack_per_trial(monkeypatch):
-    # the whole table of 2^n points gets its Jacobians in one build, shared
-    # by the spectra and the eigenvalue-2 residuals
+def test_one_jacobian_stack_per_chunk(monkeypatch):
+    # a chunk's tables get their Jacobians in one build of at most
+    # _STACK_ROWS rows, and the spectra and the eigenvalue-2 residuals are
+    # one solver call and one determinant call on that stack
     from qdyn import model, stability, verify
 
-    stacks = []
+    built, solved, residuals = [], [], []
 
-    def counted(rates, x):
-        stacks.append(len(x))
-        return model.jacobian(rates, x)
+    def counted(theta, rows):
+        built.append(model._jacobian(theta, rows))
+        return built[-1]
+
+    def on_the_stack(calls, fn):
+        def call(stack):
+            assert np.shares_memory(stack, built[-1])
+            calls.append(stack.size // stack.shape[-1] ** 2)
+            return fn(stack)
+        return call
 
     def rebuilt(*args):
         raise AssertionError("Jacobian built again inside stability")
 
-    monkeypatch.setattr(verify, "jacobian", counted)
+    monkeypatch.setattr(verify, "_jacobian", counted)
+    monkeypatch.setattr(verify, "_eigvals", on_the_stack(solved, stability._eigvals))
+    monkeypatch.setattr(verify, "_eig2_residuals", on_the_stack(residuals, stability._eig2_residuals))
     monkeypatch.setattr(stability, "jacobian", rebuilt)
     assert verification_sweep(4, 2, 0).passed
-    assert stacks == [16, 16]
+    assert verification_sweep(8, 33, 0).passed
+    assert [len(jac) for jac in built] == [32, 4096, 4096, 256]
+    assert solved == [32, 4096, 4096, 256]
+    assert residuals == [30, 4080, 4080, 255]  # all but each table's origin
+    assert max(solved) <= stability._STACK_ROWS
 
 
 def test_every_accepted_table_is_one_jacobian_stack():
-    # verification_sweep takes n <= 12, so the one Jacobian stack a trial
-    # builds for its 2^n points stays within the bound `stability` keeps
+    # verification_sweep takes n <= 12, so a chunk holds one draw at least:
+    # the Jacobian stack of its 2^n points stays within the bound
+    # `stability` keeps
     from qdyn import stability
 
     assert 2**12 <= stability._STACK_ROWS
+
+
+def test_memory_does_not_grow_with_the_draw_count():
+    # 600 draws at n = 3 are two chunks, 5000 are ten: no array grows with
+    # the draws, so the peak stays that of one chunk
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            verification_sweep(3, trials, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    verification_sweep(3, 600, 0)  # first-call allocations are not the sweep's
+    assert peak(5000) <= 1.5 * peak(600)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 2**200])
