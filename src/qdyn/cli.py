@@ -29,14 +29,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import DEFAULT_BUDGET, basin_boundary, classify_fate, iterate
+from .dynamics import DEFAULT_BISECT_TOL, DEFAULT_BUDGET, basin_boundary, classify_fate, iterate
 from .errors import QdynError
 from .fixed_points import SupportMask, _all_supports, _points
 from .model import Rates
-from .stability import TAU_UNIT, classify, spectrum_at
+from .stability import TAU_UNIT, _classes, spectrum_at
 from .verify import verification_sweep
-
-DEFAULT_BISECT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ def _points_output(cfg: RunConfig, rates: Rates, masks: Iterable[int], bits: np.
     # one JSON record or CSV row per support, read off the columns of the fixed-point table
     coords, residual = _points(rates.values, bits)
     spectra = spectrum_at(rates, coords)
-    classes = classify(spectra, cfg.tau_unit)
+    tags, inside, outside, on_unit = _classes(spectra, cfg.tau_unit)
     feasible = np.all(coords >= 0.0, axis=1).tolist()
     pairs = np.stack([spectra.real, spectra.imag], axis=-1)
     if cfg.format == "json":
@@ -170,17 +168,17 @@ def _points_output(cfg: RunConfig, rates: Rates, masks: Iterable[int], bits: np.
         records = map(
             _RECORD.format, _column(list(masks), 0), _column(bits.tolist(), 1), _column(coords.tolist(), 1),
             _column(feasible, 0), _column(residual.tolist(), 0), _column(pairs.tolist(), 2),
-            *(_column(col, 0) for col in zip(*[(c.tag.value, c.inside, c.outside, c.on_unit) for c in classes])),
+            _column([tag.value for tag in tags], 0), *(_column(col.tolist(), 0) for col in (inside, outside, on_unit)),
         )
         head = json.dumps({"theta": rates.values.tolist(), "n": rates.n}, indent=2)[:-2]  # less its "\n}"
         return 0, f'{head},\n  "fixed_points": [\n' + ",\n".join(records) + "\n  ]\n}"
     header = ["mask", "support", "feasible", "residual", *(f"x{k + 1}" for k in range(rates.n))]
     header += [f"eig{k + 1}_{part}" for k in range(rates.n) for part in ("re", "im")] + ["class"]
     rows = (
-        [mask, "".join(map(str, support)), str(feasible).lower(), res, *x, *flat, cls.tag.value]
-        for mask, support, x, feasible, res, flat, cls in zip(
+        [mask, "".join(map(str, support)), str(feasible).lower(), res, *x, *flat, tag.value]
+        for mask, support, x, feasible, res, flat, tag in zip(
             masks, bits.tolist(), coords.tolist(), feasible, residual.tolist(),
-            pairs.reshape(len(coords), -1).tolist(), classes,
+            pairs.reshape(len(coords), -1).tolist(), tags,
         )
     )
     return 0, itertools.chain([header], rows)

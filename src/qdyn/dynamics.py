@@ -45,6 +45,7 @@ log = logging.getLogger("qdyn.dynamics")
 EPS_CONV = 1e-12  # inf-norm below which a trajectory counts as collapsed
 R_ESCAPE = 1e8  # inf-norm above which a trajectory counts as escaped
 DEFAULT_BUDGET = 100_000
+DEFAULT_BISECT_TOL = 1e-8  # basin bracket width
 REGION_MARGIN = 1e-12  # strict-interior margin for the region shortcut
 PROXIMITY_RTOL = 1e-11  # fixed-point detection, relative to max(1, |coords|)
 
@@ -102,8 +103,15 @@ def region_membership(rates: Rates, x, region: RegionKind):
     """Non-strict membership of x in MBAR1 or MBAR2, at any n; for states
     given as rows (shape (k, n)), an array with one bool per row."""
     rows, stacked = _state_rows(rates, x)
-    inside = _in_region(rates.values, rows, region is RegionKind.MBAR1)
+    inside = _in_region(rates.values, rows, _is_mbar1(region))
     return inside if stacked else bool(inside[0])
+
+
+def _is_mbar1(region: RegionKind) -> bool:
+    # a region argument as _in_region's flag; anything but a RegionKind is an error
+    if not isinstance(region, RegionKind):
+        raise DomainError(f"region must be a RegionKind, got {region!r}")
+    return region is RegionKind.MBAR1
 
 
 def _in_region(theta: np.ndarray, x: np.ndarray, mbar1) -> np.ndarray:
@@ -325,7 +333,7 @@ def _candidate(theta: np.ndarray, x: np.ndarray, norm: np.ndarray) -> tuple[np.n
     return bits, bits.any(axis=1) & (coords >= 0.0).all(axis=1) & (np.abs(coords - x).max(axis=1) <= radius)
 
 
-def basin_boundary(rates: Rates, x1_grid, tol: float = 1e-8, budget: int = DEFAULT_BUDGET) -> list[BoundarySample]:
+def basin_boundary(rates: Rates, x1_grid, tol: float = DEFAULT_BISECT_TOL, budget: int = DEFAULT_BUDGET) -> list[BoundarySample]:
     """Locate the basin boundary on vertical lines x1 = const (n = 2).
 
     On the line x1 = c the forward-invariant regions are closed-form

@@ -1,13 +1,13 @@
 """Jacobian spectra at fixed points and their classification.
 
 Eigenvalues come from a dense nonsymmetric solver (LAPACK's balancing +
-Hessenberg + shifted-QR path via numpy).  A table of fixed points, given as
-coordinate rows, gets its Jacobians in stacks of at most _STACK_ROWS rows,
-each built only when it is reached; each stack gets its spectra from one
-stacked solver call, sorted row by row into canonical order, and its
-eigenvalue-2 residuals from one stacked determinant.  A table that fits one
-stack costs one Jacobian build and one solver call; a single point is the
-one-row case.
+Hessenberg + shifted-QR path via numpy).  Every Jacobian solved here is
+built here: a table of fixed points, given as coordinate rows, gets its
+Jacobians in stacks of at most _STACK_ROWS rows, each built only when it is
+reached; each stack gets its spectra from one stacked solver call, sorted
+row by row into canonical order, and its eigenvalue-2 residuals from one
+stacked determinant.  A table that fits one stack costs one Jacobian build
+and one solver call; a single point is the one-row case.
 
 Every fixed point except the origin has the eigenvalue 2, so the origin is
 the only attractor; the test suite proves this for every support size m
@@ -61,26 +61,22 @@ def sorted_spectrum(values) -> np.ndarray:
     return np.take_along_axis(v, order, axis=-1)
 
 
-def _stacks(rates: Rates, point, jac):
-    """The Jacobian stacks at `point`: the caller's `jac` as given, else one
-    per _STACK_ROWS coordinate rows (one for a single point), each built
-    only when the caller reaches it."""
+def _stacks(rates: Rates, point):
+    """The Jacobian stacks at `point`: one per _STACK_ROWS coordinate rows
+    (one for a single point), each built only when the caller reaches it."""
     x = point.coords if isinstance(point, FixedPoint) else np.asarray(point, dtype=float)
-    if jac is None and x.ndim > 1 and len(x) > _STACK_ROWS:
-        return (jacobian(rates, x[start:start + _STACK_ROWS]) for start in range(0, len(x), _STACK_ROWS))
-    return [jacobian(rates, x) if jac is None else jac]
+    cuts = range(_STACK_ROWS, len(x) if x.ndim > 1 else 0, _STACK_ROWS)  # a single point is never cut
+    return (jacobian(rates, rows) for rows in np.split(x, cuts))
 
 
-def spectrum_at(rates: Rates, point, jac=None) -> np.ndarray:
+def spectrum_at(rates: Rates, point) -> np.ndarray:
     """All n eigenvalues of the Jacobian at a fixed point, in canonical order.
 
     `point` is a FixedPoint or its coordinates; coordinates given as rows
     (shape (k, n)) get one spectrum per row, from one stacked solver call
-    per stack of at most _STACK_ROWS rows.  `jac` is the Jacobian (stack) at
-    `point` when the caller has built it, and is solved as one stack.
+    per stack of at most _STACK_ROWS rows.
     """
-    spectra = [sorted_spectrum(_eigvals(stack)) for stack in _stacks(rates, point, jac)]
-    return spectra[0] if len(spectra) == 1 else np.concatenate(spectra)
+    return np.concatenate([sorted_spectrum(_eigvals(stack)) for stack in _stacks(rates, point)])
 
 
 def _eigvals(stack: np.ndarray) -> np.ndarray:
@@ -126,18 +122,17 @@ def _classes(spectra: np.ndarray, tol: float) -> tuple:
     return tags, inside, outside, on_unit
 
 
-def eigenvalue_two_residual(rates: Rates, point, jac=None):
+def eigenvalue_two_residual(rates: Rates, point):
     """|det(J - 2I)| at a non-origin fixed point, normalized by ||J||_inf^n.
 
     The determinant vanishes identically at every fixed point except the
     origin; the normalization makes the floating-point residual comparable
-    across dimensions.  `point` and `jac` are as in `spectrum_at`; rows of
-    coordinates get a list with one residual per row.
+    across dimensions.  `point` is as in `spectrum_at`; rows of coordinates
+    get a list with one residual per row.
     """
-    residuals = []
-    for stack in _stacks(rates, point, jac):
-        residuals += _eig2_residuals(stack)
-    return residuals if stack.ndim > 2 else residuals[0]
+    residuals = [residual for stack in _stacks(rates, point) for residual in _eig2_residuals(stack)]
+    # rows (ndim 2) get a list; a point's coordinates (ndim 1) and a FixedPoint (ndim 0) a float
+    return residuals if np.ndim(point) > 1 else residuals[0]
 
 
 def _eig2_residuals(stack: np.ndarray) -> list[float]:

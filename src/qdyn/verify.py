@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RegionKind, _in_region
+from .dynamics import RegionKind, _in_region, _is_mbar1
 from .errors import DomainError
 from .fixed_points import _points, _support_bits
 from .model import Rates, _jacobian, _step
@@ -91,7 +91,7 @@ def sample_in_region(rng: np.random.Generator, rates: Rates, region: RegionKind)
     Along a random direction u (sum 1), the scale s satisfies all MBAR1
     constraints iff s <= min_k 2/(r_k*(2 - u_k)); MBAR2 flips the bound.
     """
-    return _region_points(rates.values, rng.random(rates.n + 1), region is RegionKind.MBAR1)
+    return _region_points(rates.values, rng.random(rates.n + 1), _is_mbar1(region))
 
 
 def _region_points(theta: np.ndarray, uniforms: np.ndarray, mbar1) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from qdyn import (
     DimensionMismatch, Rates, RegionKind, StabilityTag, apply, classify, eigenvalue_two_residual,
-    interior_fixed_point, jacobian, region_membership, spectrum_at,
+    interior_fixed_point, region_membership, spectrum_at,
 )
 from qdyn.dynamics import (
     _EVIDENCE, _OUTCOMES, _OVERFLOW, EPS_CONV, PROXIMITY_RTOL, R_ESCAPE, REGION_MARGIN,
@@ -178,9 +178,8 @@ def check_one_trial(rates: Rates, rng: np.random.Generator) -> dict[str, float]:
     count_err = float(np.count_nonzero(np.any((coords != 0.0) != (bits == 1), axis=1)))
     residual = float(np.max(residuals / np.maximum(1.0, np.max(np.abs(coords), axis=1))))
 
-    jacs = jacobian(rates, coords)
-    spectra = spectrum_at(rates, coords, jacs)
-    eig_resid = max(eigenvalue_two_residual(rates, coords[1:], jacs[1:]))
+    spectra = spectrum_at(rates, coords)
+    eig_resid = max(eigenvalue_two_residual(rates, coords[1:]))
     eig_dist = float(np.max(np.min(np.abs(spectra[1:] - 2.0), axis=1)))
     attracting = [cls.tag is StabilityTag.ATTRACTING for cls in classify(spectra)]
     attracting_err = float((not attracting[0]) + sum(attracting[1:]))

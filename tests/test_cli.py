@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyn import Rates, enumerate_fixed_points
+from qdyn import TAU_UNIT, Rates, classify, enumerate_fixed_points, spectrum_at
 from qdyn.cli import build_parser, main
 
 
@@ -731,10 +731,17 @@ class TestJsonText:
         return text, payload
 
     @settings(max_examples=40, deadline=None)
-    @given(RATE_LISTS)
-    def test_fixed_points_round_trip(self, theta):
-        _, payload = self.json_out("fixed-points", "--theta", ",".join(map(repr, theta)))
+    @given(RATE_LISTS, st.one_of(st.none(), st.floats(1e-14, 1.0)))
+    def test_fixed_points_round_trip(self, theta, tol):
+        flags = [] if tol is None else ["--tol", repr(tol)]
+        _, payload = self.json_out("fixed-points", "--theta", ",".join(map(repr, theta)), *flags)
         assert [rec["mask"] for rec in payload["fixed_points"]] == list(range(2 ** len(theta)))
+        # each record's class is the public classifier's, at the record's own point
+        rates = Rates(theta)
+        for rec in payload["fixed_points"]:
+            cls = classify(spectrum_at(rates, rec["coords"]), TAU_UNIT if tol is None else tol)
+            assert [rec["class"], rec["inside"], rec["outside"], rec["on_unit"]] == [
+                cls.tag.value, cls.inside, cls.outside, cls.on_unit]
 
     @settings(max_examples=40, deadline=None)
     @given(RATE_LISTS.flatmap(lambda theta: st.tuples(st.just(theta), st.lists(

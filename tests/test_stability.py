@@ -204,8 +204,6 @@ class TestStackedSpectra:
             spectra = spectrum_at(rates, coords)
             residuals = eigenvalue_two_residual(rates, coords[1:])
             classes = classify(spectra)
-            assert np.array_equal(spectrum_at(rates, coords, jacs), spectra)
-            assert eigenvalue_two_residual(rates, coords[1:], jacs[1:]) == residuals
             for k, point in enumerate(points):
                 x = point.coords
                 jac = np.repeat((rates.values * x)[:, None], n, axis=1)
@@ -260,13 +258,6 @@ class TestStackedSpectra:
             assert np.array_equal(spectrum_at(rates, point), spectra[7])
             assert eigenvalue_two_residual(rates, point) == residuals[6]
         assert stacks == [0, 0, "point", "point", "point", "point"]
-
-        # a caller's stack is solved as given, never rebuilt or cut
-        stacks.clear()
-        jacs = model.jacobian(rates, coords)
-        assert np.array_equal(spectrum_at(rates, coords, jacs), spectra)
-        assert eigenvalue_two_residual(rates, coords[1:], jacs[1:]) == residuals
-        assert stacks == []
 
     def test_jacobian_rejects_other_shapes(self, rates_04_06):
         for x in (np.zeros((2, 2, 2)), np.zeros((3, 3))):

@@ -249,7 +249,7 @@ class TestSpectralStructure:
         rates, n = Rates(theta), theta.size
         masks, coords = feasible_nonzero_points(rates)
         jac = jacobian(rates, coords)
-        for mask, x, j, spectrum in zip(masks, coords, jac, spectrum_at(rates, coords, jac=jac)):
+        for mask, x, j, spectrum in zip(masks, coords, jac, spectrum_at(rates, coords)):
             on = ((mask >> np.arange(n)) & 1).astype(bool)
             s = x.sum()
             d, u = theta[on] * (s - x[on]), theta[on] * x[on]
@@ -374,7 +374,7 @@ class TestPermutationEquivariance:
         scale = 4.0 * recip / np.maximum(2 * bits.sum(axis=1) - 1, 1)
         assert np.all(np.abs(coords_p[:, np.argsort(perm)] - coords).max(axis=1) <= 4 * n * EPS * scale)
         jac = jacobian(rates, coords)
-        spectra, spectra_p = spectrum_at(rates, coords, jac=jac), spectrum_at(permuted, coords_p)
+        spectra, spectra_p = spectrum_at(rates, coords), spectrum_at(permuted, coords_p)
         assert classify(spectra_p) == classify(spectra)
         # eigvals is backward stable: each spectrum is exact for a Jacobian
         # within a small multiple of n eps ||J||_F of P J P^T (the permuted

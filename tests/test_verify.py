@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdyn import DomainError, RegionKind, region_membership
+from qdyn import DomainError, Rates, RegionKind, region_membership
 from qdyn.verify import (
     CHECK_TOLERANCES, POINTS_PER_REGION, _check_draws, make_rng, sample_in_region, sample_rates, verification_sweep,
 )
@@ -25,6 +25,16 @@ def test_sampled_points_live_in_their_region():
         assert region_membership(rates, x1, RegionKind.MBAR1)
         x2 = sample_in_region(rng, rates, RegionKind.MBAR2)
         assert region_membership(rates, x2, RegionKind.MBAR2)
+
+
+@pytest.mark.parametrize("region", ["mbar1", None])
+def test_a_region_must_be_a_region_kind(region):
+    # a member's value or None is no region: it must not be read as MBAR2
+    rates = Rates([0.4, 0.6])
+    with pytest.raises(DomainError, match="RegionKind"):
+        region_membership(rates, [0.1, 0.1], region)
+    with pytest.raises(DomainError, match="RegionKind"):
+        sample_in_region(make_rng(1), rates, region)
 
 
 def test_sweep_summary_shape_and_pass():
