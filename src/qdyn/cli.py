@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: fixed-points, classify, simulate, basin, verify.  Each
-subparser declares the RunConfig fields its command reads and its output
-formats, the first being the default; --config keys override the flags.
+subparser declares the settings its command reads, as flags with their
+defaults, and its output formats, the first being the default.  Those
+flags' dests are the --config keys, and a config key overrides its flag;
+a setting passes the same check whichever way it comes.
 Handlers print nothing: each returns its exit code and the one output its
 format prints, the JSON payload for json and otherwise its CSV rows or text
 lines, and `main` prints it once, on stdout, with shortest round-trip float
@@ -15,7 +17,6 @@ error.  QDYN_LOG sets diagnostic verbosity on stderr, never the numbers.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import itertools
@@ -24,7 +25,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from argparse import ArgumentParser, Namespace
+from dataclasses import asdict
 from typing import Iterable
 
 import numpy as np
@@ -37,36 +39,9 @@ from .stability import TAU_UNIT, _classes, spectrum_at
 from .verify import verification_sweep
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    theta: tuple[float, ...] | None = None
-    seed: int = 0
-    tau_unit: float = TAU_UNIT
-    bisect_tol: float = DEFAULT_BISECT_TOL
-    budget: int = DEFAULT_BUDGET
-    format: str = "json"
-
-    def __post_init__(self) -> None:
-        # chained comparisons are False for NaN, so NaN is rejected too
-        if self.theta is not None and not all(0.0 < t < math.inf for t in self.theta):
-            raise QdynError("all rates must be finite and strictly positive")
-        for name in ("tau_unit", "bisect_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise QdynError(f"{name} must be finite and positive")
-        if self.budget < 1:
-            raise QdynError("budget must be >= 1")
-        if self.seed < 0:
-            raise QdynError("seed must be a nonnegative integer")
-
-    def rates(self) -> Rates:
-        if self.theta is None:
-            raise QdynError("--theta is required for this command")
-        return Rates(np.array(self.theta))
-
-
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise QdynError(f"{flag} expects comma-separated decimals, got {text!r}") from exc
 
@@ -86,24 +61,9 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the flags the command declared, overridden by --config."""
-    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None}
-    if "theta" in settings:
-        settings["theta"] = _parse_floats(settings["theta"], "--theta")
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                overrides = json.load(fh)
-            except ValueError as exc:
-                raise QdynError(f"--config is not valid JSON: {exc}") from exc
-        settings.update(_checked_overrides(overrides))
-    if settings["format"] not in args.formats:
-        raise QdynError(f"{args.command} prints {' or '.join(args.formats)}, not {settings['format']!r}")
-    return RunConfig(**settings)
-
-
 _KIND_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list of numbers"}
+# the settings as flag dests and --config keys, each with its JSON kind
+_SETTINGS = {"theta": list, "seed": int, "tau_unit": float, "bisect_tol": float, "budget": int, "format": str}
 
 
 def _fits(value, kind: type) -> bool:
@@ -113,26 +73,54 @@ def _fits(value, kind: type) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
-def _checked_overrides(overrides) -> dict:
-    """Config-file keys as RunConfig fields, each type-checked against the
-    field's default (theta is a list)."""
-    if not isinstance(overrides, dict):
-        raise QdynError("--config must hold a JSON object")
-    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
-    kinds["theta"] = list  # the only field that defaults to None
-    unknown = set(overrides) - set(kinds)
-    if unknown:
-        raise QdynError(f"unknown config keys: {sorted(unknown)}")
-    checked = {}
-    for key, value in overrides.items():
-        if not _fits(value, kinds[key]):
-            raise QdynError(f"config key {key!r} must be {_KIND_NAMES[kinds[key]]}, got {value!r}")
-        try:
-            value = tuple(map(float, value)) if key == "theta" else float(value) if kinds[key] is float else value
-        except OverflowError as exc:
-            raise QdynError(f"config key {key!r} is out of range") from exc
-        checked[key] = value
-    return checked
+def _settings(args: Namespace) -> None:
+    """Check each setting the command's flags or --config give, the config
+    keys overriding the flags, and write the checked values onto `args`."""
+    settings = {key: getattr(args, key) for key in _SETTINGS if getattr(args, key, None) is not None}
+    if "theta" in settings:  # a malformed --theta is refused even where --config replaces it
+        settings["theta"] = _parse_floats(settings["theta"], "--theta")
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                overrides = json.load(fh)
+            except ValueError as exc:
+                raise QdynError(f"--config is not valid JSON: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise QdynError("--config must hold a JSON object")
+        if unknown := sorted(set(overrides) - set(_SETTINGS)):
+            raise QdynError(f"unknown config keys: {unknown}")
+        settings.update(overrides)
+    for key, value in settings.items():
+        setattr(args, key, _setting(key, value, args))
+
+
+def _setting(key: str, value, args: Namespace):
+    """One setting, from a flag or a config key: its JSON kind, then its
+    value as float where it is a number or rates, then its range."""
+    if not _fits(value, kind := _SETTINGS[key]):
+        raise QdynError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    try:
+        value = list(map(float, value)) if kind is list else float(value) if kind is float else value
+    except OverflowError as exc:
+        raise QdynError(f"config key {key!r} is out of range") from exc
+    # chained comparisons are False for NaN, so NaN is rejected too
+    if kind is list and not all(0.0 < t < math.inf for t in value):
+        raise QdynError("all rates must be finite and strictly positive")
+    if kind is float and not 0.0 < value < math.inf:
+        raise QdynError(f"{key} must be finite and positive")
+    if key == "budget" and value < 1:
+        raise QdynError("budget must be >= 1")
+    if key == "seed" and value < 0:
+        raise QdynError("seed must be a nonnegative integer")
+    if key == "format" and value not in args.formats:
+        raise QdynError(f"{args.command} prints {' or '.join(args.formats)}, not {value!r}")
+    return value
+
+
+def _rates(args: Namespace) -> Rates:
+    if args.theta is None:
+        raise QdynError("--theta is required for this command")
+    return Rates(np.array(args.theta))
 
 
 # One fixed-points record as json.dumps(indent=2) prints it inside the payload;
@@ -156,14 +144,14 @@ def _column(values: list, depth: int) -> list[str]:
     return text.replace(", ", ",\n" + " " * (6 + 2 * depth)).split("\0")
 
 
-def _points_output(cfg: RunConfig, rates: Rates, masks: Iterable[int], bits: np.ndarray) -> tuple[int, str | Iterable]:
+def _points_output(args: Namespace, rates: Rates, masks: Iterable[int], bits: np.ndarray) -> tuple[int, str | Iterable]:
     # one JSON record or CSV row per support, read off the columns of the fixed-point table
     coords, residual = _points(rates.values, bits)
     spectra = spectrum_at(rates, coords)
-    tags, inside, outside, on_unit = _classes(spectra, cfg.tau_unit)
+    tags, inside, outside, on_unit = _classes(spectra, args.tau_unit)
     feasible = np.all(coords >= 0.0, axis=1).tolist()
     pairs = np.stack([spectra.real, spectra.imag], axis=-1)
-    if cfg.format == "json":
+    if args.format == "json":
         # the same text as json.dumps(indent=2) of the records, a column at a time
         records = map(
             _RECORD.format, _column(list(masks), 0), _column(bits.tolist(), 1), _column(coords.tolist(), 1),
@@ -184,25 +172,25 @@ def _points_output(cfg: RunConfig, rates: Rates, masks: Iterable[int], bits: np.
     return 0, itertools.chain([header], rows)
 
 
-def cmd_fixed_points(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str | Iterable]:
-    rates = cfg.rates()
-    return _points_output(cfg, rates, range(1 << rates.n), _all_supports(rates))
+def cmd_fixed_points(args: Namespace) -> tuple[int, str | Iterable]:
+    rates = _rates(args)
+    return _points_output(args, rates, range(1 << rates.n), _all_supports(rates))
 
 
-def cmd_classify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, str | Iterable]:
-    rates = cfg.rates()
+def cmd_classify(args: Namespace) -> tuple[int, str | Iterable]:
+    rates = _rates(args)
     bits = args.support.split(",")
     if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
         raise QdynError(f"--support expects {rates.n} bits (0 or 1), got {args.support!r}")
     support = SupportMask.from_bits([b == "1" for b in bits])
-    return _points_output(cfg, rates, [support.mask_int], np.array([support.bits()]))
+    return _points_output(args, rates, [support.mask_int], np.array([support.bits()]))
 
 
-def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | Iterable]:
-    rates = cfg.rates()
+def cmd_simulate(args: Namespace) -> tuple[int, dict | Iterable]:
+    rates = _rates(args)
     x0 = np.array(_parse_floats(args.x0, "--x0"))
     trajectory = iterate(rates, x0, args.steps).tolist()
-    report = classify_fate(rates, x0, cfg.budget)
+    report = classify_fate(rates, x0, args.budget)
     fate = {
         "outcome": report.outcome.value,
         "steps_used": report.steps_used,
@@ -210,7 +198,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | 
         "fixed_point_index": report.fixed_point_index,
         "final_state": report.final_state.tolist(),
     }
-    if cfg.format == "json":
+    if args.format == "json":
         return 0, {"theta": rates.values.tolist(), "trajectory": trajectory, "fate": fate}
     trailer = (
         "# fate={outcome} steps_used={steps_used} evidence={evidence} "
@@ -221,25 +209,25 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | 
     return 0, itertools.chain([header], rows, [trailer])
 
 
-def cmd_basin(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | Iterable]:
-    rates = cfg.rates()
+def cmd_basin(args: Namespace) -> tuple[int, dict | Iterable]:
+    rates = _rates(args)
     if rates.n != 2:
         raise QdynError(f"basin requires n = 2, got n = {rates.n}")
     grid = _parse_range(args.x1_range)
-    samples = basin_boundary(rates, grid, tol=cfg.bisect_tol, budget=cfg.budget)
+    samples = basin_boundary(rates, grid, tol=args.bisect_tol, budget=args.budget)
     header = ["x1", "x2_low", "x2_high", "width", "flagged"]
     rows = ([s.x1, s.x2_low, s.x2_high, s.width, str(s.flagged).lower()] for s in samples)
-    output = itertools.chain([header], rows) if cfg.format == "csv" else {
+    output = itertools.chain([header], rows) if args.format == "csv" else {
         "theta": rates.values.tolist(),
-        "tol": cfg.bisect_tol,
+        "tol": args.bisect_tol,
         "samples": [asdict(s) for s in samples],
     }
     return 0, output
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> tuple[int, dict | Iterable]:
-    summary = verification_sweep(args.n, args.trials, cfg.seed)
-    output = _verify_lines(summary) if cfg.format == "text" else {
+def cmd_verify(args: Namespace) -> tuple[int, dict | Iterable]:
+    summary = verification_sweep(args.n, args.trials, args.seed)
+    output = _verify_lines(summary) if args.format == "text" else {
         "n": summary.n,
         "trials": summary.trials,
         "seed": summary.seed,
@@ -280,13 +268,13 @@ def _emit(fmt: str, output: dict | str | Iterable) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> ArgumentParser:
     """The qdyn parser, built on the first call and then shared: every
     `parse_args` returns a fresh namespace, so calls do not see each other."""
-    parser = argparse.ArgumentParser(prog="qdyn", description=__doc__)
+    parser = ArgumentParser(prog="qdyn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, handler, help, formats, theta=True) -> argparse.ArgumentParser:
+    def add_command(name, handler, help, formats, theta=True) -> ArgumentParser:
         # the flags every command takes; formats[0] is the default format
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler, formats=formats)
@@ -296,23 +284,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0], help=f"output format (default {formats[0]})")
         return p
 
+    def add_tol(p, dest, default, help) -> None:
+        # the --tol flag of a command, setting its tolerance `dest`
+        p.add_argument("--tol", dest=dest, type=float, default=default, metavar="TOL", help=help)
+
     p = add_command("fixed-points", cmd_fixed_points, "enumerate all 2^n fixed points with spectra and classes",
                     ("json", "csv"))
-    p.add_argument("--tol", dest="tau_unit", type=float, metavar="TOL", help="unit-circle tolerance for classification")
+    add_tol(p, "tau_unit", TAU_UNIT, "unit-circle tolerance for classification")
 
     p = add_command("classify", cmd_classify, "one fixed point selected by its support bit list", ("json", "csv"))
     p.add_argument("--support", required=True, help="bit list, e.g. 1,0,1")
-    p.add_argument("--tol", dest="tau_unit", type=float, metavar="TOL", help="unit-circle tolerance for classification")
+    add_tol(p, "tau_unit", TAU_UNIT, "unit-circle tolerance for classification")
 
     p = add_command("simulate", cmd_simulate, "iterate from an initial state and report the fate", ("csv", "json"))
     p.add_argument("--x0", required=True, help="comma-separated initial state")
     p.add_argument("--steps", type=int, default=100, help="trajectory length to emit")
-    p.add_argument("--budget", type=int, help="iteration cap for fate classification")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="iteration cap for fate classification")
 
     p = add_command("basin", cmd_basin, "bisect the basin boundary on a grid of x1 values (n=2)", ("csv", "json"))
     p.add_argument("--x1-range", dest="x1_range", required=True, help="lo:hi:count")
-    p.add_argument("--tol", dest="bisect_tol", type=float, metavar="TOL", help="bisection bracket width")
-    p.add_argument("--budget", type=int, help="iteration cap for fate classification")
+    add_tol(p, "bisect_tol", DEFAULT_BISECT_TOL, "bisection bracket width")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="iteration cap for fate classification")
 
     p = add_command("verify", cmd_verify, "randomized verification sweep over seeded rate draws", ("text", "json"),
                     theta=False)
@@ -352,10 +344,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        code, output = args.handler(cfg, args)
+        _settings(args)
+        code, output = args.handler(args)
         try:
-            _emit(cfg.format, output)
+            _emit(args.format, output)
             sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
         except BrokenPipeError:
             # the reader closed early: stop writing, and send what stdout

@@ -411,15 +411,38 @@ class TestSettingsPath:
         assert configured == flagged
         assert run_cli(capsys, *argv)[1] != flagged  # the tolerance reached the output
 
+    @pytest.mark.parametrize(
+        "argv, flag, setting",
+        [
+            (("fixed-points", "--theta", "0.4,0.6"), ("--tol", "nan"), {"tau_unit": float("nan")}),
+            (("simulate", "--theta", "1,1", "--x0", "0.1,0.1"), ("--budget", "0"), {"budget": 0}),
+            (VERIFY[:5], ("--seed", "-1"), {"seed": -1}),
+            (("simulate", "--x0", "0.1,0.1"), ("--theta", "1,-1"), {"theta": [1, -1]}),
+        ],
+        ids=["tau_unit", "budget", "seed", "theta"],
+    )
+    def test_flag_and_config_key_fail_alike(self, capsys, tmp_path, argv, flag, setting):
+        # one check per setting, whichever way the value arrives
+        flagged = run_cli(capsys, *argv, *flag)
+        configured = run_cli(capsys, *argv, "--config", write_config(tmp_path, setting))
+        assert flagged == configured
+        code, out, err = flagged
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 2
 
-    def test_bad_theta_literal(self, capsys):
+    def test_bad_theta_literal(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fixed-points", "--theta", "a,b")
         assert code == 2
         assert "comma-separated" in err
+        # the flag is read before --config replaces it
+        cfg = write_config(tmp_path, {"theta": [1.0, 1.0]})
+        code, out, err = run_cli(capsys, "fixed-points", "--theta", "a,b", "--config", cfg)
+        assert code == 2
+        assert out == "" and "comma-separated" in err
 
     @pytest.mark.parametrize(
         "argv",

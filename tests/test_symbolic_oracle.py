@@ -16,6 +16,11 @@ x_k + 2*sum_{i != k} x_i, the identity 2 lhs_j - lhs_k = 3 x_k +
 2*sum_{i != j, k} x_i gives lhs_k <= 2 lhs_j on the orthant, so where
 r_j > 2 r_k one constraint of each MBAR region implies another (the
 property test in test_theorems.py checks the implications exactly).
+
+Two identities of the direction map x = t u, sum u = 1, a replicator map
+of the payoff matrix A = 2 r 1^T - diag(r): A is negative definite on the
+simplex's tangent space, so the game is strictly stable; and on a support
+of m coordinates with R = sum_S 1/r_j, x_k has the sign of 2 R r_k - (2m - 1).
 """
 
 import itertools
@@ -117,6 +122,32 @@ def test_region_constraints_are_redundant_past_a_rate_ratio_of_two(n):
     r, d = sympy.symbols("r d", positive=True)
     assert sympy.factor(2 / r - 4 / (2 * r + d)).is_positive
     assert sympy.factor(1 / r - 2 / (2 * r + d)).is_positive
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_direction_game_is_strictly_stable(n):
+    # the payoff matrix A = 2 r 1^T - diag(r) of the direction map: on the
+    # tangent space sum z = 0 of the simplex, z^T A z = -sum r_k z_k^2 < 0
+    r = sympy.symbols(f"r1:{n + 1}", positive=True)
+    z = list(sympy.symbols(f"z1:{n}"))
+    z.append(-sum(z))
+    a = sympy.Matrix(n, n, lambda k, j: 2 * r[k] - (r[k] if k == j else 0))
+    zv = sympy.Matrix(z)
+    assert sympy.expand((zv.T * a * zv)[0] + sum(r[k] * z[k] ** 2 for k in range(n))) == 0
+
+
+def test_feasibility_is_a_sign_on_each_support_coordinate():
+    # on a support of m coordinates with R = sum_S 1/r_j, the coordinate of
+    # fixed_points._points times the positive (2m - 1) r_k / 2 is 2 R r_k - (2m - 1)
+    r, R, m = sympy.symbols("r R m", positive=True)
+    x = (4 * R - (4 * m - 2) / r) / (2 * m - 1)
+    assert sympy.simplify((2 * m - 1) * r * x / 2 - (2 * R * r - (2 * m - 1))) == 0
+    theta = [sympy.Rational(3, 7), sympy.Rational(5, 4), sympy.Integer(2), sympy.Rational(11, 10)]
+    points = enumerate_fixed_points(Rates([float(t) for t in theta]))
+    for support in nonzero_supports(len(theta)):
+        total = sum(1 / theta[j] for j in support)
+        signs = [2 * total * theta[k] - (2 * len(support) - 1) >= 0 for k in support]
+        assert points[sum(1 << k for k in support)].feasible == all(signs), support
 
 
 def test_n3_discriminant_proof_steps():

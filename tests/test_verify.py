@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdyn import DomainError, Rates, RegionKind, region_membership
+from qdyn.stability import StabilityTag, _classes
 from qdyn.verify import (
     CHECK_TOLERANCES, POINTS_PER_REGION, _check_draws, make_rng, sample_in_region, sample_rates, verification_sweep,
 )
@@ -98,18 +99,40 @@ def test_sweep_records_the_first_five_failures(monkeypatch):
     assert check.failures == tuple(offenders[:5])
 
 
-def test_sweep_counts_each_region_miss(monkeypatch):
+def _origin_saddle(spectra, tol):
+    # every table's origin row, the first of its 2^3 points, tagged a saddle
+    tags, *counts = _classes(spectra, tol)
+    tags = tags.copy()
+    tags[:: 1 << 3] = StabilityTag.SADDLE
+    return (tags, *counts)
+
+
+# a fault seeded into the sweep, the one check it must fail and its worst metric
+FAULTS = {
     # every one of the 2 * POINTS_PER_REGION sampled states leaves its region
+    "region-miss": ("_in_region", lambda theta, x, mbar1: np.zeros(x.shape[:-1], dtype=bool),
+                    "MBAR one-step invariance and monotonicity", lambda worst: worst == 4.0),
+    "origin-not-attracting": ("_classes", _origin_saddle, "attracting only at the origin", lambda worst: worst == 1.0),
+    # every state moves outward by a relative 1e-9: the MBAR1 samples, which must
+    # move inward, fail with no region miss
+    "outward-move": ("_step", lambda theta, x: x * (1 + 1e-9),
+                     "MBAR one-step invariance and monotonicity", lambda worst: 0.0 < worst < 1.0),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_sweep_fails_each_seeded_fault_on_its_check_alone(monkeypatch, fault):
     from qdyn import verify
 
-    name = "MBAR one-step invariance and monotonicity"
+    target, replacement, name, worst_ok = FAULTS[fault]
     draws = sweep_draws(3, 7, 17)
-    monkeypatch.setattr(verify, "_in_region", lambda theta, x, mbar1: np.zeros(x.shape[:-1], dtype=bool))
+    monkeypatch.setattr(verify, target, replacement)
     summary = verification_sweep(3, 7, 17)
     assert not summary.passed
     check = next(c for c in summary.checks if c.name == name)
-    assert check.worst == 4.0 and not check.passed
+    assert worst_ok(check.worst) and not check.passed
     assert check.failures == tuple(theta for theta, _ in draws[:5])
+    assert all(c.passed for c in summary.checks if c.name != name)
 
 
 def test_one_jacobian_stack_per_chunk(monkeypatch):
