@@ -211,10 +211,7 @@ def cmd_simulate(args: Namespace) -> tuple[int, dict | Iterable]:
 
 def cmd_basin(args: Namespace) -> tuple[int, dict | Iterable]:
     rates = _rates(args)
-    if rates.n != 2:
-        raise QdynError(f"basin requires n = 2, got n = {rates.n}")
-    grid = _parse_range(args.x1_range)
-    samples = basin_boundary(rates, grid, tol=args.bisect_tol, budget=args.budget)
+    samples = basin_boundary(rates, _parse_range(args.x1_range), tol=args.bisect_tol, budget=args.budget)
     header = ["x1", "x2_low", "x2_high", "width", "flagged"]
     rows = ([s.x1, s.x2_low, s.x2_high, s.width, str(s.flagged).lower()] for s in samples)
     output = itertools.chain([header], rows) if args.format == "csv" else {
@@ -271,7 +268,10 @@ def _emit(fmt: str, output: dict | str | Iterable) -> None:
 def build_parser() -> ArgumentParser:
     """The qdyn parser, built on the first call and then shared: every
     `parse_args` returns a fresh namespace, so calls do not see each other."""
-    parser = ArgumentParser(prog="qdyn", description=__doc__)
+    parser = ArgumentParser(prog="qdyn", description=(
+        "Fixed points, spectra, trajectory fates and the planar basin boundary of the quadratic map x_k' = (r_k x_k / 2)"
+        "(x_k + 2 sum_{i!=k} x_i), in five commands: fixed-points, classify, simulate, basin and verify.  Exit codes: "
+        "0 success, 1 verification failure, 2 usage or precondition error.  QDYN_LOG sets diagnostic verbosity on stderr."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, handler, help, formats, theta=True) -> ArgumentParser:

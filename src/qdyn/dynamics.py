@@ -373,7 +373,7 @@ def basin_boundary(rates: Rates, x1_grid, tol: float = DEFAULT_BISECT_TOL, budge
     built before a fate comes near one.
     """
     if rates.n != 2:
-        raise DimensionMismatch(f"boundary extraction requires n=2, got n={rates.n}")
+        raise DimensionMismatch(f"basin boundary requires n = 2, got n = {rates.n}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     grid = np.atleast_1d(np.asarray(x1_grid, dtype=float))

@@ -11,9 +11,10 @@ Draws are checked in chunks of one Jacobian stack: the 2^n-point tables of
 _STACK_ROWS // 2^n draws are one table, with one Jacobian build, one
 eigensolver call and one determinant call, and the chunk's uniforms come
 from one call to the generator, which hands them out in the order that draw
-after draw would take them.  Each draw's metrics, and the summary folded
-from them in draw order, are bit for bit those of checking one draw at a
-time.
+after draw would take them.  Each draw's metrics are bit for bit those of
+checking one draw at a time.  A check's worst metric is their NaN-propagating
+maximum, and a draw offends where its metric is not within the tolerance:
+a NaN metric fails its check, names its draw and is reported as the worst.
 """
 
 from __future__ import annotations
@@ -108,12 +109,14 @@ def _region_points(theta: np.ndarray, uniforms: np.ndarray, mbar1) -> np.ndarray
     return s[..., None] * u
 
 
-def _check_draws(theta: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per check (in CHECK_TOLERANCES order), the worst metric of each draw
-    whose rates are a row of theta (shape (k, n)); `uniforms` holds the
-    n + 1 uniforms of each of its region samples (shape (k, 2 *
-    POINTS_PER_REGION, n + 1)).  Everything is 0-or-positive, bigger is
-    worse."""
+def _check_draws(theta: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The metrics of the draws whose rates are the rows of theta (shape
+    (k, n)), as one (6, k) array: a row per check in CHECK_TOLERANCES order,
+    a column per draw.  `uniforms` holds the n + 1 uniforms of each of a
+    draw's region samples (shape (k, 2 * POINTS_PER_REGION, n + 1)).  The
+    MBAR metric is the number of samples that left their region plus the
+    largest outward move, or 0 without one.  Every metric is 0 or positive
+    on a working program, and bigger is worse."""
     k, n = theta.shape
     size = 1 << n
     # the draws' tables one after the other, each its 2^n points by mask
@@ -123,7 +126,7 @@ def _check_draws(theta: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, .
     # a zero inside a support repeats the point of a smaller support, so the
     # 2^n points are distinct exactly when no row's nonzero set differs from
     # its support
-    count_err = np.any((coords != 0.0) != (bits == 1), axis=1).reshape(k, size).sum(axis=1).astype(float)
+    count_err = np.any((coords != 0.0) != (bits == 1), axis=1).reshape(k, size).sum(axis=1)
     residual = (residuals / np.maximum(1.0, np.max(np.abs(coords), axis=1))).reshape(k, size).max(axis=1)
 
     # one Jacobian stack, shared by spectra and residuals; row 0 of each
@@ -133,7 +136,7 @@ def _check_draws(theta: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, .
     eig_dist = np.abs(spectra - 2.0).min(axis=1).reshape(k, size)[:, 1:].max(axis=1)
     eig_resid = np.reshape(_eig2_residuals(jacs.reshape(k, size, n, n)[:, 1:]), (k, size - 1)).max(axis=1)
     attracting = (_classes(spectra, TAU_UNIT)[0] == StabilityTag.ATTRACTING).reshape(k, size)
-    attracting_err = (~attracting[:, 0] + attracting[:, 1:].sum(axis=1)).astype(float)
+    attracting_err = ~attracting[:, 0] + attracting[:, 1:].sum(axis=1)
 
     # each draw's samples: POINTS_PER_REGION in MBAR1, then as many in MBAR2
     mbar1 = np.arange(2 * POINTS_PER_REGION) < POINTS_PER_REGION
@@ -141,11 +144,8 @@ def _check_draws(theta: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, .
     x_next = _step(theta[:, None], x)
     missed = ~_in_region(theta[:, None], x_next, mbar1)
     moved = np.where(mbar1[:, None], x_next - x, x - x_next).max(axis=2)
-    region_err = np.zeros(k)
-    for miss, worst in zip(missed.T, moved.T):  # in sample order, as one draw at a time counts them
-        region_err += miss
-        region_err = np.where(worst > region_err, worst, region_err)
-    return residual, count_err, eig_dist, eig_resid, attracting_err, region_err
+    region_err = missed.sum(axis=1) + np.maximum(moved.max(axis=1), 0.0)
+    return np.stack([residual, count_err, eig_dist, eig_resid, attracting_err, region_err])
 
 
 def verification_sweep(n: int, trials: int, seed: int) -> VerificationSummary:
@@ -157,9 +157,8 @@ def verification_sweep(n: int, trials: int, seed: int) -> VerificationSummary:
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     rng = make_rng(seed)
-
-    worsts = dict.fromkeys(CHECK_TOLERANCES, 0.0)
-    failures: dict[str, list[str]] = {name: [] for name in CHECK_TOLERANCES}
+    tols = np.array(list(CHECK_TOLERANCES.values()))
+    worst, failures = np.zeros(len(tols)), [[] for _ in tols]
 
     chunk = _STACK_ROWS >> n
     for start in range(0, trials, chunk):
@@ -168,14 +167,11 @@ def verification_sweep(n: int, trials: int, seed: int) -> VerificationSummary:
         uniforms = rng.random((k, n + 2 * POINTS_PER_REGION * (n + 1)))
         theta = _rate_values(uniforms[:, :n])
         metrics = _check_draws(theta, uniforms[:, n:].reshape(k, -1, n + 1))
-        for name, values in zip(CHECK_TOLERANCES, metrics):
-            # the fold of one draw at a time: Python's max, draw after draw
-            worsts[name] = max(worsts[name], *values.tolist())
-            offenders = np.flatnonzero(values > CHECK_TOLERANCES[name])[:5 - len(failures[name])]
-            failures[name] += [repr(theta[i].tolist()) for i in offenders]
+        # NaN propagates through the worst and is no metric within its tolerance
+        worst = np.maximum(worst, metrics.max(axis=1))
+        for found, offending in zip(failures, ~(metrics <= tols[:, None])):
+            found += [repr(theta[i].tolist()) for i in np.flatnonzero(offending)[:5 - len(found)]]
 
-    checks = tuple(
-        CheckResult(name, worsts[name], tol, worsts[name] <= tol, tuple(failures[name]))
-        for name, tol in CHECK_TOLERANCES.items()
-    )
-    return VerificationSummary(n=n, trials=trials, seed=seed, checks=checks)
+    checks = zip(CHECK_TOLERANCES.items(), worst.tolist(), failures)
+    return VerificationSummary(n, trials, seed, tuple(
+        CheckResult(name, w, tol, w <= tol, tuple(found)) for (name, tol), w, found in checks))

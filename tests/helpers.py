@@ -1,8 +1,9 @@
 """Shared oracles for the test suite: finite differences, brute-force fixed
 point search, stable quadratic roots, feasible-rate sampling, the fate
 kernel run against a table of every feasible nonzero fixed point, the
-50-digit spectrum at a fixed point, the verify sweep one draw at a time,
-and the closed-form interior spectra for n = 2 and n = 3."""
+50-digit spectrum at a fixed point, the water-filling support of the
+equilibrium fixed point, the verify sweep one draw at a time, and the
+closed-form interior spectra for n = 2 and n = 3."""
 
 from __future__ import annotations
 
@@ -128,6 +129,22 @@ def precise_spectrum(theta, on) -> list[complex]:
         return [complex(lam) for lam in mpmath.eig(jac, left=False, right=False)]
 
 
+def water_fill(theta) -> int:
+    """The support mask (bit k for coordinate k) of the feasible nonzero
+    fixed point with every off-support r_k s <= 1, by water-filling: the m
+    largest rates, with s = 2R/(2m - 1) and R the sum of 1/r over them, for
+    the m whose point has r_k s >= 1 on the support and r_k s <= 1 off it
+    (x_k = 2s - 2/r_k has the sign of r_k s - 1)."""
+    theta = np.asarray(theta, dtype=float)
+    order = np.argsort(-theta, kind="stable")
+    r = theta[order]
+    for m in range(1, len(r) + 1):
+        s = 2.0 * float(np.sum(1.0 / r[:m])) / (2 * m - 1)
+        if r[m - 1] * s >= 1.0 and (m == len(r) or r[m] * s <= 1.0):
+            return sum(1 << int(k) for k in order[:m])
+    raise AssertionError(f"no support fills at rates {theta.tolist()}")
+
+
 def table_fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
     """The fate kernel's stopping rules with proximity tested against the
     table of every feasible nonzero fixed point, where the lowest mask
@@ -179,20 +196,20 @@ def check_one_trial(rates: Rates, rng: np.random.Generator) -> dict[str, float]:
     residual = float(np.max(residuals / np.maximum(1.0, np.max(np.abs(coords), axis=1))))
 
     spectra = spectrum_at(rates, coords)
-    eig_resid = max(eigenvalue_two_residual(rates, coords[1:]))
+    eig_resid = float(np.max(eigenvalue_two_residual(rates, coords[1:])))
     eig_dist = float(np.max(np.min(np.abs(spectra[1:] - 2.0), axis=1)))
     attracting = [cls.tag is StabilityTag.ATTRACTING for cls in classify(spectra)]
     attracting_err = float((not attracting[0]) + sum(attracting[1:]))
 
-    region_err = 0.0
+    # the samples that left their region plus the largest outward move
+    misses, outward = 0, 0.0
     for region in (RegionKind.MBAR1, RegionKind.MBAR2):
         for _ in range(POINTS_PER_REGION):
             x = sample_in_region(rng, rates, region)
             x_next = apply(rates, x)
-            if not region_membership(rates, x_next, region):
-                region_err += 1.0
-            diff = x_next - x if region is RegionKind.MBAR1 else x - x_next
-            region_err = max(region_err, float(np.max(diff)))
+            misses += not region_membership(rates, x_next, region)
+            outward = float(np.maximum(outward, np.max(x_next - x if region is RegionKind.MBAR1 else x - x_next)))
+    region_err = misses + outward
     return dict(zip(CHECK_TOLERANCES, (residual, count_err, eig_dist, eig_resid, attracting_err, region_err)))
 
 
@@ -209,13 +226,15 @@ def sweep_draws(n: int, trials: int, seed: int) -> list[tuple[str, dict[str, flo
 
 def sweep_oracle(n: int, trials: int, seed: int) -> VerificationSummary:
     """The summary `verification_sweep` must give, folded from
-    `sweep_draws` one draw at a time."""
+    `sweep_draws` one draw at a time: each check's worst metric is a
+    NaN-propagating max, and a draw offends where `not value <= tol`, so a
+    NaN metric fails."""
     worsts = dict.fromkeys(CHECK_TOLERANCES, 0.0)
     failures: dict[str, list[str]] = {name: [] for name in CHECK_TOLERANCES}
     for theta, metrics in sweep_draws(n, trials, seed):
         for name, value in metrics.items():
-            worsts[name] = max(worsts[name], value)
-            if value > CHECK_TOLERANCES[name] and len(failures[name]) < 5:
+            worsts[name] = float(np.maximum(worsts[name], value))
+            if not value <= CHECK_TOLERANCES[name] and len(failures[name]) < 5:
                 failures[name].append(theta)
     checks = tuple(CheckResult(name, worsts[name], tol, worsts[name] <= tol, tuple(failures[name]))
                    for name, tol in CHECK_TOLERANCES.items())

@@ -248,6 +248,14 @@ class TestBasinCommand:
         assert code == 2
         assert "x1-range" in err
 
+    def test_bad_range_is_reported_before_the_dimension(self, capsys):
+        # basin_boundary owns the n = 2 rule, and the range is read first
+        code, out, err = run_cli(capsys, "basin", "--theta", "1,1,1", "--x1-range", "0:1")
+        assert code == 2
+        assert out == "" and err == "error: --x1-range expects lo:hi:count, got '0:1'\n"
+        code, out, err = run_cli(capsys, "basin", "--theta", "1,1,1", "--x1-range", "0:1:2")
+        assert out == "" and err == "error: basin boundary requires n = 2, got n = 3\n"
+
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):
@@ -300,6 +308,22 @@ class TestVerifyCommand:
         assert code == 1
         assert "offending theta: [0.1, 0.2]" in out
         assert "FAIL" in out
+
+    def test_nan_metric_fails_its_check(self, capsys, monkeypatch):
+        # a NaN metric is the worst of its check and fails it: nan in text, NaN in JSON
+        from qdyn import verify
+
+        def nan_residuals(stack):
+            return [float("nan")] * (stack.size // stack.shape[-1] ** 2)
+
+        monkeypatch.setattr(verify, "_eig2_residuals", nan_residuals)
+        name = "eigenvalue-2 residual |det(J - 2I)| / ||J||^n"
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--trials", "1")
+        assert code == 1
+        assert f"{name}: max = nan (tol 1.0e-08): FAIL\n  offending theta: " in out
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--trials", "1", "--format", "json")
+        assert code == 1
+        assert '"worst": NaN,' in out and json.loads(out)["passed"] is False
 
 
 class TestConfigFile:
@@ -433,6 +457,15 @@ class TestSettingsPath:
 class TestUsage:
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 2
+
+    def test_top_level_help_is_for_users(self, capsys):
+        # the module docstring's implementation notes stay out of --help
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        for note in ("Handlers print nothing", "json.dumps(payload", "subparser"):
+            assert note not in out
+        assert "fixed-points, classify, simulate, basin and verify" in " ".join(out.split())
+        assert "Exit codes" in out and "QDYN_LOG" in out
 
     def test_bad_theta_literal(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fixed-points", "--theta", "a,b")

@@ -34,6 +34,12 @@
   the plane a strictly positive interior point therefore is a saddle, with
   no spectrum solved to confirm it, and the basin boundary leaves it along
   (1, -r2/r1) (`TestStableTangent` in `tests/test_dynamics.py`).
+- Water-filling: with x = t u and sum u = 1, the direction u moves by the
+  replicator map of the payoff matrix A = 2 r 1^T - diag(r).  On sum z = 0,
+  z^T A z = -sum r_k z_k^2 < 0, so the game is strictly stable and has one
+  equilibrium: the feasible nonzero fixed point with every off-support
+  r_k s <= 1.  Its support is the m largest rates for the one m that fills
+  (`water_fill` in `tests/helpers.py`).
 - Region redundancy: with lhs_k = x_k + 2 sum_{i != k} x_i, 2 lhs_j -
   lhs_k = 3 x_k + 2 sum_{i != j, k} x_i >= 0 (the sympy oracle), so
   lhs_k <= 2 lhs_j.  Where r_j > 2 r_k, MBAR1's constraint j (lhs_j <=
@@ -65,7 +71,7 @@ from qdyn import (
     iterate, jacobian, nonhyperbolic_condition, spectrum_at,
 )
 from qdyn.fixed_points import _all_supports, _points
-from helpers import feasible_nonzero_points, interior_discriminant_n3, precise_spectrum
+from helpers import feasible_nonzero_points, interior_discriminant_n3, precise_spectrum, water_fill
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -414,3 +420,36 @@ class TestInteriorDiscriminantN3:
         # rates proportional to (1, 1, 1) or a permutation of (1, 1, 2)
         theta = np.array(theta, dtype=float)
         assert abs(interior_discriminant_n3(Rates(theta))) <= self.rounding(theta)
+
+
+RATE_FAMILIES = {
+    "uniform": lambda rng, n: rng.uniform(0.1, 3.0, n),
+    "log-uniform": lambda rng, n: 10.0 ** rng.uniform(-2.0, 2.0, n),
+    "near-equal": lambda rng, n: 0.7 * (1.0 + 1e-3 * rng.random(n)),
+}
+
+
+class TestWaterFilling:
+    # Off the support, r_k s <= 1 is read with a relative slack of 1e-12, so
+    # an equilibrium whose r_k s rounds a few ulps above 1 still counts.  An
+    # r_k s within rounding of 1 is the transcritical edge, where the points
+    # on S and on S + {k} coincide and either answer would be right; the
+    # test asserts that no draw comes within 1e-9 of it, so no verdict here
+    # rests on rounding.
+    SLACK, EDGE = 1e-12, 1e-9
+
+    @pytest.mark.parametrize("family", RATE_FAMILIES)
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_one_feasible_point_is_the_equilibrium(self, family, n):
+        rng = np.random.default_rng([n, list(RATE_FAMILIES).index(family)])
+        for _ in range(40):
+            theta = RATE_FAMILIES[family](rng, n)
+            bits = _all_supports(Rates(theta))
+            coords, _ = _points(theta, bits)
+            size = bits.sum(axis=1)
+            s = 2.0 * (bits @ (1.0 / theta)) / (2 * size - 1)  # the origin's row reads -0.0
+            rs = theta * s[:, None]
+            feasible = np.all(coords >= 0.0, axis=1) & (size > 0)
+            assert np.all(np.abs(rs[feasible] - 1.0) > self.EDGE)
+            stable = np.all((bits == 1) | (rs <= 1.0 + self.SLACK), axis=1)
+            assert np.flatnonzero(feasible & stable).tolist() == [water_fill(theta)], theta.tolist()

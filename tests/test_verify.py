@@ -1,10 +1,12 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qdyn import DomainError, Rates, RegionKind, region_membership
-from qdyn.stability import StabilityTag, _classes
+from qdyn.fixed_points import _points
+from qdyn.stability import StabilityTag, _classes, _eig2_residuals, _eigvals
 from qdyn.verify import (
     CHECK_TOLERANCES, POINTS_PER_REGION, _check_draws, make_rng, sample_in_region, sample_rates, verification_sweep,
 )
@@ -58,8 +60,9 @@ def test_count_check_sees_a_repeated_point():
     # {1}, so only 3 of the 4 algebraic points are distinct; the chunk's other
     # draw, (1, 1.5), has 4
     uniforms = make_rng(0).random((2, 2 * POINTS_PER_REGION, 3))
-    metrics = dict(zip(CHECK_TOLERANCES, _check_draws(np.array([[1.0, 2.0], [1.0, 1.5]]), uniforms)))
-    assert metrics["fixed-point count == 2^n"].tolist() == [1.0, 0.0]
+    table = _check_draws(np.array([[1.0, 2.0], [1.0, 1.5]]), uniforms)
+    assert table.shape == (len(CHECK_TOLERANCES), 2)  # a row per check, a column per draw
+    assert dict(zip(CHECK_TOLERANCES, table))["fixed-point count == 2^n"].tolist() == [1.0, 0.0]
 
 
 # (n, trials): every n with a few draws, then draw counts on both sides of a
@@ -107,8 +110,60 @@ def _origin_saddle(spectra, tol):
     return (tags, *counts)
 
 
-# a fault seeded into the sweep, the one check it must fail and its worst metric
+def _residuals_raised(theta, bits):
+    coords, residuals = _points(theta, bits)
+    return coords, residuals + 1e-6
+
+
+def _full_support_repeated(theta, bits):
+    # each table's full-support row (mask 2^n - 1) holds the point of mask
+    # 2^n - 2: a true fixed point, so only the count can tell
+    coords, residuals = (a.copy() for a in _points(theta, bits))
+    size = 1 << bits.shape[1]
+    coords[size - 1 :: size], residuals[size - 1 :: size] = coords[size - 2 :: size], residuals[size - 2 :: size]
+    return coords, residuals
+
+
+def _eigenvalue_two_moved(stack):
+    spectra = _eigvals(stack)
+    return np.where(np.abs(spectra - 2.0) <= 1e-6, spectra + 1e-3, spectra)
+
+
+def _nan_residual(theta, bits):
+    # one NaN residual in each table, on its first non-origin row
+    coords, residuals = _points(theta, bits)
+    residuals = residuals.copy()
+    residuals[1 :: 1 << bits.shape[1]] = np.nan
+    return coords, residuals
+
+
+def _nan_eigenvalue(stack):
+    # one NaN eigenvalue in each table, on its first non-origin row
+    spectra = _eigvals(stack).copy()
+    spectra[1 :: 1 << stack.shape[-1], 0] = np.nan
+    return spectra
+
+
+def _nan_det_residual(stack):
+    # one NaN in each table's eigenvalue-2 residuals (stack: draws x non-origin rows)
+    residuals = np.reshape(_eig2_residuals(stack), stack.shape[:-2])
+    residuals[:, 0] = np.nan
+    return residuals.ravel().tolist()
+
+
+# a fault seeded into the sweep, the one check it must fail and its worst metric;
+# the NaN faults pass every check where a NaN-dropping max folds the metrics
 FAULTS = {
+    "residual": ("_points", _residuals_raised, "fixed-point residual (relative)", lambda worst: 1e-9 < worst < 2e-6),
+    "repeated-point": ("_points", _full_support_repeated, "fixed-point count == 2^n", lambda worst: worst == 1.0),
+    "eigenvalue-off-two": ("_eigvals", _eigenvalue_two_moved, "eigenvalue-2 distance min |lam - 2|",
+                           lambda worst: 1e-6 < worst <= 1e-3 + 1e-6),
+    "eigenvalue-two-residual": ("_eig2_residuals", lambda stack: [1.0] * (stack.size // stack.shape[-1] ** 2),
+                                "eigenvalue-2 residual |det(J - 2I)| / ||J||^n", lambda worst: worst == 1.0),
+    "nan-residual": ("_points", _nan_residual, "fixed-point residual (relative)", math.isnan),
+    "nan-eigenvalue": ("_eigvals", _nan_eigenvalue, "eigenvalue-2 distance min |lam - 2|", math.isnan),
+    "nan-det-residual": ("_eig2_residuals", _nan_det_residual, "eigenvalue-2 residual |det(J - 2I)| / ||J||^n",
+                         math.isnan),
     # every one of the 2 * POINTS_PER_REGION sampled states leaves its region
     "region-miss": ("_in_region", lambda theta, x, mbar1: np.zeros(x.shape[:-1], dtype=bool),
                     "MBAR one-step invariance and monotonicity", lambda worst: worst == 4.0),
