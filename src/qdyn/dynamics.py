@@ -136,6 +136,14 @@ def _state_rows(rates: Rates, x) -> tuple[np.ndarray, bool]:
     return as_state(arr.ravel()).reshape(arr.shape), True
 
 
+def _integer(name: str, value) -> int:
+    # an integer-valued argument as a Python int: numpy integers pass, floats do not
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
     """Trajectory [x0, H(x0), ...] as an array of shape (steps+1, n).
 
@@ -151,10 +159,7 @@ def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
     rows are returned as a copy, so an early stop does not keep the large
     buffer alive.
     """
-    try:
-        max_steps = operator.index(max_steps)
-    except TypeError:
-        raise DomainError(f"max_steps must be an integer, got {max_steps!r}") from None
+    max_steps = _integer("max_steps", max_steps)
     rows = np.iinfo(np.intp).max // (8 * rates.n)  # numpy's row cap for an (m, n) float64 array
     if not 0 <= max_steps < rows:
         raise DomainError(f"max_steps must be in [0, {rows - 1}], got {max_steps}")
@@ -249,10 +254,7 @@ def _fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
     within it, so a state can be near one only if some |lhs_k - 2/r_k| is
     at most 4 n PROXIMITY_RTOL max(1, |x|).
     """
-    try:
-        budget = operator.index(budget)
-    except TypeError:
-        raise DomainError(f"budget must be an integer, got {budget!r}") from None
+    budget = _integer("budget", budget)
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
     theta, half, gate = rates.values, (0.5 * rates.values)[:, None], 4 * rates.n * PROXIMITY_RTOL

@@ -76,8 +76,7 @@ def _step(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def apply(rates: Rates, x) -> np.ndarray:
     """One application of the map to a state in the nonnegative orthant."""
-    arr = as_state(x, rates.n)
-    return _step(rates.values, arr)
+    return _step(rates.values, as_state(x, rates.n))
 
 
 def jacobian(rates: Rates, x) -> np.ndarray:

@@ -11,9 +11,11 @@ and one solver call; a single point is the one-row case.
 
 Every fixed point except the origin has the eigenvalue 2, so the origin is
 the only attractor; the test suite proves this for every support size m
-with sympy, and `eigenvalue_two_residual` measures it in floats.  At a
-feasible nonzero point the other m - 1 eigenvalues of the support block lie
-in [0, 1] and those off the support are r_k s (s the coordinate sum).  So
+with sympy, and `eigenvalue_two_residual` measures it in floats, one
+array expression per Jacobian stack, wherever ||J||_inf^n is in float
+range.  At a feasible nonzero point the other m - 1 eigenvalues of the
+support block lie in [0, 1] and those off the support are r_k s (s the
+coordinate sum).  So
 the point is nonhyperbolic where some r_k s is 1, and otherwise a saddle
 when m >= 2 or some r_k s < 1, repelling if not.  `nonhyperbolic_condition`
 tests r_k s = 1 for all n rates at once, with no eigensolver.
@@ -127,23 +129,26 @@ def eigenvalue_two_residual(rates: Rates, point):
 
     The determinant vanishes identically at every fixed point except the
     origin; the normalization makes the floating-point residual comparable
-    across dimensions.  `point` is as in `spectrum_at`; rows of coordinates
-    get a list with one residual per row.
+    across dimensions.  Where ||J||_inf^n is not strictly between 0 and inf
+    (the origin's null Jacobian, underflow, overflow, a nonfinite Jacobian)
+    there is no residual to report: DomainError.  `point` is as in
+    `spectrum_at`; rows of coordinates get a list with one residual per row.
     """
-    residuals = [residual for stack in _stacks(rates, point) for residual in _eig2_residuals(stack)]
+    residuals = np.hstack([_eig2_residuals(stack) for stack in _stacks(rates, point)]).tolist()
     # rows (ndim 2) get a list; a point's coordinates (ndim 1) and a FixedPoint (ndim 0) a float
     return residuals if np.ndim(point) > 1 else residuals[0]
 
 
-def _eig2_residuals(stack: np.ndarray) -> list[float]:
-    # the residual of each Jacobian of a stack, from one determinant call
-    n = stack.shape[-1]
-    norms = np.max(np.sum(np.abs(stack), axis=-1), axis=-1)
-    if np.any(norms == 0.0):
-        raise DomainError("null Jacobian: the eigenvalue-2 identity excludes the origin")
-    dets = np.abs(np.linalg.det(stack - 2.0 * np.eye(n)))
-    # Python's float power: numpy's array power can differ in the last bit
-    return [det / norm**n for det, norm in zip(np.ravel(dets).tolist(), np.ravel(norms).tolist())]
+def _eig2_residuals(stack: np.ndarray) -> np.ndarray:
+    # the residual of each Jacobian of a stack, shaped like its leading axes,
+    # from one determinant call; float_power is the C library's pow, which
+    # np.power's vector loop can miss in the last bit.  Past the float range
+    # a norm power is rejected and a determinant is inf, with no warning.
+    with np.errstate(over="ignore"):
+        scales = np.float_power(np.max(np.sum(np.abs(stack), axis=-1), axis=-1), stack.shape[-1])
+        if not np.all((0.0 < scales) & (scales < np.inf)):
+            raise DomainError("null Jacobian or ||J||_inf^n out of float range: the residual needs 0 < ||J||^n < inf")
+        return np.abs(np.linalg.det(stack - 2.0 * np.eye(stack.shape[-1]))) / scales
 
 
 def nonhyperbolic_condition(rates: Rates, support: SupportMask) -> bool:
@@ -165,4 +170,5 @@ def nonhyperbolic_condition(rates: Rates, support: SupportMask) -> bool:
         raise DomainError("certificate requires a nonempty support")
     restricted = float(np.sum(1.0 / rates.values[list(indices)]))
     target = (2.0 * len(indices) - 1.0) / 2.0
-    return bool(np.any(np.abs(rates.values * restricted - target) <= NONHYP_REL_TOL * target))
+    with np.errstate(over="ignore"):  # an r_k R past the float range is inf, never the target
+        return bool(np.any(np.abs(rates.values * restricted - target) <= NONHYP_REL_TOL * target))

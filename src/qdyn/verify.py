@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RegionKind, _in_region, _is_mbar1
+from .dynamics import RegionKind, _in_region, _integer, _is_mbar1
 from .errors import DomainError
 from .fixed_points import _points, _support_bits
 from .model import Rates, _jacobian, _step
@@ -71,6 +71,7 @@ class VerificationSummary:
 
 def make_rng(seed: int) -> np.random.Generator:
     # Philox keys are 128-bit
+    seed = _integer("seed", seed)
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must be in [0, 2^128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
@@ -134,7 +135,7 @@ def _check_draws(theta: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     jacs = _jacobian(rate_rows, coords)
     spectra = _eigvals(jacs)
     eig_dist = np.abs(spectra - 2.0).min(axis=1).reshape(k, size)[:, 1:].max(axis=1)
-    eig_resid = np.reshape(_eig2_residuals(jacs.reshape(k, size, n, n)[:, 1:]), (k, size - 1)).max(axis=1)
+    eig_resid = _eig2_residuals(jacs.reshape(k, size, n, n)[:, 1:]).max(axis=1)
     attracting = (_classes(spectra, TAU_UNIT)[0] == StabilityTag.ATTRACTING).reshape(k, size)
     attracting_err = ~attracting[:, 0] + attracting[:, 1:].sum(axis=1)
 
@@ -151,7 +152,9 @@ def _check_draws(theta: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 def verification_sweep(n: int, trials: int, seed: int) -> VerificationSummary:
     """Run all randomized checks over `trials` seeded rate draws at
     dimension 2 <= n <= 12, in chunks of _STACK_ROWS // 2^n draws whose
-    fixed points are one Jacobian stack."""
+    fixed points are one Jacobian stack.  n, trials and seed must be
+    integers (numpy integers too)."""
+    n, trials = _integer("n", n), _integer("trials", trials)
     if not 2 <= n <= 12:
         raise DomainError(f"verify requires 2 <= n <= 12, got n = {n}")
     if trials < 1:

@@ -314,7 +314,7 @@ class TestVerifyCommand:
         from qdyn import verify
 
         def nan_residuals(stack):
-            return [float("nan")] * (stack.size // stack.shape[-1] ** 2)
+            return np.full(stack.shape[:-2], np.nan)
 
         monkeypatch.setattr(verify, "_eig2_residuals", nan_residuals)
         name = "eigenvalue-2 residual |det(J - 2I)| / ||J||^n"
@@ -576,6 +576,13 @@ class TestUsage:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: eigenvalue iteration failed") and proc.stderr.count("\n") == 1
+
+    def test_nonfinite_jacobian_prints_one_solver_error_line(self, capsys):
+        # in-process: r1 * x2 overflows to inf in the Jacobian at the point (0, 2e300)
+        code, out, err = run_cli(capsys, "fixed-points", "--theta", "1e300,1e-300", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: eigenvalue iteration failed") and err.count("\n") == 1
 
     def test_overflow_is_silent_without_qdyn_log(self):
         proc = self.run_overflowing_simulate()

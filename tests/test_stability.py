@@ -4,6 +4,7 @@ import pytest
 from qdyn import (
     DimensionMismatch,
     DomainError,
+    EigenSolverError,
     Rates,
     StabilityTag,
     SupportMask,
@@ -60,6 +61,12 @@ class TestSpectrum:
         spectrum = spectrum_at(rates, interior_fixed_point(rates))
         for target in (2.0, 0.64, 1.12):
             assert np.min(np.abs(spectrum - target)) <= 0.01
+
+    def test_nonfinite_jacobian_is_a_solver_error(self):
+        # r1 * x2 overflows at the axis point (0, 2e300): the solver refuses the inf
+        rates = Rates([1e300, 1e-300])
+        with pytest.raises(EigenSolverError, match="eigenvalue iteration failed"):
+            spectrum_at(rates, fixed_point_for_support(rates, SupportMask.from_bits([0, 1])))
 
     def test_conjugate_pairs(self):
         rng = np.random.default_rng(5)
@@ -265,6 +272,27 @@ class TestStackedSpectra:
                 jacobian(rates_04_06, x)
         with pytest.raises(DomainError, match="state must be finite"):
             jacobian(rates_04_06, [np.inf, 0.0])
+
+    @pytest.mark.parametrize(
+        "theta, point",
+        [
+            ([1.0, 1.0], [1e-200, 0.0]),  # ||J||^2 underflows to 0
+            ([1e80, 1e-80], [0.0, 2e80]),  # the point on support {2}: ||J||^2 = 4e320 overflows
+            ([1e300, 1e-300], [0.0, 2e300]),  # the point on support {2}: r1 * x2 overflows to inf in J
+        ],
+    )
+    def test_norm_power_outside_the_float_range_rejected(self, theta, point):
+        for x in (point, [point]):
+            with pytest.raises(DomainError, match="null Jacobian"):
+                eigenvalue_two_residual(Rates(theta), x)
+
+    def test_determinant_past_the_float_range_is_inf(self):
+        # not a fixed point: ||J|| = 1, but J - 2I is triangular with n - 1
+        # diagonal entries -3, so |det| = (2 + 1/n) 3^(n - 1) overflows at n = 650
+        n = 650
+        x = np.zeros(n)
+        x[0] = -1.0
+        assert eigenvalue_two_residual(Rates([1.0 / n] + [1.0] * (n - 1)), x) == np.inf
 
     def test_null_jacobian_rejected(self):
         with pytest.raises(DomainError, match="null Jacobian"):

@@ -146,9 +146,9 @@ def _nan_eigenvalue(stack):
 
 def _nan_det_residual(stack):
     # one NaN in each table's eigenvalue-2 residuals (stack: draws x non-origin rows)
-    residuals = np.reshape(_eig2_residuals(stack), stack.shape[:-2])
+    residuals = _eig2_residuals(stack)
     residuals[:, 0] = np.nan
-    return residuals.ravel().tolist()
+    return residuals
 
 
 # a fault seeded into the sweep, the one check it must fail and its worst metric;
@@ -158,7 +158,7 @@ FAULTS = {
     "repeated-point": ("_points", _full_support_repeated, "fixed-point count == 2^n", lambda worst: worst == 1.0),
     "eigenvalue-off-two": ("_eigvals", _eigenvalue_two_moved, "eigenvalue-2 distance min |lam - 2|",
                            lambda worst: 1e-6 < worst <= 1e-3 + 1e-6),
-    "eigenvalue-two-residual": ("_eig2_residuals", lambda stack: [1.0] * (stack.size // stack.shape[-1] ** 2),
+    "eigenvalue-two-residual": ("_eig2_residuals", lambda stack: np.ones(stack.shape[:-2]),
                                 "eigenvalue-2 residual |det(J - 2I)| / ||J||^n", lambda worst: worst == 1.0),
     "nan-residual": ("_points", _nan_residual, "fixed-point residual (relative)", math.isnan),
     "nan-eigenvalue": ("_eigvals", _nan_eigenvalue, "eigenvalue-2 distance min |lam - 2|", math.isnan),
@@ -258,6 +258,20 @@ def test_seed_outside_the_philox_key_range_rejected(seed):
 def test_sweep_needs_two_coordinates_and_one_trial(n, trials):
     with pytest.raises(DomainError):
         verification_sweep(n, trials, 0)
+
+
+@pytest.mark.parametrize("n, trials, seed", [(3.5, 2, 0), (3, 2.5, 0), (3, 2, 1.5), (3.0, 2, 0), (3, 2, "1")])
+def test_sweep_takes_integers_only(n, trials, seed):
+    # a float is no integer, even where its value is one
+    with pytest.raises(DomainError, match="must be an integer"):
+        verification_sweep(n, trials, seed)
+
+
+def test_numpy_integers_are_integers():
+    summary = verification_sweep(np.int64(3), np.uint8(2), np.int32(5))
+    assert summary.checks == verification_sweep(3, 2, 5).checks
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        make_rng(np.float64(5.0))
 
 
 def test_largest_seed_accepted():
