@@ -4,7 +4,12 @@ Subcommands: fixed-points, classify, simulate, basin, verify.  Each
 subparser declares the settings its command reads, as flags with their
 defaults, and its output formats, the first being the default.  Those
 flags' dests are the --config keys, and a config key overrides its flag;
-a setting passes the same check whichever way it comes.
+a setting passes the same check whichever way it comes.  The CLI checks
+only what JSON and the command line alone know (a value's kind, its float
+conversion, unknown keys, the command's formats); each setting's range
+is the rule of the library check that owns it (Rates for theta), called
+for every key given, also one the command does not read, so a bad value
+fails with the library's message on one stderr line.
 Handlers print nothing: each returns its exit code and the one output its
 format prints, the JSON payload for json and otherwise its CSV rows or text
 lines, and `main` prints it once, on stdout, with shortest round-trip float
@@ -31,12 +36,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import DEFAULT_BISECT_TOL, DEFAULT_BUDGET, basin_boundary, classify_fate, iterate
+from .dynamics import DEFAULT_BISECT_TOL, DEFAULT_BUDGET, _budget, basin_boundary, classify_fate, iterate
 from .errors import QdynError
 from .fixed_points import SupportMask, _all_supports, _points
-from .model import Rates
+from .model import Rates, _tolerance
 from .stability import TAU_UNIT, _classes, spectrum_at
-from .verify import verification_sweep
+from .verify import _seed, verification_sweep
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -62,8 +67,12 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 _KIND_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list of numbers"}
-# the settings as flag dests and --config keys, each with its JSON kind
-_SETTINGS = {"theta": list, "seed": int, "tau_unit": float, "bisect_tol": float, "budget": int, "format": str}
+# the settings as flag dests and --config keys, each with its JSON kind and
+# the library check that owns its rule and returns the checked value; a
+# format's rule, the command's formats, is the CLI's own, checked in _setting,
+# and str passes the format on as it is
+_SETTINGS = {"theta": (list, Rates), "seed": (int, _seed), "tau_unit": (float, _tolerance),
+             "bisect_tol": (float, _tolerance), "budget": (int, _budget), "format": (str, str)}
 
 
 def _fits(value, kind: type) -> bool:
@@ -92,35 +101,24 @@ def _settings(args: Namespace) -> None:
         settings.update(overrides)
     for key, value in settings.items():
         setattr(args, key, _setting(key, value, args))
+    if getattr(args, "theta", 0) is None:  # a command with --theta needs rates, from it or --config
+        raise QdynError("--theta is required for this command")
 
 
 def _setting(key: str, value, args: Namespace):
     """One setting, from a flag or a config key: its JSON kind, then its
-    value as float where it is a number or rates, then its range."""
-    if not _fits(value, kind := _SETTINGS[key]):
+    value as float where it is a number or rates, then its owner's check,
+    whose result it returns: theta as Rates."""
+    kind, owner = _SETTINGS[key]
+    if not _fits(value, kind):
         raise QdynError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
     try:
         value = list(map(float, value)) if kind is list else float(value) if kind is float else value
     except OverflowError as exc:
         raise QdynError(f"config key {key!r} is out of range") from exc
-    # chained comparisons are False for NaN, so NaN is rejected too
-    if kind is list and not all(0.0 < t < math.inf for t in value):
-        raise QdynError("all rates must be finite and strictly positive")
-    if kind is float and not 0.0 < value < math.inf:
-        raise QdynError(f"{key} must be finite and positive")
-    if key == "budget" and value < 1:
-        raise QdynError("budget must be >= 1")
-    if key == "seed" and value < 0:
-        raise QdynError("seed must be a nonnegative integer")
     if key == "format" and value not in args.formats:
         raise QdynError(f"{args.command} prints {' or '.join(args.formats)}, not {value!r}")
-    return value
-
-
-def _rates(args: Namespace) -> Rates:
-    if args.theta is None:
-        raise QdynError("--theta is required for this command")
-    return Rates(np.array(args.theta))
+    return owner(value)
 
 
 # One fixed-points record as json.dumps(indent=2) prints it inside the payload;
@@ -146,16 +144,15 @@ def _column(values: list, depth: int) -> list[str]:
 
 def _points_output(args: Namespace, rates: Rates, masks: Iterable[int], bits: np.ndarray) -> tuple[int, str | Iterable]:
     # one JSON record or CSV row per support, read off the columns of the fixed-point table
-    coords, residual = _points(rates.values, bits)
+    coords, residual, feasible = _points(rates.values, bits)
     spectra = spectrum_at(rates, coords)
     tags, inside, outside, on_unit = _classes(spectra, args.tau_unit)
-    feasible = np.all(coords >= 0.0, axis=1).tolist()
     pairs = np.stack([spectra.real, spectra.imag], axis=-1)
     if args.format == "json":
         # the same text as json.dumps(indent=2) of the records, a column at a time
         records = map(
             _RECORD.format, _column(list(masks), 0), _column(bits.tolist(), 1), _column(coords.tolist(), 1),
-            _column(feasible, 0), _column(residual.tolist(), 0), _column(pairs.tolist(), 2),
+            _column(feasible.tolist(), 0), _column(residual.tolist(), 0), _column(pairs.tolist(), 2),
             _column([tag.value for tag in tags], 0), *(_column(col.tolist(), 0) for col in (inside, outside, on_unit)),
         )
         head = json.dumps({"theta": rates.values.tolist(), "n": rates.n}, indent=2)[:-2]  # less its "\n}"
@@ -165,7 +162,7 @@ def _points_output(args: Namespace, rates: Rates, masks: Iterable[int], bits: np
     rows = (
         [mask, "".join(map(str, support)), str(feasible).lower(), res, *x, *flat, tag.value]
         for mask, support, x, feasible, res, flat, tag in zip(
-            masks, bits.tolist(), coords.tolist(), feasible, residual.tolist(),
+            masks, bits.tolist(), coords.tolist(), feasible.tolist(), residual.tolist(),
             pairs.reshape(len(coords), -1).tolist(), tags,
         )
     )
@@ -173,12 +170,12 @@ def _points_output(args: Namespace, rates: Rates, masks: Iterable[int], bits: np
 
 
 def cmd_fixed_points(args: Namespace) -> tuple[int, str | Iterable]:
-    rates = _rates(args)
+    rates = args.theta
     return _points_output(args, rates, range(1 << rates.n), _all_supports(rates))
 
 
 def cmd_classify(args: Namespace) -> tuple[int, str | Iterable]:
-    rates = _rates(args)
+    rates = args.theta
     bits = args.support.split(",")
     if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
         raise QdynError(f"--support expects {rates.n} bits (0 or 1), got {args.support!r}")
@@ -187,7 +184,7 @@ def cmd_classify(args: Namespace) -> tuple[int, str | Iterable]:
 
 
 def cmd_simulate(args: Namespace) -> tuple[int, dict | Iterable]:
-    rates = _rates(args)
+    rates = args.theta
     x0 = np.array(_parse_floats(args.x0, "--x0"))
     trajectory = iterate(rates, x0, args.steps).tolist()
     report = classify_fate(rates, x0, args.budget)
@@ -210,7 +207,7 @@ def cmd_simulate(args: Namespace) -> tuple[int, dict | Iterable]:
 
 
 def cmd_basin(args: Namespace) -> tuple[int, dict | Iterable]:
-    rates = _rates(args)
+    rates = args.theta
     samples = basin_boundary(rates, _parse_range(args.x1_range), tol=args.bisect_tol, budget=args.budget)
     header = ["x1", "x2_low", "x2_high", "width", "flagged"]
     rows = ([s.x1, s.x2_low, s.x2_high, s.width, str(s.flagged).lower()] for s in samples)
@@ -275,13 +272,14 @@ def build_parser() -> ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, handler, help, formats, theta=True) -> ArgumentParser:
-        # the flags every command takes; formats[0] is the default format
+        # the flags every command takes; a command prints two formats, which
+        # _setting checks, and formats[0] is the default
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler, formats=formats)
         if theta:
             p.add_argument("--theta", help="comma-separated positive rates, e.g. 0.4,0.6")
         p.add_argument("--config", help="JSON config file; its keys override flags")
-        p.add_argument("--format", choices=formats, default=formats[0], help=f"output format (default {formats[0]})")
+        p.add_argument("--format", default=formats[0], metavar="{%s,%s}" % formats, help="output format (default %(default)s)")
         return p
 
     def add_tol(p, dest, default, help) -> None:

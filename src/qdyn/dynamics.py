@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .fixed_points import _points
-from .model import Rates, _step, as_state
+from .model import Rates, _step, _tolerance, as_state
 
 log = logging.getLogger("qdyn.dynamics")
 
@@ -137,11 +137,22 @@ def _state_rows(rates: Rates, x) -> tuple[np.ndarray, bool]:
 
 
 def _integer(name: str, value) -> int:
-    # an integer-valued argument as a Python int: numpy integers pass, floats do not
+    # an integer-valued argument as a Python int: numpy integers pass, floats
+    # do not, and neither does a bool, an int subclass in Python
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _budget(budget) -> int:
+    # an iteration budget, checked: an integer >= 1
+    budget = _integer("budget", budget)
+    if budget < 1:
+        raise DomainError(f"budget must be >= 1, got {budget}")
+    return budget
 
 
 def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
@@ -254,9 +265,7 @@ def _fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
     within it, so a state can be near one only if some |lhs_k - 2/r_k| is
     at most 4 n PROXIMITY_RTOL max(1, |x|).
     """
-    budget = _integer("budget", budget)
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
+    budget = _budget(budget)
     theta, half, gate = rates.values, (0.5 * rates.values)[:, None], 4 * rates.n * PROXIMITY_RTOL
     bound = (2.0 / theta)[:, None]
     below, above = bound - REGION_MARGIN, bound + REGION_MARGIN
@@ -330,13 +339,14 @@ def _candidate(theta: np.ndarray, x: np.ndarray, norm: np.ndarray) -> tuple[np.n
     max(1, |p|) of the row.  The point comes from `_points`, so it is bit
     for bit the enumeration's."""
     bits = x > 2.0 * PROXIMITY_RTOL * np.maximum(1.0, norm)[:, None]
-    coords, _ = _points(theta, bits)
+    coords, _, feasible = _points(theta, bits)
     radius = PROXIMITY_RTOL * np.maximum(1.0, np.abs(coords).max(axis=1))
-    return bits, bits.any(axis=1) & (coords >= 0.0).all(axis=1) & (np.abs(coords - x).max(axis=1) <= radius)
+    return bits, bits.any(axis=1) & feasible & (np.abs(coords - x).max(axis=1) <= radius)
 
 
 def basin_boundary(rates: Rates, x1_grid, tol: float = DEFAULT_BISECT_TOL, budget: int = DEFAULT_BUDGET) -> list[BoundarySample]:
-    """Locate the basin boundary on vertical lines x1 = const (n = 2).
+    """Locate the basin boundary on vertical lines x1 = const (n = 2), each
+    to a bracket at most tol wide, tol finite and positive.
 
     On the line x1 = c the forward-invariant regions are closed-form
     intervals: MBAR1 is x2 <= min(a, b) and MBAR2 is x2 >= max(a, b), with
@@ -376,8 +386,7 @@ def basin_boundary(rates: Rates, x1_grid, tol: float = DEFAULT_BISECT_TOL, budge
     """
     if rates.n != 2:
         raise DimensionMismatch(f"basin boundary requires n = 2, got n = {rates.n}")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    tol = _tolerance(tol)
     grid = np.atleast_1d(np.asarray(x1_grid, dtype=float))
     if grid.ndim != 1:
         raise DimensionMismatch(f"x1 grid must be 1-d, got shape {grid.shape}")

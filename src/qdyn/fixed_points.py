@@ -75,10 +75,11 @@ def _support_bits(masks: Sequence[int], n: int) -> np.ndarray:
     return (np.asarray(masks, dtype=np.int64).reshape(-1, 1) >> np.arange(n)) & 1
 
 
-def _points(theta: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates and residuals |H(x) - x|_inf, one row per row of support
-    bits (1 where the coordinate is in the support), under one rate vector
-    or one rate row per row of bits (theta of shape (n,) or (k, n)).
+def _points(theta: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates, residuals |H(x) - x|_inf and feasibility (every
+    coordinate nonnegative), one row per row of support bits (1 where the
+    coordinate is in the support), under one rate vector or one rate row
+    per row of bits (theta of shape (n,) or (k, n)).
 
     The nonzero coordinates are the reduced form of the Cramer solution on
     the support, 4*sum_S(1/r) - (4m - 2)/r_k over 2m - 1 for a support S of
@@ -99,7 +100,7 @@ def _points(theta: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray
         # extreme rates can overflow the step, and the residual is then inf or nan
         residual = np.max(np.abs(_step(theta, coords) - coords), axis=1)
     coords.flags.writeable = False
-    return coords, residual
+    return coords, residual, np.all(coords >= 0.0, axis=1)
 
 
 def fixed_point_for_support(rates: Rates, support: SupportMask) -> FixedPoint:
@@ -109,10 +110,15 @@ def fixed_point_for_support(rates: Rates, support: SupportMask) -> FixedPoint:
     support, so restriction consistency is exact by construction.  The empty
     support yields the origin.
     """
+    coords, residual, feasible = _points(rates.values, _support_row(rates, support))
+    return FixedPoint(coords[0], support, bool(feasible[0]), float(residual[0]))
+
+
+def _support_row(rates: Rates, support: SupportMask) -> np.ndarray:
+    # the support's bits as one row, for rates of the support's own n
     if support.n != rates.n:
         raise DimensionMismatch(f"support is for n={support.n}, rates have n={rates.n}")
-    coords, residual = _points(rates.values, np.array([support.bits()]))
-    return FixedPoint(coords[0], support, bool(np.all(coords[0] >= 0.0)), float(residual[0]))
+    return np.array([support.bits()])
 
 
 def interior_fixed_point(rates: Rates) -> FixedPoint:
@@ -122,10 +128,9 @@ def interior_fixed_point(rates: Rates) -> FixedPoint:
 
 def enumerate_fixed_points(rates: Rates) -> list[FixedPoint]:
     """All 2^n algebraic fixed points, ordered by support mask ascending."""
-    coords, residual = _points(rates.values, _all_supports(rates))
-    feasible = np.all(coords >= 0.0, axis=1).tolist()
+    coords, residual, feasible = _points(rates.values, _all_supports(rates))
     return [
         FixedPoint(x, SupportMask(rates.n, mask), ok, res)
-        for mask, (x, ok, res) in enumerate(zip(coords, feasible, residual.tolist()))
+        for mask, (x, ok, res) in enumerate(zip(coords, feasible.tolist(), residual.tolist()))
     ]
 

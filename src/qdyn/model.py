@@ -34,10 +34,8 @@ class Rates:
             raise DomainError(f"rates must be a 1-d vector, got shape {values.shape}")
         if values.size < 2:
             raise DomainError(f"n must be >= 2, got {values.size} rate(s)")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("rates must be finite")
-        if np.any(values <= 0.0):
-            raise DomainError("rates must be strictly positive")
+        if not np.all((0.0 < values) & (values < np.inf)):  # False for NaN too
+            raise DomainError("rates must be finite and strictly positive")
         # 4*n*sum(1/r_k) bounds every intermediate of the closed-form fixed
         # points; Python floats overflow to inf without a warning
         if not math.isfinite(4.0 * values.size * sum(1.0 / r for r in values.tolist())):
@@ -69,14 +67,27 @@ def as_state(x, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def _tolerance(tol: float) -> float:
+    # a tolerance argument, checked: finite and positive (the chained
+    # comparison is False for NaN too)
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+    return tol
+
+
 def _step(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     # x_k + 2*sum_{i != k} x_i == 2*sum(x) - x_k, for a state or for each row of a stack
     return 0.5 * theta * x * (2.0 * x.sum(axis=-1, keepdims=True) - x)
 
 
 def apply(rates: Rates, x) -> np.ndarray:
-    """One application of the map to a state in the nonnegative orthant."""
-    return _step(rates.values, as_state(x, rates.n))
+    """One application of the map to a state in the nonnegative orthant; a
+    step past the float range raises DomainError, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = _step(rates.values, as_state(x, rates.n))
+    if not np.isfinite(step).all():
+        raise DomainError("the step overflows the float range")
+    return step
 
 
 def jacobian(rates: Rates, x) -> np.ndarray:

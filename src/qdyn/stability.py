@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, EigenSolverError
-from .fixed_points import FixedPoint, SupportMask
-from .model import Rates, jacobian
+from .errors import DomainError, EigenSolverError
+from .fixed_points import FixedPoint, SupportMask, _support_row
+from .model import Rates, _tolerance, jacobian
 
 TAU_UNIT = 1e-9  # half-width of the modulus band treated as "on the unit circle"
 NONHYP_REL_TOL = 1e-12  # relative tolerance for the nonhyperbolicity certificate
@@ -93,13 +93,11 @@ def classify(eigenvalues, tol: float = TAU_UNIT):
     """Classify a spectrum by counting moduli against the unit circle; a
     stack of spectra (one per row) gets a list with one class per row.
 
-    Anything within `tol` of the circle is reported nonhyperbolic rather
-    than guessed to a side.
+    Anything within `tol`, finite and positive, of the circle is reported
+    nonhyperbolic rather than guessed to a side.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
-    columns = _classes(np.atleast_2d(eigenvalues), tol)
+    columns = _classes(np.atleast_2d(eigenvalues), _tolerance(tol))
     classes = [StabilityClass(*row) for row in zip(*(column.tolist() for column in columns))]
     return classes if eigenvalues.ndim > 1 else classes[0]
 
@@ -163,12 +161,10 @@ def nonhyperbolic_condition(rates: Rates, support: SupportMask) -> bool:
     there the certificate decides, up to its tolerance, whether the point is
     nonhyperbolic.
     """
-    if support.n != rates.n:
-        raise DimensionMismatch(f"support is for n={support.n}, rates have n={rates.n}")
-    indices = support.indices()
-    if not indices:
+    indices = np.flatnonzero(_support_row(rates, support))
+    if not indices.size:
         raise DomainError("certificate requires a nonempty support")
-    restricted = float(np.sum(1.0 / rates.values[list(indices)]))
-    target = (2.0 * len(indices) - 1.0) / 2.0
+    restricted = float(np.sum(1.0 / rates.values[indices]))
+    target = (2.0 * indices.size - 1.0) / 2.0
     with np.errstate(over="ignore"):  # an r_k R past the float range is inf, never the target
         return bool(np.any(np.abs(rates.values * restricted - target) <= NONHYP_REL_TOL * target))

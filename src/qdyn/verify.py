@@ -70,11 +70,15 @@ class VerificationSummary:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    # Philox keys are 128-bit
+    return np.random.Generator(np.random.Philox(key=_seed(seed)))
+
+
+def _seed(seed) -> int:
+    # a generator seed, checked: an integer Philox key, which is 128-bit
     seed = _integer("seed", seed)
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must be in [0, 2^128), got {seed}")
-    return np.random.Generator(np.random.Philox(key=seed))
+    return seed
 
 
 def sample_rates(rng: np.random.Generator, n: int) -> Rates:
@@ -123,7 +127,7 @@ def _check_draws(theta: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     # the draws' tables one after the other, each its 2^n points by mask
     bits = np.tile(_support_bits(np.arange(size), n), (k, 1))
     rate_rows = np.repeat(theta, size, axis=0)
-    coords, residuals = _points(rate_rows, bits)
+    coords, residuals = _points(rate_rows, bits)[:2]
     # a zero inside a support repeats the point of a smaller support, so the
     # 2^n points are distinct exactly when no row's nonzero set differs from
     # its support

@@ -59,8 +59,12 @@ def test_only_qdyn_errors_leave_the_api_at_extreme_rates():
         returned_or_qdyn_error(qdyn.classify_fate, rates, point.coords, 50)
         returned_or_qdyn_error(qdyn.iterate, rates, point.coords, 3)
         returned_or_qdyn_error(qdyn.apply, rates, point.coords)
+        # a finite state whose step overflows at all but the smallest rates
+        returned_or_qdyn_error(qdyn.apply, rates, np.full(n, 1e200))
         for region in qdyn.RegionKind:
             returned_or_qdyn_error(qdyn.region_membership, rates, point.coords, region)
         returned_or_qdyn_error(qdyn.nonhyperbolic_condition, rates, point.support)
         if n == 2:
             returned_or_qdyn_error(qdyn.basin_boundary, rates, [0.0, point.coords[0]], 1e-8, 50)
+    # at unit rates the step of (1e200, 1e200) is past the float range: no state is returned
+    assert returned_or_qdyn_error(qdyn.apply, qdyn.Rates([1, 1]), [1e200, 1e200]) is None

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyn import TAU_UNIT, Rates, classify, enumerate_fixed_points, spectrum_at
+from qdyn import TAU_UNIT, DomainError, Rates, basin_boundary, classify, classify_fate, enumerate_fixed_points, spectrum_at
 from qdyn.cli import build_parser, main
+from qdyn.verify import verification_sweep
 
 
 def run_cli(capsys, *argv):
@@ -436,22 +437,35 @@ class TestSettingsPath:
         assert run_cli(capsys, *argv)[1] != flagged  # the tolerance reached the output
 
     @pytest.mark.parametrize(
-        "argv, flag, setting",
+        "argv, flag, setting, library_call",
         [
-            (("fixed-points", "--theta", "0.4,0.6"), ("--tol", "nan"), {"tau_unit": float("nan")}),
-            (("simulate", "--theta", "1,1", "--x0", "0.1,0.1"), ("--budget", "0"), {"budget": 0}),
-            (VERIFY[:5], ("--seed", "-1"), {"seed": -1}),
-            (("simulate", "--x0", "0.1,0.1"), ("--theta", "1,-1"), {"theta": [1, -1]}),
+            (("fixed-points", "--theta", "0.4,0.6"), ("--tol", "nan"), {"tau_unit": float("nan")},
+             lambda: classify([0.5, 2.0], tol=float("nan"))),
+            (("fixed-points", "--theta", "0.4,0.6"), ("--tol", "inf"), {"tau_unit": float("inf")},
+             lambda: classify([0.5, 2.0], tol=float("inf"))),
+            (("basin", "--theta", "0.4,0.6", "--x1-range", "0:1:2"), ("--tol", "inf"), {"bisect_tol": float("inf")},
+             lambda: basin_boundary(Rates([0.4, 0.6]), [1.0], tol=float("inf"))),
+            (("simulate", "--theta", "1,1", "--x0", "0.1,0.1"), ("--budget", "0"), {"budget": 0},
+             lambda: classify_fate(Rates([1, 1]), [0.1, 0.1], 0)),
+            (VERIFY[:5], ("--seed", "-1"), {"seed": -1}, lambda: verification_sweep(2, 2, -1)),
+            (("simulate", "--x0", "0.1,0.1"), ("--theta", "1,-1"), {"theta": [1, -1]}, lambda: Rates([1, -1])),
+            # the command's formats are the CLI's own rule, with no library call
+            (("simulate", "--theta", "1,1", "--x0", "0.1,0.1"), ("--format", "xml"), {"format": "xml"}, None),
         ],
-        ids=["tau_unit", "budget", "seed", "theta"],
+        ids=["tau_unit", "tau_unit=inf", "bisect_tol=inf", "budget", "seed", "theta", "format"],
     )
-    def test_flag_and_config_key_fail_alike(self, capsys, tmp_path, argv, flag, setting):
-        # one check per setting, whichever way the value arrives
+    def test_flag_and_config_key_fail_alike(self, capsys, tmp_path, argv, flag, setting, library_call):
+        # one check per setting, whichever way the value arrives, and the
+        # library raises the CLI's message
         flagged = run_cli(capsys, *argv, *flag)
         configured = run_cli(capsys, *argv, "--config", write_config(tmp_path, setting))
         assert flagged == configured
         code, out, err = flagged
         assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        if library_call is not None:
+            with pytest.raises(DomainError) as raised:
+                library_call()
+            assert f"error: {raised.value}\n" == err
 
 
 class TestUsage:

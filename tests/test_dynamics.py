@@ -59,6 +59,8 @@ class TestIterate:
         fp = interior_fixed_point(rates_04_06)
         with pytest.raises(DomainError, match="integer"):
             iterate(rates_04_06, fp.coords, 2.0)
+        with pytest.raises(DomainError, match="max_steps must be an integer, got True"):
+            iterate(rates_04_06, fp.coords, True)  # a bool is no integer, though Python's bool is an int
         assert iterate(rates_04_06, fp.coords, np.int64(2)).shape == (3, 2)
 
     def test_step_count_bounds(self, rates_04_06):
@@ -192,7 +194,7 @@ class TestClassifyFate:
         with pytest.raises(DomainError):
             classify_fate(rates_04_06, [0.1, 0.1], budget=0)
 
-    @pytest.mark.parametrize("budget", [2.5, float("inf"), "3"])
+    @pytest.mark.parametrize("budget", [2.5, float("inf"), "3", True, np.True_])
     def test_budget_must_be_an_integer(self, rates_04_06, budget):
         with pytest.raises(DomainError, match="integer"):
             classify_fate(rates_04_06, [4.999, 0.0], budget=budget)
@@ -728,6 +730,11 @@ class TestBasinBoundary:
     def test_rejects_nan_tolerance(self, rates_04_06):
         with pytest.raises(DomainError):
             basin_boundary(rates_04_06, [0.5, 1.0], tol=float("nan"))
+
+    def test_rejects_infinite_tolerance(self, rates_04_06):
+        # an infinite tol would certify a bracket whose upper end is not a state
+        with pytest.raises(DomainError, match="tol must be finite and positive, got inf"):
+            basin_boundary(rates_04_06, [1.0], tol=float("inf"))
 
     def test_rejects_grid_that_is_not_1d(self, rates_04_06):
         with pytest.raises(DimensionMismatch, match=r"x1 grid must be 1-d, got shape \(1, 2\)"):

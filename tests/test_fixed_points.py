@@ -183,7 +183,7 @@ class TestPointTable:
         rng = np.random.default_rng(40 + n)
         rates = Rates(0.05 + 2.95 * rng.random(n))
         masks = rng.permutation(1 << n)
-        coords, residual = _points(rates.values, _support_bits(masks, n))
+        coords, residual = _points(rates.values, _support_bits(masks, n))[:2]
         for row, mask in enumerate(masks.tolist()):
             idx = [k for k in range(n) if mask >> k & 1]
             expected = np.zeros(n)
@@ -193,7 +193,7 @@ class TestPointTable:
             assert residual[row] == np.max(np.abs(_step(rates.values, expected) - expected)), mask
 
     def test_table_is_readonly(self, rates_ones3):
-        coords, _ = _points(rates_ones3.values, np.array([[1, 0, 0], [1, 1, 1]]))
+        coords = _points(rates_ones3.values, np.array([[1, 0, 0], [1, 1, 1]]))[0]
         with pytest.raises(ValueError):
             coords[0, 0] = 1.0
 

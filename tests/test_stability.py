@@ -104,6 +104,11 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify([1.0], tol=float("nan"))
 
+    def test_rejects_infinite_tolerance(self):
+        # an infinite band would call every spectrum nonhyperbolic
+        with pytest.raises(DomainError, match="tol must be finite and positive, got inf"):
+            classify([0.5, 2.0], tol=float("inf"))
+
 
 class TestRootLocation:
     def test_examples(self):

@@ -206,8 +206,8 @@ class TestScalingConjugacy:
         c = 2.0**k
         rates, scaled = Rates(theta), Rates(theta / c)
         bits = _all_supports(rates)
-        coords, residual = _points(rates.values, bits)
-        coords_c, residual_c = _points(scaled.values, bits)
+        coords, residual = _points(rates.values, bits)[:2]
+        coords_c, residual_c = _points(scaled.values, bits)[:2]
         assert np.array_equal(coords_c, c * coords)
         assert np.array_equal(residual_c, c * residual)
         assert np.array_equal(jacobian(scaled, coords_c), jacobian(rates, coords))
@@ -344,8 +344,8 @@ class TestPermutationEquivariance:
     def test_planar_swap_mirrors_table_and_fates_bit_for_bit(self, theta):
         rates, swapped = Rates(theta), Rates(theta[::-1])
         bits = _all_supports(rates)
-        coords, residual = _points(rates.values, bits)
-        coords_s, residual_s = _points(swapped.values, bits)
+        coords, residual = _points(rates.values, bits)[:2]
+        coords_s, residual_s = _points(swapped.values, bits)[:2]
         assert np.array_equal(coords_s[self.SWAP], coords[:, ::-1])
         assert np.array_equal(residual_s[self.SWAP], residual)
         # a 7 x 7 grid of starts in units of the axis points 2/r_k, from the
@@ -366,7 +366,7 @@ class TestPermutationEquivariance:
         n = theta.size
         rates, permuted = Rates(theta), Rates(theta[perm])
         bits = _all_supports(rates)
-        coords, _ = _points(rates.values, bits)
+        coords = _points(rates.values, bits)[0]
         # coordinate k of the permuted system is coordinate perm[k] here, so
         # the point of mask m is the point of the mask whose bit k is bit
         # perm[k] of m
@@ -445,7 +445,7 @@ class TestWaterFilling:
         for _ in range(40):
             theta = RATE_FAMILIES[family](rng, n)
             bits = _all_supports(Rates(theta))
-            coords, _ = _points(theta, bits)
+            coords = _points(theta, bits)[0]
             size = bits.sum(axis=1)
             s = 2.0 * (bits @ (1.0 / theta)) / (2 * size - 1)  # the origin's row reads -0.0
             rs = theta * s[:, None]

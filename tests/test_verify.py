@@ -111,14 +111,14 @@ def _origin_saddle(spectra, tol):
 
 
 def _residuals_raised(theta, bits):
-    coords, residuals = _points(theta, bits)
+    coords, residuals = _points(theta, bits)[:2]
     return coords, residuals + 1e-6
 
 
 def _full_support_repeated(theta, bits):
     # each table's full-support row (mask 2^n - 1) holds the point of mask
     # 2^n - 2: a true fixed point, so only the count can tell
-    coords, residuals = (a.copy() for a in _points(theta, bits))
+    coords, residuals = (a.copy() for a in _points(theta, bits)[:2])
     size = 1 << bits.shape[1]
     coords[size - 1 :: size], residuals[size - 1 :: size] = coords[size - 2 :: size], residuals[size - 2 :: size]
     return coords, residuals
@@ -131,7 +131,7 @@ def _eigenvalue_two_moved(stack):
 
 def _nan_residual(theta, bits):
     # one NaN residual in each table, on its first non-origin row
-    coords, residuals = _points(theta, bits)
+    coords, residuals = _points(theta, bits)[:2]
     residuals = residuals.copy()
     residuals[1 :: 1 << bits.shape[1]] = np.nan
     return coords, residuals
@@ -260,9 +260,12 @@ def test_sweep_needs_two_coordinates_and_one_trial(n, trials):
         verification_sweep(n, trials, 0)
 
 
-@pytest.mark.parametrize("n, trials, seed", [(3.5, 2, 0), (3, 2.5, 0), (3, 2, 1.5), (3.0, 2, 0), (3, 2, "1")])
+@pytest.mark.parametrize(
+    "n, trials, seed",
+    [(3.5, 2, 0), (3, 2.5, 0), (3, 2, 1.5), (3.0, 2, 0), (3, 2, "1"), (3, True, 0), (3, 2, False), (np.True_, 2, 0)],
+)
 def test_sweep_takes_integers_only(n, trials, seed):
-    # a float is no integer, even where its value is one
+    # a float is no integer, even where its value is one, and neither is a bool
     with pytest.raises(DomainError, match="must be an integer"):
         verification_sweep(n, trials, seed)
 
