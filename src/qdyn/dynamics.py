@@ -20,7 +20,10 @@ points is built and fates work at any n.
 `classify_fate` hands it one start or many; `basin_boundary` searches all
 lines of a grid together through it, one call per round: the two bracket
 ends of every line first, then up to 15 equally spaced cuts of every
-bracket that is still wider than tol.
+bracket that is still wider than tol.  Each nonzero fixed point has the
+eigenvalue 2, so cuts 16 times closer to the boundary, the stable manifold
+of a saddle, leave it about 4 steps later than the last round's slowest
+fate; the search sizes each round's first block of states from that.
 `iterate` keeps every state of a single orbit and steps it in its own loop:
 its orbits in `simulate` stop after about six steps, where blocks of states
 measured no clear gain (within 3% of the loop when they double from 1 or 4
@@ -218,9 +221,9 @@ def classify_fate(rates: Rates, x0, budget: int = DEFAULT_BUDGET) -> FateReport 
     then steps on.
     """
     rows, stacked = _state_rows(rates, x0)
-    outcomes, evidence, steps, final, masks = _fates(rates, rows, budget)
+    rule, steps, final, masks = _fates(rates, rows, budget)
     final.flags.writeable = False  # each report's final state is a read-only row view of it
-    reports = list(map(FateReport, outcomes, steps, final, evidence, masks))
+    reports = list(map(FateReport, _OUTCOMES[rule], steps, final, _EVIDENCE[rule], masks))
     return reports if stacked else reports[0]
 
 
@@ -234,12 +237,13 @@ _OUTCOMES = np.array([FateOutcome.TO_ORIGIN, FateOutcome.TO_FIXED_POINT, FateOut
 _EVIDENCE = np.array([FateEvidence.NORM_THRESHOLD, FateEvidence.FIXED_POINT_PROXIMITY,
                       *[FateEvidence.REGION_CONTAINMENT] * 2, FateEvidence.NORM_THRESHOLD,
                       FateEvidence.ITERATION_CAP, FateEvidence.NORM_THRESHOLD], dtype=object)
+_ESCAPES = _OUTCOMES == FateOutcome.TO_INFINITY  # by rule code: whether the orbit escapes
 _OVERFLOW = 6
-_FIRST_BLOCK, _LAST_BLOCK = 4, 32  # states per round: the first round's, doubling up to the last
+_FIRST_BLOCK, _LAST_BLOCK = 4, 32  # states per round: the first round's by default, doubling up to the last
 _BLOCK_CELLS = 4096  # cap on states * rows * n checked in a round of more than one state
 
 
-def _fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
+def _fates(rates: Rates, x: np.ndarray, budget: int, first: int = _FIRST_BLOCK) -> tuple:
     """The fate kernel: the starts given as the rows of x (shape (k, n)),
     stepped in lockstep.
 
@@ -247,17 +251,20 @@ def _fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
     leaves the stack at the state where one fires.  A round steps every
     live row a block of states ahead and checks the rules once over the
     block; a row ends at its first state where one fires, and the states
-    past it are dropped.  Blocks have _FIRST_BLOCK states, then twice as
-    many each round up to _LAST_BLOCK, and at most _BLOCK_CELLS cells (one
-    state at least): a short orbit pays for few spare states, and a large
-    stack is bound by arithmetic, not by the numpy calls per state.  A
-    block ends at the budget, so that rule fires only at its last state.
-    The stacked step is `_step`'s arithmetic row by row, so a row's fate is
-    bit for bit the one it gets alone.  A row whose step overflows is
-    logged and escapes from its last finite state.  Returns, one entry per
-    row, the outcomes and the evidence (object arrays), the steps used (a
-    list), the final states (an array of rows) and the support masks of
-    the fixed points reached (a list of ints, None where none was).
+    past it are dropped.  The first round's block has `first` states
+    (_FIRST_BLOCK unless the caller knows better), the next 2 _FIRST_BLOCK,
+    and then twice as many each round up to _LAST_BLOCK; every block has
+    at most _BLOCK_CELLS cells (one state at least): a short orbit pays for
+    few spare states, and a large stack is bound by arithmetic, not by the
+    numpy calls per state.  A block ends at the budget, so that rule fires
+    only at its last state.  Where a rule fires does not depend on the
+    blocks.  The stacked step is `_step`'s arithmetic row by row, so a
+    row's fate is bit for bit the one it gets alone.  A row whose step
+    overflows is logged and escapes from its last finite state.  Returns,
+    one entry per row, the codes of the rules that fired (an int array, an
+    index into _OUTCOMES, _EVIDENCE and _ESCAPES), the steps used (a list),
+    the final states (an array of rows) and the support masks of the fixed
+    points reached (a list of ints, None where none was).
 
     The proximity candidate is built only for the states that pass a gate
     read off the region tests' lhs: at a fixed point on S, lhs_k = 2/r_k
@@ -274,7 +281,7 @@ def _fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
     x, t0, block = x.T, 0, _FIRST_BLOCK  # coordinate first, so that the rules reduce over a leading axis
     with np.errstate(over="ignore", invalid="ignore"):
         while rows.size:
-            k = min(block, max(1, _BLOCK_CELLS // x.size), budget - t0 + 1)
+            k = min(block if t0 else first, max(1, _BLOCK_CELLS // x.size), budget - t0 + 1)
             states = np.empty((k + 1, *x.shape))
             states[0], x = x, states[:k]
             lhs = np.empty(x.shape)
@@ -296,9 +303,9 @@ def _fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
                 support = np.zeros((k, len(rows), rates.n), dtype=bool)
                 support[near], fired[:, 1][near] = _candidate(theta, x.transpose(0, 2, 1)[near], norm[near])
             fired = fired.reshape(-1, len(rows))
-            first, stopped = fired.argmax(axis=0), np.logical_or.reduce(fired, axis=0)
+            earliest, stopped = fired.argmax(axis=0), np.logical_or.reduce(fired, axis=0)
             if stopped.any():
-                at, (j, code) = rows[stopped], np.divmod(first[stopped], len(_OUTCOMES))
+                at, (j, code) = rows[stopped], np.divmod(earliest[stopped], len(_OUTCOMES))
                 rule[at], over = code, code == _OVERFLOW
                 steps_used[at], final[at] = t0 + j + over, x[j, :, stopped]
                 if over.any():
@@ -311,7 +318,7 @@ def _fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
             live = ~stopped
             rows, x, t0, block = rows[live], states[k][:, live], t0 + k, min(2 * block, _LAST_BLOCK)
             del states  # before the next round allocates its own
-    return _OUTCOMES[rule], _EVIDENCE[rule], steps_used.tolist(), final, mask
+    return rule, steps_used.tolist(), final, mask
 
 
 def _step_block(half: np.ndarray, states: np.ndarray, lhs: np.ndarray) -> None:
@@ -400,20 +407,29 @@ _SECTIONS = 16  # equal parts a searching bracket is cut into per round
 
 def _section_search(rates: Rates, x1: np.ndarray, tol: float, budget: int) -> list[BoundarySample]:
     """The samples on the vertical lines x1 (a 1-d array), searched together
-    with one fate-kernel call per round."""
+    with one fate-kernel call per round.
+
+    Fates are tracked as rule codes.  The bracket ends settle at state 0,
+    so their call checks one state in its first block.  Each round of cuts
+    lies 16 times closer to the boundary, which is the stable manifold of
+    a saddle with the eigenvalue 2, so its slowest fate stops about
+    log2(16) = 4 steps after the last round's; its call's first block has
+    the last round's most steps plus 5 states, as a stop at state j takes
+    j + 1 states."""
     r1, r2 = rates.values
     with np.errstate(over="ignore"):
         a, b = 0.5 * (2.0 / r1 - x1), 2.0 / r2 - 2.0 * x1
         low, high = np.maximum(np.minimum(a, b) - 0.25 * tol, 0.0), np.maximum(np.maximum(a, b) + 0.25 * tol, 0.0)
     ends = np.column_stack((np.repeat(x1, 2), np.column_stack((low, high)).ravel()))
-    low_fate, high_fate = _fates(rates, ends, budget)[0].reshape(-1, 2).T
-    for at in np.flatnonzero(low_fate == FateOutcome.TO_INFINITY):
+    rule, steps = _fates(rates, ends, budget, 1)[:2]
+    low_rule, high_rule = rule.reshape(-1, 2).T
+    for at in np.flatnonzero(_ESCAPES[low_rule]):
         log.debug("x1=%g: escapes already at x2=%g", x1[at], low[at])
 
     # Fates only rise up a line, so each round's new bracket is the last
     # non-escaping cut and the first escaping one.  A line stops once its
     # bracket is at most tol wide or a round moves neither end.
-    searching = (low_fate != FateOutcome.TO_INFINITY) & (high_fate == FateOutcome.TO_INFINITY) & (high - low > tol)
+    searching = ~_ESCAPES[low_rule] & _ESCAPES[high_rule] & (high - low > tol)
     cut = np.arange(1, _SECTIONS + 1)
     while searching.any():
         at = np.flatnonzero(searching)
@@ -424,16 +440,16 @@ def _section_search(rates: Rates, x1: np.ndarray, tol: float, budget: int) -> li
             k = np.minimum(_SECTIONS, np.floor(2.0 * (hi - lo) / tol))
             inner = cut < k
             cuts = np.where(inner, lo + (hi - lo) / k * cut, hi)
-        fates = np.full(cuts.shape, FateOutcome.TO_INFINITY, dtype=object)
+        codes = np.tile(high_rule[at, None], _SECTIONS)  # an escaping code where a column holds hi
         starts = np.column_stack((np.repeat(x1[at], inner.sum(axis=1)), cuts[inner]))
-        fates[inner] = _fates(rates, starts, budget)[0]
-        points = np.column_stack((lo, cuts))
-        fates = np.column_stack((low_fate[at], fates))
-        first = (fates == FateOutcome.TO_INFINITY).argmax(axis=1)
+        codes[inner], steps = _fates(rates, starts, budget, max(steps) + 5)[:2]
+        points, codes = np.column_stack((lo, cuts)), np.column_stack((low_rule[at], codes))
+        first = _ESCAPES[codes].argmax(axis=1)
         rows = np.arange(at.size)
-        low[at], low_fate[at], high[at] = points[rows, first - 1], fates[rows, first - 1], points[rows, first]
+        low[at], low_rule[at], high[at] = points[rows, first - 1], codes[rows, first - 1], points[rows, first]
         searching[at] = ((low[at] != lo[:, 0]) | (high[at] != hi[:, 0])) & (high[at] - low[at] > tol)
-    return [_sample(*line, tol) for line in zip(x1.tolist(), low.tolist(), high.tolist(), low_fate, high_fate)]
+    lines = zip(x1.tolist(), low.tolist(), high.tolist(), _OUTCOMES[low_rule], _OUTCOMES[high_rule])
+    return [_sample(*line, tol) for line in lines]
 
 
 def _sample(x1: float, low: float, high: float, low_fate, high_fate, tol: float) -> BoundarySample:

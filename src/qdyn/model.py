@@ -29,6 +29,8 @@ class Rates:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.asarray(self.values).dtype == bool:  # numpy would take True as 1.0
+            raise DomainError(f"rates must be numbers, got {self.values!r}")
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if values.ndim != 1:
             raise DomainError(f"rates must be a 1-d vector, got shape {values.shape}")
@@ -68,8 +70,10 @@ def as_state(x, n: int | None = None) -> np.ndarray:
 
 
 def _tolerance(tol: float) -> float:
-    # a tolerance argument, checked: finite and positive (the chained
-    # comparison is False for NaN too)
+    # a tolerance argument, checked: a number, not a bool, finite and
+    # positive (the chained comparison is False for NaN too)
+    if isinstance(tol, (bool, np.bool_)):
+        raise DomainError(f"tol must be a number, got {tol!r}")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
     return tol

@@ -19,9 +19,7 @@ from qdyn import (
     DimensionMismatch, Rates, RegionKind, StabilityTag, apply, classify, eigenvalue_two_residual,
     interior_fixed_point, region_membership, spectrum_at,
 )
-from qdyn.dynamics import (
-    _EVIDENCE, _OUTCOMES, _OVERFLOW, EPS_CONV, PROXIMITY_RTOL, R_ESCAPE, REGION_MARGIN,
-)
+from qdyn.dynamics import _OVERFLOW, EPS_CONV, PROXIMITY_RTOL, R_ESCAPE, REGION_MARGIN
 from qdyn.fixed_points import _all_supports, _points
 from qdyn.model import _step
 from qdyn.verify import (
@@ -183,7 +181,7 @@ def table_fates(rates: Rates, x: np.ndarray, budget: int) -> tuple:
                 rows, state = rows[finite], state_next[finite]
                 if not rows.size:
                     break
-    return _OUTCOMES[rule], _EVIDENCE[rule], steps_used.tolist(), final, [None if m < 0 else m for m in mask.tolist()]
+    return rule, steps_used.tolist(), final, [None if m < 0 else m for m in mask.tolist()]
 
 
 def check_one_trial(rates: Rates, rng: np.random.Generator) -> dict[str, float]:

@@ -24,7 +24,9 @@ from qdyn import (
     jacobian,
     region_membership,
 )
-from qdyn.dynamics import _BLOCK_CELLS, PROXIMITY_RTOL, R_ESCAPE, _candidate, _fates, _step_block
+from qdyn.dynamics import (
+    _BLOCK_CELLS, _EVIDENCE, _OUTCOMES, PROXIMITY_RTOL, R_ESCAPE, _candidate, _fates, _step_block,
+)
 from qdyn.fixed_points import _points
 from qdyn.model import _step
 from qdyn.verify import make_rng, sample_in_region, sample_rates
@@ -280,8 +282,10 @@ def start_stacks(draw, overflowing=st.booleans()):
 
 
 def kernel_result(result):
-    outcomes, evidence, steps, final, masks = result
-    return list(outcomes), list(evidence), steps, final.tobytes(), masks
+    # rule codes, not outcome and evidence: the escape rule and an overflow
+    # map to the same pair
+    rule, steps, final, masks = result
+    return rule.tolist(), steps, final.tobytes(), masks
 
 
 def long_orbit_starts():
@@ -292,6 +296,18 @@ def long_orbit_starts():
     d = np.geomspace(1e-16, 0.9, 60)
     return rates, np.array([[s.x1, x2] for s in basin_boundary(rates, [1.44, 2.52, 2.88], tol=1e-15)
                             for x2 in np.concatenate([s.x2_low * (1.0 - d), s.x2_high * (1.0 + d)])])
+
+
+def cell_capped_starts():
+    """The long orbit starts and their neighbours up to 4 ulps away: 3240 rows."""
+    rates, x = long_orbit_starts()
+    shifted = [x]
+    for toward in (np.inf, 0.0):
+        y = x
+        for _ in range(4):
+            y = np.nextafter(y, toward)
+            shifted.append(y)
+    return rates, np.vstack(shifted)
 
 
 def oracle_case(rng, draw):
@@ -356,17 +372,17 @@ class TestFateKernel:
             rates, x = oracle_case(rng, draw)
             result = kernel_result(_fates(rates, x, DEFAULT_BUDGET))
             assert result == kernel_result(table_fates(rates, x, DEFAULT_BUDGET)), (draw, rates.values)
-            starts, hits = starts + len(x), hits + sum(m is not None for m in result[4])
+            starts, hits = starts + len(x), hits + sum(m is not None for m in result[3])
         assert starts > 10_000 and hits > starts / 2
 
-    # The kernel checks the rules once per block of 4, 8, 16, then 32 states,
-    # at most _BLOCK_CELLS cells; the next four tests put a stop at every
-    # offset of those blocks and compare with the table oracle, which checks
-    # them at every state.
+    # The kernel checks the rules once per block of 4 (or `first`), 8, 16,
+    # then 32 states, at most _BLOCK_CELLS cells; the next six tests put a
+    # stop at every offset of those blocks and compare with the table
+    # oracle, which checks them at every state.
     def test_stops_at_every_state_up_to_40_equal_the_oracle(self):
         rates, x = long_orbit_starts()
         result = kernel_result(_fates(rates, x, DEFAULT_BUDGET))
-        assert set(range(41)) <= set(result[2])
+        assert set(range(41)) <= set(result[1])
         assert result == kernel_result(table_fates(rates, x, DEFAULT_BUDGET))
 
     def test_every_budget_up_to_70_equals_the_oracle(self):
@@ -375,20 +391,27 @@ class TestFateKernel:
             assert kernel_result(_fates(rates, x, budget)) == kernel_result(table_fates(rates, x, budget)), budget
 
     def test_cell_capped_stack_equals_the_oracle(self):
-        # the long orbits and their neighbours up to 4 ulps away: 3240 rows,
-        # so that the first rounds step one state at a time
-        rates, x = long_orbit_starts()
-        shifted = [x]
-        for toward in (np.inf, 0.0):
-            y = x
-            for _ in range(4):
-                y = np.nextafter(y, toward)
-                shifted.append(y)
-        x = np.vstack(shifted)
+        # 3240 rows, so that the first rounds step one state at a time
+        rates, x = cell_capped_starts()
         assert x.size > _BLOCK_CELLS
         result = kernel_result(_fates(rates, x, DEFAULT_BUDGET))
-        assert set(range(41)) <= set(result[2])
+        assert set(range(41)) <= set(result[1])
         assert result == kernel_result(table_fates(rates, x, DEFAULT_BUDGET))
+
+    def test_first_block_of_any_size_equals_the_oracle(self):
+        # the basin search sizes the first block from the last round's
+        # fates; a stop must not depend on it, at any budget
+        rates, x = long_orbit_starts()
+        for budget in [DEFAULT_BUDGET, *range(1, 11)]:
+            oracle = kernel_result(table_fates(rates, x, budget))
+            for first in range(1, 41):
+                assert kernel_result(_fates(rates, x, budget, first)) == oracle, (budget, first)
+
+    def test_cell_capped_stack_with_a_long_first_block_equals_the_oracle(self):
+        # the cell cap, not the first block, sets the states of the first rounds
+        rates, x = cell_capped_starts()
+        oracle = kernel_result(table_fates(rates, x, DEFAULT_BUDGET))
+        assert kernel_result(_fates(rates, x, DEFAULT_BUDGET, 32)) == oracle
 
     @given(start_stacks(overflowing=st.just(True)), st.sampled_from([1, 2, 3, 4, 5, DEFAULT_BUDGET]))
     @settings(derandomize=True, deadline=None, max_examples=100,
@@ -400,8 +423,10 @@ class TestFateKernel:
             result = _fates(rates, x, budget)
         assert kernel_result(result) == kernel_result(table_fates(rates, x, budget))
         # an overflow escapes from a finite state at or below R_ESCAPE, where the escape rule does not fire
-        overflowed = [steps for outcome, evidence, steps, final in zip(*result[:4]) if outcome is
-                      FateOutcome.TO_INFINITY and evidence is FateEvidence.NORM_THRESHOLD and final.max() <= R_ESCAPE]
+        rule, steps_used, finals = result[:3]
+        overflowed = [steps for outcome, evidence, steps, final in zip(_OUTCOMES[rule], _EVIDENCE[rule], steps_used, finals)
+                      if outcome is FateOutcome.TO_INFINITY and evidence is FateEvidence.NORM_THRESHOLD
+                      and final.max() <= R_ESCAPE]
         assert [record.args[0] for record in caplog.records] == sorted(overflowed)
         assert all(record.message.endswith(f"at {record.args[0]} states") for record in caplog.records)
 
@@ -456,8 +481,18 @@ class TestFateKernel:
             x = np.vstack([points + 0.999 * radius, points + 0.999 * radius * signs])
             keep = (x >= 0.0).all(axis=1) & (np.tile(points, (2, 1)) > 3.0 * np.tile(radius, (2, 1))).any(axis=1)
             oracle = table_fates(rates, x[keep], DEFAULT_BUDGET)
-            assert all(e is FateEvidence.FIXED_POINT_PROXIMITY for e in oracle[1]) and set(oracle[2]) == {0}
+            assert all(e is FateEvidence.FIXED_POINT_PROXIMITY for e in _EVIDENCE[oracle[0]]) and set(oracle[1]) == {0}
             assert kernel_result(_fates(rates, x[keep], DEFAULT_BUDGET)) == kernel_result(oracle), rates.values
+
+    def test_a_point_inside_the_radius_of_0_can_be_missed(self):
+        # at rates (1e-300, 1e300) the axis point (0, 2e-300) lies inside
+        # the radius of the origin.  From (5e-12, 5e-12), within the radius
+        # of that point and above EPS_CONV, both coordinates are below
+        # 2 PROXIMITY_RTOL, so the kernel has no candidate and the orbit
+        # escapes at step 1, where the table stops it at once.
+        rates, x = Rates([1e-300, 1e300]), np.array([[5e-12, 5e-12]])
+        assert kernel_result(table_fates(rates, x, 1))[:2] == ([1], [0])  # proximity, at the start
+        assert kernel_result(_fates(rates, x, 1))[:2] == ([4], [1])  # the escape norm, a step later
 
     def test_candidate_points_are_the_enumeration_rows(self):
         # the candidate is `_points` on its support, whose sums over the
@@ -489,9 +524,9 @@ class TestFateKernel:
             x = np.array([interior_fixed_point(rates).coords])
             small = x[0, -1] / (PROXIMITY_RTOL * max(1.0, np.abs(x).max()))
             kernel, oracle = kernel_result(_fates(rates, x, 1000)), kernel_result(table_fates(rates, x, 1000))
-            assert oracle[1:3] == ([FateEvidence.FIXED_POINT_PROXIMITY], [0])
+            assert (list(_EVIDENCE[oracle[0]]), oracle[1]) == ([FateEvidence.FIXED_POINT_PROXIMITY], [0])
             if kernel != oracle:
-                assert small <= 3.0 and kernel[2][0] > 0, eps
+                assert small <= 3.0 and kernel[1][0] > 0, eps
                 missed += 1
         assert missed > 0
 
@@ -664,7 +699,7 @@ class TestBasinBoundary:
 
         def recording(*args):
             result = original(*args)
-            rounds.append((args[1], *result[:3]))
+            rounds.append((args[1], *result[:2]))
             return result
 
         monkeypatch.setattr(dynamics, "_fates", recording)
@@ -672,11 +707,12 @@ class TestBasinBoundary:
         for x1 in np.linspace(0.0, 2.5 / theta[0], 11):
             rounds.clear()
             sample = basin_boundary(rates, [x1])[0]
-            starts, outcomes, evidence, steps = rounds[0]
+            starts, rule, steps = rounds[0]
             assert starts.shape == (2, 2) and np.all(starts[:, 0] == x1)
             low, high = starts[:, 1]
             assert low <= sample.x2_low <= sample.x2_high <= high
-            ends = zip(starts[:, 1], outcomes, evidence, steps, (FateOutcome.TO_ORIGIN, FateOutcome.TO_INFINITY))
+            ends = zip(starts[:, 1], _OUTCOMES[rule], _EVIDENCE[rule], steps,
+                       (FateOutcome.TO_ORIGIN, FateOutcome.TO_INFINITY))
             for x2, *fate, expected in ends:
                 if x2 > 0.0:
                     assert fate == [expected, FateEvidence.REGION_CONTAINMENT, 0]
@@ -709,6 +745,33 @@ class TestBasinBoundary:
         assert len(calls) <= max(alone)
         assert max(calls) > 9  # every round cuts each searching line into several parts
 
+    def test_search_work_is_counted_and_bounded(self, monkeypatch):
+        # counted, not timed: the fate kernel's block rounds and stepped
+        # states over seeded grids of 2 to 5 lines in all three regimes at
+        # tol 1e-8.  The bracket ends settle at state 0, and each round's
+        # cuts leave the boundary about 4 steps after the last round's
+        # slowest fate (the eigenvalue 2), so a first block sized from it
+        # settles most rounds at once.  Blocks of 4, 8, 16 and 32 states
+        # from every call took 2.6 block rounds per search round here
+        # (1278 in 495) and stepped 11,804 states.
+        from qdyn import dynamics
+
+        blocks, rounds, firsts = [], [], []
+        step_block, fates = dynamics._step_block, dynamics._fates
+        monkeypatch.setattr(dynamics, "_step_block", lambda *args: blocks.append(len(args[2])) or step_block(*args))
+        monkeypatch.setattr(dynamics, "_fates", lambda *args: rounds.append(len(args[1])) or fates(*args))
+        rng = make_rng(38)
+        for low_ratio, high_ratio in [(0.6, 1.7), (2.2, 4.0), (0.25, 1 / 2.2)]:  # r1 / r2 in each regime
+            for lines in [2, 3, 4, 5] * 5:
+                r2 = rng.uniform(0.3, 1.5)
+                rates = Rates([r2 * np.exp(rng.uniform(np.log(low_ratio), np.log(high_ratio))), r2])
+                lo, hi = np.sort(rng.uniform(0.0, min(6.0, 0.98 * 2.0 / rates.values[0]), 2))
+                firsts.append(len(blocks))
+                basin_boundary(rates, np.linspace(lo, hi, lines), tol=1e-8)
+        assert {blocks[i] for i in firsts} == {1}
+        assert len(blocks) <= 1.6 * len(rounds)
+        assert sum(blocks) <= 11_804
+
     @pytest.mark.parametrize(
         "theta, grid",
         [((1e-300, 1.0), [0.0, 1.0]), ((1e300, 1e-300), np.linspace(0.0, 1e5, 3)), ((0.4, 0.6), [1e308])],
@@ -735,6 +798,12 @@ class TestBasinBoundary:
         # an infinite tol would certify a bracket whose upper end is not a state
         with pytest.raises(DomainError, match="tol must be finite and positive, got inf"):
             basin_boundary(rates_04_06, [1.0], tol=float("inf"))
+
+    @pytest.mark.parametrize("tol", [True, np.True_])
+    def test_rejects_boolean_tolerance(self, rates_04_06, tol):
+        # True would pass as tol = 1 and certify a bracket about 0.6 wide
+        with pytest.raises(DomainError, match="tol must be a number, got "):
+            basin_boundary(rates_04_06, [1.0], tol=tol)
 
     def test_rejects_grid_that_is_not_1d(self, rates_04_06):
         with pytest.raises(DimensionMismatch, match=r"x1 grid must be 1-d, got shape \(1, 2\)"):

@@ -39,6 +39,12 @@ class TestRates:
         with pytest.raises(DomainError):
             Rates([1.0, np.inf])
 
+    @pytest.mark.parametrize("values", [[True, True], np.array([True, False]), np.ones(3, dtype=bool)])
+    def test_rejects_booleans(self, values):
+        # numpy converts True to 1.0, which would make unit rates
+        with pytest.raises(DomainError, match="rates must be numbers, got "):
+            Rates(values)
+
     @pytest.mark.parametrize("values", [[1.0, 1e-309], [1e308, 1e-308]])
     def test_rejects_rates_whose_fixed_points_overflow(self, values):
         # 4*n*sum(1/r_k) bounds every intermediate of the closed-form points

@@ -109,6 +109,12 @@ class TestClassify:
         with pytest.raises(DomainError, match="tol must be finite and positive, got inf"):
             classify([0.5, 2.0], tol=float("inf"))
 
+    @pytest.mark.parametrize("tol", [True, np.True_])
+    def test_rejects_boolean_tolerance(self, tol):
+        # True would pass as tol = 1 and call the spectrum nonhyperbolic
+        with pytest.raises(DomainError, match="tol must be a number, got "):
+            classify([0.5, 2.0], tol=tol)
+
 
 class TestRootLocation:
     def test_examples(self):
