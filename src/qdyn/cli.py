@@ -11,20 +11,21 @@ is the rule of the library check that owns it (Rates for theta), called
 for every key given, also one the command does not read, so a bad value
 fails with the library's message on one stderr line.
 Handlers print nothing: each returns its exit code and the one output its
-format prints, the JSON payload for json and otherwise its CSV rows or text
-lines, and `main` prints it once, on stdout, with shortest round-trip float
-formatting, so identical configurations give byte-identical runs.  The JSON
-of fixed-points and classify comes as text, rendered from the fixed-point
-table's columns and byte-identical to json.dumps(payload, indent=2).
+format prints, a JSON payload or its text lines, and `main` prints it, on
+stdout, with shortest round-trip float formatting, so identical
+configurations give byte-identical runs.  Every CSV row, and the JSON of
+fixed-points and classify, is rendered from its table's columns by
+json's C encoder, byte-identical to json.dumps(payload, indent=2) and to
+a CSV of each float's repr.  The fixed-point table is computed whole, so
+an error leaves stdout empty, and is then written one Jacobian stack of
+records at a time.
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error.  QDYN_LOG sets diagnostic verbosity on stderr, never the numbers.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import itertools
 import json
 import logging
 import math
@@ -32,10 +33,11 @@ import os
 import sys
 from argparse import ArgumentParser, Namespace
 from dataclasses import asdict
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import stability
 from .dynamics import DEFAULT_BISECT_TOL, DEFAULT_BUDGET, _budget, basin_boundary, classify_fate, iterate
 from .errors import QdynError
 from .fixed_points import SupportMask, _all_supports, _points
@@ -132,49 +134,69 @@ _RECORD = (
 )
 
 
-def _column(values: list, depth: int) -> list[str]:
+def _column(values: list, depth: int, sep: str | None = None) -> list[str]:
     """Each record's value of one column, encoded by json's C encoder in one
-    call and indented as in _RECORD; depth is the list nesting of a value.
-    Items are split at ", ", which no number and no class tag holds."""
+    call; depth is the list nesting of a value.  sep joins the items of a
+    list value: by default the ",\n" of JSON, indented as in _RECORD, and
+    otherwise a CSV row's separator, where nonfinite numbers are spelled
+    inf, -inf and nan, as repr spells them.  Items are split at ", ", which
+    no number and no class tag holds."""
     text = json.dumps(values)[depth + 1 : -depth - 1].replace("]" * depth + ", " + "[" * depth, "\0")
-    if depth == 2:  # the [re, im] pairs of one record
+    if sep is not None:
+        text = text.replace("Infinity", "inf").replace("NaN", "nan")
+    elif depth == 2:  # the [re, im] pairs of one JSON record
         text = text.replace("], [", "\n        ],\n        [\n          ")
-    return text.replace(", ", ",\n" + " " * (6 + 2 * depth)).split("\0")
+    return text.replace(", ", ",\n" + " " * (6 + 2 * depth) if sep is None else sep).split("\0")
 
 
-def _points_output(args: Namespace, rates: Rates, masks: Iterable[int], bits: np.ndarray) -> tuple[int, str | Iterable]:
-    # one JSON record or CSV row per support, read off the columns of the fixed-point table
+def _json_records(masks, bits, coords, feasible, residual, spectra, tags, *counts) -> str:
+    # the records of a slice of the fixed-point table, as json.dumps(indent=2) prints them in the payload
+    pairs = spectra.view(float).reshape(len(spectra), -1, 2)
+    return ",\n".join(map(
+        _RECORD.format, _column(list(masks), 0), _column(bits.tolist(), 1), _column(coords.tolist(), 1),
+        _column(feasible.tolist(), 0), _column(residual.tolist(), 0), _column(pairs.tolist(), 2),
+        _column([tag.value for tag in tags], 0), *(_column(count.tolist(), 0) for count in counts)))
+
+
+def _csv_rows(masks, bits, coords, feasible, residual, spectra, tags, *counts) -> str:
+    # the CSV rows of a slice of the fixed-point table; its floats, the residual,
+    # the coordinates and the eigenvalues' parts, are one column of rows
+    numbers = np.column_stack([residual, coords, spectra.view(float)])
+    return "\n".join(map(
+        "{},{},{},{},{}".format, masks, _column(bits.tolist(), 1, ""), _column(feasible.tolist(), 0, ","),
+        _column(numbers.tolist(), 1, ","), [tag.value for tag in tags]))
+
+
+def _points_output(args: Namespace, rates: Rates, masks: Sequence[int], bits: np.ndarray) -> tuple[int, Iterable[str]]:
+    # the fixed-point table, computed whole so that every error comes before the
+    # first byte, then rendered one Jacobian stack of records at a time
     coords, residual, feasible = _points(rates.values, bits)
     spectra = spectrum_at(rates, coords)
-    tags, inside, outside, on_unit = _classes(spectra, args.tau_unit)
-    pairs = np.stack([spectra.real, spectra.imag], axis=-1)
+    columns = masks, bits, coords, feasible, residual, spectra, *_classes(spectra, args.tau_unit)
     if args.format == "json":
-        # the same text as json.dumps(indent=2) of the records, a column at a time
-        records = map(
-            _RECORD.format, _column(list(masks), 0), _column(bits.tolist(), 1), _column(coords.tolist(), 1),
-            _column(feasible.tolist(), 0), _column(residual.tolist(), 0), _column(pairs.tolist(), 2),
-            _column([tag.value for tag in tags], 0), *(_column(col.tolist(), 0) for col in (inside, outside, on_unit)),
-        )
         head = json.dumps({"theta": rates.values.tolist(), "n": rates.n}, indent=2)[:-2]  # less its "\n}"
-        return 0, f'{head},\n  "fixed_points": [\n' + ",\n".join(records) + "\n  ]\n}"
+        return 0, _in_stacks(columns, _json_records, f'{head},\n  "fixed_points": [', ",", "  ]\n}")
     header = ["mask", "support", "feasible", "residual", *(f"x{k + 1}" for k in range(rates.n))]
     header += [f"eig{k + 1}_{part}" for k in range(rates.n) for part in ("re", "im")] + ["class"]
-    rows = (
-        [mask, "".join(map(str, support)), str(feasible).lower(), res, *x, *flat, tag.value]
-        for mask, support, x, feasible, res, flat, tag in zip(
-            masks, bits.tolist(), coords.tolist(), feasible.tolist(), residual.tolist(),
-            pairs.reshape(len(coords), -1).tolist(), tags,
-        )
-    )
-    return 0, itertools.chain([header], rows)
+    return 0, _in_stacks(columns, _csv_rows, ",".join(header), "")
 
 
-def cmd_fixed_points(args: Namespace) -> tuple[int, str | Iterable]:
+def _in_stacks(columns: tuple, render, head: str, sep: str, *tail: str) -> Iterable[str]:
+    """head, the text `render` makes of each stability._STACK_ROWS slice of
+    the columns, each but the last followed by sep, then tail."""
+    yield head
+    rows, size = len(columns[0]), stability._STACK_ROWS
+    for start in range(0, rows, size):
+        yield render(*(column[start : start + size] for column in columns)) + (sep if start + size < rows else "")
+    yield from tail
+
+
+def cmd_fixed_points(args: Namespace) -> tuple[int, Iterable[str]]:
     rates = args.theta
     return _points_output(args, rates, range(1 << rates.n), _all_supports(rates))
 
 
-def cmd_classify(args: Namespace) -> tuple[int, str | Iterable]:
+def cmd_classify(args: Namespace) -> tuple[int, Iterable[str]]:
     rates = args.theta
     bits = args.support.split(",")
     if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
@@ -183,7 +205,7 @@ def cmd_classify(args: Namespace) -> tuple[int, str | Iterable]:
     return _points_output(args, rates, [support.mask_int], np.array([support.bits()]))
 
 
-def cmd_simulate(args: Namespace) -> tuple[int, dict | Iterable]:
+def cmd_simulate(args: Namespace) -> tuple[int, dict | Iterable[str]]:
     rates = args.theta
     x0 = np.array(_parse_floats(args.x0, "--x0"))
     trajectory = iterate(rates, x0, args.steps).tolist()
@@ -201,17 +223,15 @@ def cmd_simulate(args: Namespace) -> tuple[int, dict | Iterable]:
         "# fate={outcome} steps_used={steps_used} evidence={evidence} "
         "fixed_point_index={fixed_point_index} final={final}"
     ).format(**fate, final=",".join(map(repr, fate["final_state"])))
-    header = ["step", *(f"x{k + 1}" for k in range(rates.n))]
-    rows = ([step, *row] for step, row in enumerate(trajectory))
-    return 0, itertools.chain([header], rows, [trailer])
+    header = ",".join(["step", *(f"x{k + 1}" for k in range(rates.n))])
+    return 0, [header, *map("{},{}".format, range(len(trajectory)), _column(trajectory, 1, ",")), trailer]
 
 
-def cmd_basin(args: Namespace) -> tuple[int, dict | Iterable]:
+def cmd_basin(args: Namespace) -> tuple[int, dict | Iterable[str]]:
     rates = args.theta
     samples = basin_boundary(rates, _parse_range(args.x1_range), tol=args.bisect_tol, budget=args.budget)
-    header = ["x1", "x2_low", "x2_high", "width", "flagged"]
-    rows = ([s.x1, s.x2_low, s.x2_high, s.width, str(s.flagged).lower()] for s in samples)
-    output = itertools.chain([header], rows) if args.format == "csv" else {
+    rows = [[s.x1, s.x2_low, s.x2_high, s.width, s.flagged] for s in samples]
+    output = ["x1,x2_low,x2_high,width,flagged", *_column(rows, 1, ",")] if args.format == "csv" else {
         "theta": rates.values.tolist(),
         "tol": args.bisect_tol,
         "samples": [asdict(s) for s in samples],
@@ -219,7 +239,7 @@ def cmd_basin(args: Namespace) -> tuple[int, dict | Iterable]:
     return 0, output
 
 
-def cmd_verify(args: Namespace) -> tuple[int, dict | Iterable]:
+def cmd_verify(args: Namespace) -> tuple[int, dict | Iterable[str]]:
     summary = verification_sweep(args.n, args.trials, args.seed)
     output = _verify_lines(summary) if args.format == "text" else {
         "n": summary.n,
@@ -241,24 +261,12 @@ def _verify_lines(summary) -> Iterable[str]:
     yield f"verified {summary.trials} draws at n={summary.n}, seed={summary.seed}: {verdict}"
 
 
-def _emit(fmt: str, output: dict | str | Iterable) -> None:
-    """Print a handler's output in its format: for json a str verbatim (the
-    text fixed-points and classify render, byte-identical to
-    json.dumps(indent=2) of their payload) and any other payload through
-    json.dumps(indent=2); for csv and text each row, a str row verbatim
-    (text lines, simulate's fate trailer) and any other row as a CSV record.
-
-    csv writes a float cell (numpy float64 included) with float's repr, the
-    shortest round-trip form, as json.dumps does."""
-    if fmt == "json":
-        print(output if isinstance(output, str) else json.dumps(output, indent=2))
-        return
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    for row in output:
-        if isinstance(row, str):
-            print(row)
-        else:
-            writer.writerow(row)
+def _emit(output: dict | Iterable[str]) -> None:
+    """Print a handler's output: a JSON payload as json.dumps(indent=2), and
+    otherwise each of its texts on a line of its own (CSV rows, text lines,
+    the records of one stack of a fixed-point table)."""
+    for text in [json.dumps(output, indent=2)] if isinstance(output, dict) else output:
+        print(text)
 
 
 @functools.cache
@@ -345,7 +353,7 @@ def main(argv=None) -> int:
         _settings(args)
         code, output = args.handler(args)
         try:
-            _emit(args.format, output)
+            _emit(output)
             sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
         except BrokenPipeError:
             # the reader closed early: stop writing, and send what stdout

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .fixed_points import _points
-from .model import Rates, _step, _tolerance, as_state
+from .model import Rates, _numbers, _step, _tolerance, as_state
 
 log = logging.getLogger("qdyn.dynamics")
 
@@ -131,7 +131,7 @@ def _in_region(theta: np.ndarray, x: np.ndarray, mbar1) -> np.ndarray:
 
 def _state_rows(rates: Rates, x) -> tuple[np.ndarray, bool]:
     # x validated as states, as rows of shape (k, n), and whether it came as rows
-    arr = np.asarray(x, dtype=float)
+    arr = _numbers(x, "state")
     if arr.ndim != 2:
         return as_state(arr, rates.n)[None], False
     if arr.shape[1] != rates.n:
@@ -394,7 +394,7 @@ def basin_boundary(rates: Rates, x1_grid, tol: float = DEFAULT_BISECT_TOL, budge
     if rates.n != 2:
         raise DimensionMismatch(f"basin boundary requires n = 2, got n = {rates.n}")
     tol = _tolerance(tol)
-    grid = np.atleast_1d(np.asarray(x1_grid, dtype=float))
+    grid = np.atleast_1d(_numbers(x1_grid, "x1 grid"))
     if grid.ndim != 1:
         raise DimensionMismatch(f"x1 grid must be 1-d, got shape {grid.shape}")
     if np.any(grid < 0.0) or not np.all(np.isfinite(grid)):

@@ -29,9 +29,7 @@ class Rates:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.asarray(self.values).dtype == bool:  # numpy would take True as 1.0
-            raise DomainError(f"rates must be numbers, got {self.values!r}")
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        values = np.atleast_1d(_numbers(self.values, "rates"))
         if values.ndim != 1:
             raise DomainError(f"rates must be a 1-d vector, got shape {values.shape}")
         if values.size < 2:
@@ -57,7 +55,7 @@ def as_state(x, n: int | None = None) -> np.ndarray:
     Rejects (rather than clamps) negative or nonfinite coordinates: silently
     clamping would corrupt downstream fate classification.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(_numbers(x, "state"))
     if arr.ndim != 1:
         raise DimensionMismatch(f"state must be a 1-d vector, got shape {arr.shape}")
     if n is not None and arr.size != n:
@@ -67,6 +65,15 @@ def as_state(x, n: int | None = None) -> np.ndarray:
     if np.any(arr < 0.0):
         raise DomainError("state must be componentwise nonnegative")
     return arr
+
+
+def _numbers(x, name: str) -> np.ndarray:
+    # x as a float array; numpy would take a bool as 1.0, so a bool array, or
+    # a bool anywhere in a list of numbers, raises DomainError
+    items = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
+    if items.dtype == bool or items.dtype == object and any(isinstance(v, (bool, np.bool_)) for v in items.flat):
+        raise DomainError(f"{name} must be numbers, got {x!r}")
+    return np.asarray(x, dtype=float)
 
 
 def _tolerance(tol: float) -> float:

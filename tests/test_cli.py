@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyn import TAU_UNIT, DomainError, Rates, basin_boundary, classify, classify_fate, enumerate_fixed_points, spectrum_at
+from qdyn import (TAU_UNIT, DomainError, Rates, basin_boundary, classify, classify_fate, enumerate_fixed_points, jacobian,
+                  spectrum_at)
 from qdyn.cli import build_parser, main
+from qdyn.fixed_points import _all_supports, _points
 from qdyn.verify import verification_sweep
 
 
@@ -86,6 +88,8 @@ class TestFixedPointsCommand:
         assert stacks == [(8 if argv[0] == "fixed-points" else 1, 3)]
 
     def test_large_tables_are_stacked_in_slices(self, capsys, monkeypatch):
+        # _STACK_ROWS sets both the Jacobian stacks and the slices the table
+        # is written in; the text across slice edges is the one-stack text
         from qdyn import model, stability
 
         stacks = []
@@ -94,12 +98,47 @@ class TestFixedPointsCommand:
             stacks.append(len(x))
             return model.jacobian(rates, x)
 
-        _, whole, _ = run_cli(capsys, "fixed-points", "--theta", "0.4,0.6,1.1", "--format", "csv")
+        runs = [(argv, fmt) for argv in (("fixed-points", "--theta", "0.4,0.6,1.1"),
+                                         ("classify", "--theta", "0.4,0.6,1.1", "--support", "1,0,1"))
+                for fmt in ("csv", "json")]
+        wholes = [run_cli(capsys, *argv, "--format", fmt)[1] for argv, fmt in runs]
         monkeypatch.setattr(stability, "jacobian", counted)
         monkeypatch.setattr(stability, "_STACK_ROWS", 3)
-        _, sliced, _ = run_cli(capsys, "fixed-points", "--theta", "0.4,0.6,1.1", "--format", "csv")
-        assert stacks == [3, 3, 2]
-        assert sliced == whole
+        for (argv, fmt), whole in zip(runs, wholes):
+            stacks.clear()
+            _, sliced, _ = run_cli(capsys, *argv, "--format", fmt)
+            assert stacks == ([3, 3, 2] if argv[0] == "fixed-points" else [1])
+            assert sliced == whole
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_error_in_a_later_stack_leaves_stdout_empty(self, capsys, fmt):
+        # the first 4096 supports leave out the 1e-300 rate and solve; the
+        # second stack's Jacobians overflow, r1 x13 = 1e300 * 2e300
+        rates = Rates([1e300, *[1.0] * 11, 1e-300])
+        coords, _, _ = _points(rates.values, _all_supports(rates))
+        assert np.isfinite(jacobian(rates, coords[:4096])).all()
+        code, out, err = run_cli(capsys, "fixed-points", "--theta", "1e300,1,1,1,1,1,1,1,1,1,1,1,1e-300", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: eigenvalue iteration failed") and err.count("\n") == 1
+
+    def test_streamed_table_peak_memory(self):
+        # the n = 16 JSON table is 65,536 records, about 100 MB of text; written
+        # one stack at a time, the process peaks far below that plus its numbers
+        theta = ",".join(map(repr, np.random.default_rng(5).uniform(0.1, 3.0, 16).tolist()))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env.pop("QDYN_LOG", None)
+        # a fresh parent, so that RUSAGE_CHILDREN sees this one child only
+        probe = (
+            "import resource, subprocess, sys; "
+            "proc = subprocess.run([sys.executable, '-m', 'qdyn.cli', 'fixed-points', '--theta', sys.argv[1]], "
+            "stdout=subprocess.DEVNULL); "
+            "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, theta], capture_output=True, text=True, env=env, check=True)
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0
+        assert peak_kb < 150 * 1024
 
 
 class TestClassifyCommand:
@@ -834,6 +873,14 @@ class TestJsonText:
         # 1e100, and their residual, with a 1e200 rate times them squared, overflows
         text, _ = self.json_out("fixed-points", "--theta", "1e200,1e200,1e200,1e-100")
         assert text.count('"residual": Infinity,') == 7
+
+    def test_nonfinite_spelling_in_csv(self, capsys):
+        # CSV spells a nonfinite number as repr does: inf, not JSON's Infinity
+        code, text, _ = run_cli(capsys, "fixed-points", "--theta", "1e200,1e200,1e200,1e-100", "--format", "csv")
+        header, *rows = csv_rows(text)
+        assert code == 0 and header[3] == "residual"
+        assert [row[3] for row in rows].count("inf") == 7
+        assert "Infinity" not in text
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())

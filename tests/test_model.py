@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyn import DimensionMismatch, DomainError, Rates, apply, as_state, jacobian
+from qdyn import DimensionMismatch, DomainError, Rates, apply, as_state, basin_boundary, classify_fate, iterate, jacobian
 from helpers import fd_jacobian
 
 
@@ -154,6 +154,31 @@ class TestAsState:
     def test_rejects_matrix(self):
         with pytest.raises(DimensionMismatch):
             as_state(np.zeros((2, 2)))
+
+
+UNIT = Rates([1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("rates", lambda: Rates([True, 0.5])),
+        ("rates", lambda: Rates([0.5, np.True_])),
+        ("state", lambda: as_state([0.1, False])),
+        ("state", lambda: apply(UNIT, [True, 0.1])),
+        ("state", lambda: iterate(UNIT, [True, 0.1], 3)),
+        ("state", lambda: classify_fate(UNIT, [True, 0.1])),
+        ("state", lambda: classify_fate(UNIT, [[0.1, 0.1], [True, 0.1]])),
+        ("x1 grid", lambda: basin_boundary(Rates([0.4, 0.6]), [True], tol=1e-8)),
+        ("x1 grid", lambda: basin_boundary(Rates([0.4, 0.6]), [0.5, np.True_], tol=1e-8)),
+    ],
+    ids=["rates", "rates-numpy-bool", "as_state", "apply", "iterate", "classify_fate", "classify_fate-rows",
+         "basin_boundary", "basin_boundary-numpy-bool"],
+)
+def test_a_bool_among_numbers_is_refused(name, call):
+    # numpy converts a list that mixes bools and numbers to floats, True to 1.0
+    with pytest.raises(DomainError, match=f"{name} must be numbers, got "):
+        call()
 
 
 def test_every_exported_name_exists():
