@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import stability
-from .dynamics import DEFAULT_BISECT_TOL, DEFAULT_BUDGET, _budget, basin_boundary, classify_fate, iterate
+from .dynamics import DEFAULT_BISECT_TOL, DEFAULT_BUDGET, _budget, _trajectory_fate, basin_boundary, iterate
 from .errors import QdynError
 from .fixed_points import SupportMask, _all_supports, _points
 from .model import Rates, _tolerance
@@ -208,8 +208,9 @@ def cmd_classify(args: Namespace) -> tuple[int, Iterable[str]]:
 def cmd_simulate(args: Namespace) -> tuple[int, dict | Iterable[str]]:
     rates = args.theta
     x0 = np.array(_parse_floats(args.x0, "--x0"))
-    trajectory = iterate(rates, x0, args.steps).tolist()
-    report = classify_fate(rates, x0, args.budget)
+    states = iterate(rates, x0, args.steps)
+    report = _trajectory_fate(rates, states, args.budget)
+    trajectory = states.tolist()
     fate = {
         "outcome": report.outcome.value,
         "steps_used": report.steps_used,

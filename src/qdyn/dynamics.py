@@ -11,9 +11,9 @@ has no usable closed form, but on a vertical line the two regions are
 closed-form intervals, so they bracket the curve, and the bracket is cut
 into equal parts until it is tol wide.
 
-Every fate runs through one kernel, `_fates`, which steps a stack of starts
-in lockstep, a block of states per round, and drops each row at the first
-state where a stopping rule fires.
+Every fate's stopping rules are `_rules`, checked over a block of states.
+The kernel, `_fates`, steps a stack of starts in lockstep, a block of
+states per round, and drops each row at the first state where a rule fires.
 The map keeps supports, so a state near a fixed point has one candidate,
 the closed-form point on its own large coordinates; no table of fixed
 points is built and fates work at any n.
@@ -27,13 +27,16 @@ fate; the search sizes each round's first block of states from that.
 `iterate` keeps every state of a single orbit and steps it in its own loop:
 its orbits in `simulate` stop after about six steps, where blocks of states
 measured no clear gain (within 3% of the loop when they double from 1 or 4
-states, 14% slower at 32).
+states, 14% slower at 32).  `simulate` reads its fate off its trajectory,
+checked as one block, whenever the trajectory shows it, and steps the
+kernel only for a fate past the trajectory's last state.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
+import math
 import operator
 from dataclasses import dataclass
 
@@ -179,12 +182,12 @@ def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
         raise DomainError(f"max_steps must be in [0, {rows - 1}], got {max_steps}")
     x = as_state(x0, rates.n)
     states = np.empty((max_steps + 1, rates.n))
-    states[0], used = x, 1
+    states[0], used, norm = x, 1, x.max()  # the inf-norm: the map keeps the orthant
     with np.errstate(over="ignore", invalid="ignore"):
-        # array methods: this runs once per step
-        while used <= max_steps and EPS_CONV <= float(np.abs(x).max()) <= R_ESCAPE:
+        while used <= max_steps and EPS_CONV <= norm <= R_ESCAPE:
             x = _step(rates.values, x)
-            if not np.isfinite(x).all():
+            norm = x.max()  # nonfinite where some coordinate is
+            if not math.isfinite(norm):
                 log.warning("overflow step; orbit truncated at %d states", used)
                 break
             states[used], used = x, used + 1
@@ -227,6 +230,28 @@ def classify_fate(rates: Rates, x0, budget: int = DEFAULT_BUDGET) -> FateReport 
     return reports if stacked else reports[0]
 
 
+def _trajectory_fate(rates: Rates, trajectory: np.ndarray, budget: int) -> FateReport:
+    """`classify_fate`'s report on the start of `iterate`'s trajectory, read
+    off the trajectory wherever a stopping rule fires inside it.
+
+    The trajectory is checked as one block of the kernel's: its states are
+    `_step`'s, as the kernel's are, its lhs, 2 sum(x) - x, and its norms,
+    the row maxima, are the kernel's bit for bit, and the budget rule sits
+    at state `budget` when the trajectory reaches it.  Only a trajectory
+    that ends before any rule fires, at its step cap or at an overflowing
+    step, has its start classified by `classify_fate`."""
+    budget = _budget(budget)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = 2.0 * trajectory.sum(axis=1, keepdims=True) - trajectory
+        fired, support = _rules(rates.values, trajectory[:, :, None], lhs[:, :, None],
+                                trajectory.max(axis=1)[:, None], 0, budget)
+    first = int(fired.argmax())  # state, rule: flattened, the first True is the first stop
+    if not fired.flat[first]:
+        return classify_fate(rates, trajectory[0], budget)
+    j, code = divmod(first, len(_OUTCOMES))
+    return FateReport(_OUTCOMES[code], j, trajectory[j], _EVIDENCE[code], _mask(support[j, 0]) if code == 1 else None)
+
+
 # Outcome and evidence of each stopping rule, in the order a fate checks
 # them at every state: collapse, proximity, strict MBAR1, strict MBAR2,
 # escape, budget, and last _OVERFLOW, a step past the float range, which
@@ -264,18 +289,11 @@ def _fates(rates: Rates, x: np.ndarray, budget: int, first: int = _FIRST_BLOCK) 
     one entry per row, the codes of the rules that fired (an int array, an
     index into _OUTCOMES, _EVIDENCE and _ESCAPES), the steps used (a list),
     the final states (an array of rows) and the support masks of the fixed
-    points reached (a list of ints, None where none was).
-
-    The proximity candidate is built only for the states that pass a gate
-    read off the region tests' lhs: at a fixed point on S, lhs_k = 2/r_k
-    for every k in S, and lhs moves by at most (2n - 1) times the radius
-    within it, so a state can be near one only if some |lhs_k - 2/r_k| is
-    at most 4 n PROXIMITY_RTOL max(1, |x|).
+    points reached (a list of ints, None where none was).  The rules are
+    `_rules`'; the kernel adds only the overflow rule.
     """
     budget = _budget(budget)
-    theta, half, gate = rates.values, (0.5 * rates.values)[:, None], 4 * rates.n * PROXIMITY_RTOL
-    bound = (2.0 / theta)[:, None]
-    below, above = bound - REGION_MARGIN, bound + REGION_MARGIN
+    theta, half = rates.values, (0.5 * rates.values)[:, None]
     rule, steps_used = np.empty(len(x), dtype=int), np.empty(len(x), dtype=int)
     final, mask, rows = np.empty_like(x), [None] * len(x), np.arange(len(x))
     x, t0, block = x.T, 0, _FIRST_BLOCK  # coordinate first, so that the rules reduce over a leading axis
@@ -287,21 +305,10 @@ def _fates(rates: Rates, x: np.ndarray, budget: int, first: int = _FIRST_BLOCK) 
             lhs = np.empty(x.shape)
             _step_block(half, states, lhs)
             norm = np.maximum.reduce(states, axis=1)  # the inf-norm: the map keeps the orthant
-            norm, next_norm = norm[:k], norm[1:]
-            # state, rule, row: flattened, a row's first True is its first stop and the rule that fired
-            fired = np.zeros((k, len(_OUTCOMES), len(rows)), dtype=bool)
-            np.less(norm, EPS_CONV, out=fired[:, 0])
-            np.logical_and.reduce(lhs < below, axis=1, out=fired[:, 2])
-            np.logical_and.reduce(lhs > above, axis=1, out=fired[:, 3])
-            np.greater(norm, R_ESCAPE, out=fired[:, 4])
-            fired[-1, 5] = t0 + k - 1 >= budget
-            np.logical_not(np.isfinite(next_norm), out=fired[:, _OVERFLOW])  # max |x| is finite where every x is
-            np.abs(np.subtract(lhs, bound, out=lhs), out=lhs)  # lhs is spent: it now holds |lhs - 2/r|
-            near = np.minimum.reduce(lhs, axis=1) <= gate * np.maximum(1.0, norm)
+            fired, support = _rules(theta, x, lhs, norm[:k], t0, budget)
+            np.logical_not(np.isfinite(norm[1:]), out=fired[:, _OVERFLOW])  # max |x| is finite where every x is
             del lhs  # so that a round holds one block of states at a time
-            if near.any():
-                support = np.zeros((k, len(rows), rates.n), dtype=bool)
-                support[near], fired[:, 1][near] = _candidate(theta, x.transpose(0, 2, 1)[near], norm[near])
+            # state, rule, row: flattened, a row's first True is its first stop and the rule that fired
             fired = fired.reshape(-1, len(rows))
             earliest, stopped = fired.argmax(axis=0), np.logical_or.reduce(fired, axis=0)
             if stopped.any():
@@ -312,13 +319,50 @@ def _fates(rates: Rates, x: np.ndarray, budget: int, first: int = _FIRST_BLOCK) 
                     for steps in np.sort(steps_used[at[over]]).tolist():
                         log.warning("overflow step; orbit truncated at %d states", steps)
                 reached = code == 1
-                if reached.any():  # proximity; masks as Python ints, exact for any n
+                if reached.any():  # proximity
                     for row, bits in zip(at[reached].tolist(), support[j[reached], np.flatnonzero(stopped)[reached]]):
-                        mask[row] = sum(1 << i for i in np.flatnonzero(bits).tolist())
+                        mask[row] = _mask(bits)
             live = ~stopped
             rows, x, t0, block = rows[live], states[k][:, live], t0 + k, min(2 * block, _LAST_BLOCK)
             del states  # before the next round allocates its own
     return rule, steps_used.tolist(), final, mask
+
+
+def _rules(theta: np.ndarray, x: np.ndarray, lhs: np.ndarray, norm: np.ndarray, t0: int, budget: int) -> tuple:
+    """The stopping rules of `classify_fate` over a block of states: x and
+    their lhs (x_k + 2 sum_{i != k} x_i) hold coordinates on axis 1, shapes
+    (k, n, rows), norm their inf-norms, shape (k, rows), and t0 is the
+    number of the block's first state.  Returns the rules that fire, a bool
+    array (k, len(_OUTCOMES), rows) in the order of _OUTCOMES, _OVERFLOW
+    left False, and the support bits (k, rows, n) of the proximity
+    candidates, None where no state came near one.  lhs is spent.
+
+    The proximity candidate is built only for the states that pass a gate
+    read off the region tests' lhs: at a fixed point on S, lhs_k = 2/r_k
+    for every k in S, and lhs moves by at most (2n - 1) times the radius
+    within it, so a state can be near one only if some |lhs_k - 2/r_k| is
+    at most 4 n PROXIMITY_RTOL max(1, |x|).
+    """
+    k, n, rows = x.shape
+    bound, support = (2.0 / theta)[:, None], None
+    fired = np.zeros((k, len(_OUTCOMES), rows), dtype=bool)
+    np.less(norm, EPS_CONV, out=fired[:, 0])
+    np.logical_and.reduce(lhs < bound - REGION_MARGIN, axis=1, out=fired[:, 2])
+    np.logical_and.reduce(lhs > bound + REGION_MARGIN, axis=1, out=fired[:, 3])
+    np.greater(norm, R_ESCAPE, out=fired[:, 4])
+    if budget - t0 < k:
+        fired[budget - t0, 5] = True
+    np.abs(np.subtract(lhs, bound, out=lhs), out=lhs)  # |lhs - 2/r|
+    near = np.minimum.reduce(lhs, axis=1) <= 4 * n * PROXIMITY_RTOL * np.maximum(1.0, norm)
+    if near.any():
+        support = np.zeros((k, rows, n), dtype=bool)
+        support[near], fired[:, 1][near] = _candidate(theta, x.transpose(0, 2, 1)[near], norm[near])
+    return fired, support
+
+
+def _mask(bits: np.ndarray) -> int:
+    # a support's mask as a Python int, exact for any n
+    return sum(1 << i for i in np.flatnonzero(bits).tolist())
 
 
 def _step_block(half: np.ndarray, states: np.ndarray, lhs: np.ndarray) -> None:

@@ -109,7 +109,7 @@ def jacobian(rates: Rates, x) -> np.ndarray:
     Negative coordinates are allowed here: stability analysis evaluates the
     Jacobian at infeasible algebraic fixed points as well.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(_numbers(x, "state"))
     if arr.ndim > 2 or arr.shape[-1] != rates.n:
         raise DimensionMismatch(f"state has shape {arr.shape}, expected ({rates.n},) or (k, {rates.n})")
     if not np.all(np.isfinite(arr)):

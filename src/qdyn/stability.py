@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, EigenSolverError
 from .fixed_points import FixedPoint, SupportMask, _support_row
-from .model import Rates, _tolerance, jacobian
+from .model import Rates, _numbers, _tolerance, jacobian
 
 TAU_UNIT = 1e-9  # half-width of the modulus band treated as "on the unit circle"
 NONHYP_REL_TOL = 1e-12  # relative tolerance for the nonhyperbolicity certificate
@@ -66,7 +66,7 @@ def sorted_spectrum(values) -> np.ndarray:
 def _stacks(rates: Rates, point):
     """The Jacobian stacks at `point`: one per _STACK_ROWS coordinate rows
     (one for a single point), each built only when the caller reaches it."""
-    x = point.coords if isinstance(point, FixedPoint) else np.asarray(point, dtype=float)
+    x = point.coords if isinstance(point, FixedPoint) else _numbers(point, "point")
     cuts = range(_STACK_ROWS, len(x) if x.ndim > 1 else 0, _STACK_ROWS)  # a single point is never cut
     return (jacobian(rates, rows) for rows in np.split(x, cuts))
 

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from qdyn import (TAU_UNIT, DomainError, Rates, basin_boundary, classify, classify_fate, enumerate_fixed_points, jacobian,
                   spectrum_at)
+from qdyn import dynamics
 from qdyn.cli import build_parser, main
+from qdyn.dynamics import _fates
 from qdyn.fixed_points import _all_supports, _points
 from qdyn.verify import verification_sweep
 
@@ -229,6 +231,24 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", "--theta", ",".join(["1"] * n), "--x0", x0, "--steps", "2")
         assert code == 0 and err == ""
         assert f"fate=to_fixed_point steps_used=0 evidence=fixed_point_proximity fixed_point_index={2**n - 1} " in out
+
+    @pytest.mark.parametrize("steps, calls", [("100", 0), ("16", 0), ("15", 1), ("0", 1)])
+    def test_the_kernel_steps_only_a_fate_past_the_trajectory(self, capsys, monkeypatch, steps, calls):
+        # this start escapes at state 16: a trajectory of 16 steps shows the fate
+        made = []
+        monkeypatch.setattr(dynamics, "_fates", lambda *args: made.append(args) or _fates(*args))
+        code, out, _ = run_cli(capsys, "simulate", "--theta", "0.4,0.6", "--x0", "1,1.653425181", "--steps", steps)
+        assert code == 0 and "# fate=to_infinity steps_used=16 evidence=region_containment " in out
+        assert len(made) == calls
+
+    def test_an_overflowing_step_is_logged_by_the_trajectory_and_the_kernel(self, capsys, monkeypatch):
+        # the first step overflows, so the trajectory ends before the fate
+        monkeypatch.setattr(logging.getLogger("qdyn"), "handlers", [])
+        monkeypatch.setenv("QDYN_LOG", "warning")
+        code, out, err = run_cli(capsys, "simulate", "--theta", "1e-10,1e300", "--x0", "0,2e4")
+        assert code == 0 and out.endswith("# fate=to_infinity steps_used=1 evidence=norm_threshold "
+                                          "fixed_point_index=None final=0.0,20000.0\n")
+        assert err == "qdyn.dynamics WARNING overflow step; orbit truncated at 1 states\n" * 2
 
 
 class TestBasinCommand:
@@ -906,7 +926,10 @@ def test_golden_stdout(capsys, case):
     # this stdout, which now stands in for that file.  The two verify cases
     # after it, n = 8 over 17 draws (JSON) and n = 3 over 600, were captured
     # before draws were checked in chunks of one Jacobian stack; both cross
-    # a chunk edge (16 draws at n = 8, 512 at n = 3).
+    # a chunk edge (16 draws at n = 8, 512 at n = 3).  The last four simulate
+    # cases were captured before simulate read its fate off its trajectory:
+    # at (0.4, 0.6) from (1, 1.653425181), a fate at state 16 past a
+    # trajectory of 2 steps, and a budget of 3 that ends it inside one of 30.
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == 0
     assert out == case["stdout"]

@@ -24,8 +24,10 @@ from qdyn import (
     jacobian,
     region_membership,
 )
+from qdyn import dynamics
 from qdyn.dynamics import (
-    _BLOCK_CELLS, _EVIDENCE, _OUTCOMES, PROXIMITY_RTOL, R_ESCAPE, _candidate, _fates, _step_block,
+    _BLOCK_CELLS, _EVIDENCE, _OUTCOMES, EPS_CONV, PROXIMITY_RTOL, R_ESCAPE, _candidate, _fates, _step_block,
+    _trajectory_fate,
 )
 from qdyn.fixed_points import _points
 from qdyn.model import _step
@@ -83,6 +85,49 @@ class TestIterate:
         traj = iterate(Rates([1.0, 1.0]), [2.0, 2.0], 10**6)
         assert traj.shape == (6, 2) and traj.base is None
         np.testing.assert_array_equal(traj, iterate(Rates([1.0, 1.0]), [2.0, 2.0], 5))
+
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 5, 100])
+    def test_equals_a_plain_step_loop_bit_for_bit(self, steps):
+        # starts that collapse, escape, take real steps between the MBAR
+        # scales, and (with rates 1e-300 and 1e300) overflow at the first step
+        rng, truncated = make_rng(6), 0
+        for n in range(2, 11):
+            rates = sample_rates(rng, n)
+            overflowing = Rates(np.concatenate([[1e-300, 1e300], rates.values[2:]]))
+            for x0 in [*band_starts(rng, rates, 6), np.full(n, 1e-3), np.full(n, 10.0), np.full(n, 1e5)]:
+                for r in (rates, overflowing):
+                    expected = plain_orbit(r, x0, steps)
+                    traj = iterate(r, x0, steps)
+                    assert traj.shape == expected.shape and traj.tobytes() == expected.tobytes()
+                    truncated += len(traj) <= steps and EPS_CONV <= traj[-1].max() <= R_ESCAPE
+        assert truncated or steps == 0
+
+
+def plain_orbit(rates, x, steps):
+    """`iterate`'s orbit as a plain loop of `_step`: a state is kept while
+    the last one's inf-norm lies in [EPS_CONV, R_ESCAPE], up to `steps`
+    steps, and the orbit ends before a state with a nonfinite coordinate."""
+    states = [x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(states) <= steps and EPS_CONV <= np.abs(states[-1]).max() <= R_ESCAPE:
+            x = _step(rates.values, states[-1])
+            if not np.isfinite(x).all():
+                break
+            states.append(x)
+    return np.array(states)
+
+
+def band_starts(rng, rates, count):
+    """Starts along random directions u, scaled between the MBAR1 and MBAR2
+    critical scales 2/(r_k (2 - u_k)), as the fates benchmark draws them."""
+    starts = []
+    for _ in range(count):
+        u = rng.exponential(size=rates.n)
+        u /= u.sum()
+        critical = 2.0 / (rates.values * (2.0 - u))
+        starts.append(rng.uniform(critical.min(), critical.max()) * u)
+    return starts
 
 
 class TestRegionMembership:
@@ -248,6 +293,55 @@ class TestClassifyFate:
             traj = iterate(rates, x0, report.steps_used)
             assert len(traj) == report.steps_used + 1
             np.testing.assert_array_equal(traj[-1], report.final_state)
+
+
+def trajectory_fate_starts():
+    """Rates at n = 2..10 (every other n near one level, so that many supports
+    are feasible), each with six starts between the MBAR scales and up to six
+    feasible nonzero fixed points scaled by 1 - 1e-12 and 1 + 1e-12."""
+    rng = make_rng(8)
+    for n in range(2, 11):
+        rates = sample_feasible_interior(rng, n) if n % 2 else sample_rates(rng, n)
+        _, points = feasible_nonzero_points(rates)
+        points = points[rng.permutation(len(points))[:6]]
+        yield rates, [*band_starts(rng, rates, 6), *(points * (1.0 - 1e-12)), *(points * (1.0 + 1e-12))]
+
+
+class TestTrajectoryFate:
+    @pytest.mark.parametrize("budget", [1, 2, 3, DEFAULT_BUDGET])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 100])
+    def test_equals_classify_fate_and_steps_the_kernel_only_past_the_trajectory(self, monkeypatch, steps, budget):
+        # the fate is classify_fate's, final state bit for bit; the kernel
+        # runs exactly when no rule fires inside the trajectory, which is
+        # when the fate lies past its last state
+        calls = []
+        monkeypatch.setattr(dynamics, "_fates", lambda *args: calls.append(args) or _fates(*args))
+        read, stepped = 0, 0
+        for rates, starts in trajectory_fate_starts():
+            for x0 in starts:
+                traj = iterate(rates, x0, steps)
+                kept = traj.copy()
+                calls.clear()
+                report = _trajectory_fate(rates, traj, budget)
+                calls_made = len(calls)
+                assert kernel_fields(report) == kernel_fields(classify_fate(rates, x0, budget))
+                assert traj.tobytes() == kept.tobytes() and traj.tobytes() == iterate(rates, x0, steps).tobytes()
+                assert calls_made == (report.steps_used >= len(traj))
+                read, stepped = read + (not calls_made), stepped + calls_made
+        # every seeded fate here ends within 100 steps
+        assert read > 0 and (stepped > 0) == (steps < min(budget, 100))
+
+    def test_an_overflowing_trajectory_steps_the_kernel(self, caplog):
+        # the first step overflows: the trajectory is the start alone, and
+        # the kernel logs the overflow once more, as classify_fate does
+        rates, x0 = Rates([1e-10, 1e300]), [0.0, 2e4]
+        with caplog.at_level(logging.WARNING, logger="qdyn"):
+            traj = iterate(rates, x0, 100)
+            report = _trajectory_fate(rates, traj, DEFAULT_BUDGET)
+        assert [r.getMessage() for r in caplog.records] == ["overflow step; orbit truncated at 1 states"] * 2
+        assert traj.tobytes() == np.array([x0]).tobytes()
+        assert kernel_fields(report) == kernel_fields(classify_fate(rates, x0))
+        assert report.steps_used == 1 and report.evidence is FateEvidence.NORM_THRESHOLD
 
 
 def kernel_fields(report):

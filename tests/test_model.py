@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyn import DimensionMismatch, DomainError, Rates, apply, as_state, basin_boundary, classify_fate, iterate, jacobian
+from qdyn import (DimensionMismatch, DomainError, Rates, apply, as_state, basin_boundary, classify_fate,
+                  eigenvalue_two_residual, iterate, jacobian, spectrum_at)
+from qdyn.model import _numbers
 from helpers import fd_jacobian
 
 
@@ -171,14 +173,25 @@ UNIT = Rates([1.0, 1.0])
         ("state", lambda: classify_fate(UNIT, [[0.1, 0.1], [True, 0.1]])),
         ("x1 grid", lambda: basin_boundary(Rates([0.4, 0.6]), [True], tol=1e-8)),
         ("x1 grid", lambda: basin_boundary(Rates([0.4, 0.6]), [0.5, np.True_], tol=1e-8)),
+        ("state", lambda: jacobian(Rates([1, 0.5]), [True, 0.5])),
+        ("state", lambda: jacobian(Rates([1, 0.5]), np.array([[0.5, 0.5], [1, 0]], dtype=bool))),
+        ("point", lambda: eigenvalue_two_residual(Rates([1, 0.5]), [True, 0.0])),
+        ("point", lambda: spectrum_at(Rates([1, 0.5]), [[2.0, 0.0], [np.True_, 0.0]])),
     ],
     ids=["rates", "rates-numpy-bool", "as_state", "apply", "iterate", "classify_fate", "classify_fate-rows",
-         "basin_boundary", "basin_boundary-numpy-bool"],
+         "basin_boundary", "basin_boundary-numpy-bool", "jacobian", "jacobian-bool-rows", "eigenvalue_two_residual",
+         "spectrum_at-rows"],
 )
 def test_a_bool_among_numbers_is_refused(name, call):
     # numpy converts a list that mixes bools and numbers to floats, True to 1.0
     with pytest.raises(DomainError, match=f"{name} must be numbers, got "):
         call()
+
+
+def test_a_float_array_passes_through_uncopied():
+    # the number check costs a fixed-point table's Jacobians no copy
+    x = np.random.default_rng(0).random((4096, 12))
+    assert _numbers(x, "point") is x
 
 
 def test_every_exported_name_exists():
