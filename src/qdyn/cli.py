@@ -16,9 +16,11 @@ stdout, with shortest round-trip float formatting, so identical
 configurations give byte-identical runs.  Every CSV row, and the JSON of
 fixed-points and classify, is rendered from its table's columns by
 json's C encoder, byte-identical to json.dumps(payload, indent=2) and to
-a CSV of each float's repr.  The fixed-point table is computed whole, so
-an error leaves stdout empty, and is then written one Jacobian stack of
-records at a time.
+a CSV of each float's repr: `_column` cuts a column's text into CSV
+cells, and a fixed-point record is the cells of its flat columns joined
+with the fixed text json.dumps puts around them at that n.  The
+fixed-point table is computed whole, so an error leaves stdout empty,
+and is then written one Jacobian stack of records at a time.
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error.  QDYN_LOG sets diagnostic verbosity on stderr, never the numbers.
 """
@@ -123,39 +125,47 @@ def _setting(key: str, value, args: Namespace):
     return owner(value)
 
 
-# One fixed-points record as json.dumps(indent=2) prints it inside the payload;
-# a list field holds the items of _column at depth 1 (or 2) without its brackets,
-# and "index" repeats the mask, the position in the mask-ordered enumeration.
-_RECORD = (
-    '    {{\n      "mask": {0},\n      "support": [\n        {1}\n      ],\n      "coords": [\n        {2}\n      ],\n'
-    '      "feasible": {3},\n      "residual": {4},\n'
-    '      "eigenvalues": [\n        [\n          {5}\n        ]\n      ],\n      "class": {6},\n'
-    '      "inside": {7},\n      "outside": {8},\n      "on_unit": {9},\n      "index": {0}\n    }}'
-)
+@functools.cache
+def _separators(n: int) -> list[str]:
+    """The fixed text of a fixed-points record at dimension n, as
+    json.dumps(indent=2) prints it inside the payload: a record of zeros,
+    split at its zeros, around and between its cells, which come in this
+    key order ("index" repeats the mask, the position in the mask-ordered
+    enumeration); no key, indent or bracket holds a digit."""
+    record = dict.fromkeys(["mask", "support", "coords", "feasible", "residual", "eigenvalues", "class", "inside",
+                            "outside", "on_unit", "index"], 0)
+    record.update(support=[0] * n, coords=[0] * n, eigenvalues=[[0, 0]] * n)
+    return json.dumps([[record]], indent=2)[6:-6].split("0")  # less the payload's "[\n  [\n" and "\n  ]\n]"
 
 
-def _column(values: list, depth: int, sep: str | None = None) -> list[str]:
-    """Each record's value of one column, encoded by json's C encoder in one
-    call; depth is the list nesting of a value.  sep joins the items of a
-    list value: by default the ",\n" of JSON, indented as in _RECORD, and
-    otherwise a CSV row's separator, where nonfinite numbers are spelled
-    inf, -inf and nan, as repr spells them.  Items are split at ", ", which
-    no number and no class tag holds."""
-    text = json.dumps(values)[depth + 1 : -depth - 1].replace("]" * depth + ", " + "[" * depth, "\0")
-    if sep is not None:
-        text = text.replace("Infinity", "inf").replace("NaN", "nan")
-    elif depth == 2:  # the [re, im] pairs of one JSON record
-        text = text.replace("], [", "\n        ],\n        [\n          ")
-    return text.replace(", ", ",\n" + " " * (6 + 2 * depth) if sep is None else sep).split("\0")
+def _cells(values: list) -> list[str]:
+    # the JSON text of each item of a flat list, from one call of json's C
+    # encoder; no number, bool or class tag holds ", "
+    return json.dumps(values, check_circular=False)[1:-1].split(", ")
 
 
 def _json_records(masks, bits, coords, feasible, residual, spectra, tags, *counts) -> str:
-    # the records of a slice of the fixed-point table, as json.dumps(indent=2) prints them in the payload
-    pairs = spectra.view(float).reshape(len(spectra), -1, 2)
-    return ",\n".join(map(
-        _RECORD.format, _column(list(masks), 0), _column(bits.tolist(), 1), _column(coords.tolist(), 1),
-        _column(feasible.tolist(), 0), _column(residual.tolist(), 0), _column(pairs.tolist(), 2),
-        _column([tag.value for tag in tags], 0), *(_column(count.tolist(), 0) for count in counts)))
+    # the records of a slice of the fixed-point table, as json.dumps(indent=2)
+    # prints them in the payload: one join over a row of text per record, its
+    # cells in the odd places and the fixed text around them in the even ones
+    masks, (rows, n) = list(masks), bits.shape
+    columns = (masks, bits.ravel().tolist(), coords.ravel().tolist(), feasible.tolist(), residual.tolist(),
+               spectra.view(float).ravel().tolist(), [tag.value for tag in tags], *(c.tolist() for c in counts), masks)
+    text = np.empty((rows, 2 * len(_separators(n)) - 1), dtype=object)
+    text[:, 0::2] = _separators(n)
+    text[:-1, -1] += ",\n"  # between records, not after the slice's last
+    text[:, 1::2] = np.hstack([np.array(_cells(column), dtype=object).reshape(rows, -1) for column in columns])
+    return "".join(text.ravel().tolist())
+
+
+def _column(values: list, depth: int, sep: str) -> list[str]:
+    """Each CSV row's text of one column, encoded by json's C encoder in one
+    call; depth is the list nesting of a value (0 or 1), sep joins the items
+    of a list value, and nonfinite numbers are spelled inf, -inf and nan, as
+    repr spells them.  Items are split at ", ", which no number and no class
+    tag holds."""
+    text = json.dumps(values)[depth + 1 : -depth - 1].replace("]" * depth + ", " + "[" * depth, "\0")
+    return text.replace("Infinity", "inf").replace("NaN", "nan").replace(", ", sep).split("\0")
 
 
 def _csv_rows(masks, bits, coords, feasible, residual, spectra, tags, *counts) -> str:

@@ -70,9 +70,14 @@ def _all_supports(rates: Rates) -> np.ndarray:
 
 
 def _support_bits(masks: Sequence[int], n: int) -> np.ndarray:
-    # One row per mask: 1 where the coordinate is in the support, else 0
-    # (int64 masks: the enumeration cap keeps them far below 2^63).
-    return (np.asarray(masks, dtype=np.int64).reshape(-1, 1) >> np.arange(n)) & 1
+    # One int8 row per mask: 1 where the coordinate is in the support, else 0
+    # (int64 masks: the enumeration cap keeps them far below 2^63), filled
+    # one column at a time, so no 2^n x n int64 table is ever held.
+    masks = np.asarray(masks, dtype=np.int64)
+    bits = np.empty((masks.size, n), dtype=np.int8)
+    for k in range(n):
+        bits[:, k] = (masks >> k) & 1
+    return bits
 
 
 def _points(theta: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import logging
+import math
 import re
 import os
 import subprocess
@@ -17,10 +18,11 @@ from hypothesis import strategies as st
 
 from qdyn import (TAU_UNIT, DomainError, Rates, basin_boundary, classify, classify_fate, enumerate_fixed_points, jacobian,
                   spectrum_at)
-from qdyn import dynamics
-from qdyn.cli import build_parser, main
+from qdyn import dynamics, stability
+from qdyn.cli import _in_stacks, _json_records, build_parser, main
 from qdyn.dynamics import _fates
 from qdyn.fixed_points import _all_supports, _points
+from qdyn.stability import StabilityTag
 from qdyn.verify import verification_sweep
 
 
@@ -903,6 +905,59 @@ class TestJsonText:
         assert "Infinity" not in text
 
 
+# floats that every JSON cell must spell as json.dumps does, nonfinite ones included
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, -2.5e300, 1.0]
+
+
+def synthetic_table(rows: int, n: int, seed: int):
+    """Fixed-point table columns no rate vector produces (nonreal eigenvalues,
+    nonfinite coordinates, masks past 2^31, every tag in turn) and the records
+    json.dumps should print for them."""
+    rng = np.random.default_rng(seed)
+    pick = lambda *shape: rng.choice(SPECIAL_FLOATS, shape)
+    masks = [2**31 + 7 * row if row % 2 else 2**69 + row for row in range(rows)]
+    bits = rng.integers(0, 2, (rows, n)).astype(np.int8)
+    coords, residual, feasible = pick(rows, n), pick(rows), rng.integers(0, 2, rows).astype(bool)
+    spectra = np.empty((rows, n), dtype=complex)
+    spectra.real, spectra.imag = pick(rows, n), pick(rows, n)
+    tags = np.array([list(StabilityTag)[row % 4] for row in range(rows)], dtype=object)
+    counts = [rng.integers(0, n + 1, rows) for _ in range(3)]
+    records = [dict(zip(RECORD_KEYS, [
+        masks[r], bits[r].tolist(), coords[r].tolist(), bool(feasible[r]), float(residual[r]),
+        [[z.real, z.imag] for z in spectra[r].tolist()], tags[r].value, *(int(c[r]) for c in counts), masks[r]]))
+        for r in range(rows)]
+    return (masks, bits, coords, feasible, residual, spectra, tags, *counts), records
+
+
+class TestJsonRecords:
+    """The fixed-point renderer, called on columns real tables never hold,
+    against json.dumps(indent=2) of the same records."""
+
+    @pytest.mark.parametrize("rows, n", [(1, 1), (1, 3), (2, 2), (4, 5), (9, 3)])
+    def test_slice_is_json_dumps(self, rows, n):
+        columns, records = synthetic_table(rows, n, seed=rows * 10 + n)
+        expected = json.dumps({"fixed_points": records}, indent=2)
+        assert _json_records(*columns) == expected[len('{\n  "fixed_points": [\n') : -len("\n  ]\n}")]
+
+    @pytest.mark.parametrize("stack_rows", [3, 1])
+    def test_stacked_table_is_json_dumps(self, monkeypatch, stack_rows):
+        # slices of 3 and of 1 record, each but the last closed by the "," _in_stacks adds
+        monkeypatch.setattr(stability, "_STACK_ROWS", stack_rows)
+        columns, records = synthetic_table(8, 4, seed=stack_rows)
+        head, tail = '{\n  "fixed_points": [', "  ]\n}"
+        text = "\n".join(_in_stacks(columns, _json_records, head, ",", tail))
+        assert text == json.dumps({"fixed_points": records}, indent=2)
+
+    def test_columns_hold_the_cases(self):
+        columns, records = synthetic_table(9, 3, seed=93)
+        pairs = [pair for rec in records for pair in rec["eigenvalues"]]
+        assert any(im != 0.0 for _, im in pairs)
+        values = [v for rec in records for v in [*rec["coords"], rec["residual"], *sum(rec["eigenvalues"], [])]]
+        assert {"-0.0", "nan", "inf", "-inf"} <= {repr(v) for v in values}
+        assert {rec["class"] for rec in records} == {tag.value for tag in StabilityTag}
+        assert min(rec["mask"] for rec in records) >= 2**31
+
+
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
 
 
@@ -930,6 +985,9 @@ def test_golden_stdout(capsys, case):
     # cases were captured before simulate read its fate off its trajectory:
     # at (0.4, 0.6) from (1, 1.653425181), a fate at state 16 past a
     # trajectory of 2 steps, and a budget of 3 that ends it inside one of 30.
+    # The last two, fixed-points and classify as JSON at n = 6 on rates that
+    # give every class tag, were captured before fixed-point records were
+    # rendered from flat per-column cells in one join.
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == 0
     assert out == case["stdout"]

@@ -192,6 +192,15 @@ class TestPointTable:
             assert np.array_equal(coords[row], expected), mask
             assert residual[row] == np.max(np.abs(_step(rates.values, expected) - expected)), mask
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_support_bits_are_int8_rows_of_the_masks(self, n):
+        # one int8 column per coordinate, the rows of the broadcast int64 shift
+        masks = np.random.default_rng(n).permutation(1 << n)
+        bits = _support_bits(masks, n)
+        assert bits.dtype == np.int8 and bits.shape == (1 << n, n)
+        assert np.array_equal(bits, (masks.reshape(-1, 1).astype(np.int64) >> np.arange(n)) & 1)
+        assert _support_bits([], n).shape == (0, n)
+
     def test_table_is_readonly(self, rates_ones3):
         coords = _points(rates_ones3.values, np.array([[1, 0, 0], [1, 1, 1]]))[0]
         with pytest.raises(ValueError):
