@@ -5,11 +5,10 @@ subparser declares the settings its command reads, as flags with their
 defaults, and its output formats, the first being the default.  Those
 flags' dests are the --config keys, and a config key overrides its flag;
 a setting passes the same check whichever way it comes.  The CLI checks
-only what JSON and the command line alone know (a value's kind, its float
-conversion, unknown keys, the command's formats); each setting's range
-is the rule of the library check that owns it (Rates for theta), called
-for every key given, also one the command does not read, so a bad value
-fails with the library's message on one stderr line.
+only unknown config keys and the command's formats; each setting's kind
+and range are the rule of the library check that owns it (Rates for
+theta), called for every key given, also one the command does not read,
+so a bad value fails with the library's message on one stderr line.
 Handlers print nothing: each returns its exit code and the one output its
 format prints, a JSON payload or its text lines, and `main` prints it, on
 stdout, with shortest round-trip float formatting, so identical
@@ -70,20 +69,12 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list of numbers"}
-# the settings as flag dests and --config keys, each with its JSON kind and
-# the library check that owns its rule and returns the checked value; a
-# format's rule, the command's formats, is the CLI's own, checked in _setting,
-# and str passes the format on as it is
-_SETTINGS = {"theta": (list, Rates), "seed": (int, _seed), "tau_unit": (float, _tolerance),
-             "bisect_tol": (float, _tolerance), "budget": (int, _budget), "format": (str, str)}
-
-
-def _fits(value, kind: type) -> bool:
-    # bool is an int subclass in Python but never a valid number here
-    if kind is list:
-        return isinstance(value, list) and all(_fits(v, float) for v in value)
-    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+# the settings as flag dests and --config keys, each with the library check
+# that owns its rule, the value's kind and its range, and returns the checked
+# value; the CLI's own rules are only unknown keys, checked in _settings, and
+# the command's formats, checked in _setting, and str passes a format on
+_SETTINGS = {"theta": Rates, "seed": _seed, "tau_unit": _tolerance, "bisect_tol": _tolerance, "budget": _budget,
+             "format": str}
 
 
 def _settings(args: Namespace) -> None:
@@ -110,19 +101,12 @@ def _settings(args: Namespace) -> None:
 
 
 def _setting(key: str, value, args: Namespace):
-    """One setting, from a flag or a config key: its JSON kind, then its
-    value as float where it is a number or rates, then its owner's check,
-    whose result it returns: theta as Rates."""
-    kind, owner = _SETTINGS[key]
-    if not _fits(value, kind):
-        raise QdynError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
-    try:
-        value = list(map(float, value)) if kind is list else float(value) if kind is float else value
-    except OverflowError as exc:
-        raise QdynError(f"config key {key!r} is out of range") from exc
+    """One setting, from a flag or a config key: a format must be one the
+    command prints, then the owner's check runs, whose result it returns:
+    theta as Rates."""
     if key == "format" and value not in args.formats:
         raise QdynError(f"{args.command} prints {' or '.join(args.formats)}, not {value!r}")
-    return owner(value)
+    return _SETTINGS[key](value)
 
 
 @functools.cache

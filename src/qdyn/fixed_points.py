@@ -35,9 +35,6 @@ class SupportMask:
     def bits(self) -> tuple[int, ...]:
         return tuple(self.mask_int >> k & 1 for k in range(self.n))
 
-    def indices(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.n) if self.mask_int >> k & 1)
-
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "SupportMask":
         return cls(len(bits), sum(1 << k for k, b in enumerate(bits) if b))

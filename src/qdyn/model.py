@@ -15,6 +15,8 @@ share across threads.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,23 +69,33 @@ def as_state(x, n: int | None = None) -> np.ndarray:
     return arr
 
 
+# the items numpy converts to floats but that are no numbers: a bool to 1.0,
+# a numeric string to its number, None to NaN
+_NOT_NUMBERS = (bool, np.bool_, str, bytes, type(None))
+
+
 def _numbers(x, name: str) -> np.ndarray:
-    # x as a float array; numpy would take a bool as 1.0, so a bool array, or
-    # a bool anywhere in a list of numbers, raises DomainError
-    items = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
-    if items.dtype == bool or items.dtype == object and any(isinstance(v, (bool, np.bool_)) for v in items.flat):
-        raise DomainError(f"{name} must be numbers, got {x!r}")
-    return np.asarray(x, dtype=float)
+    # x as a float array; one of _NOT_NUMBERS anywhere in x, a bool or string
+    # array, or an item that float() refuses or cannot hold raises DomainError
+    try:
+        items = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
+        if items.dtype.kind in "bSU" or items.dtype == object and any(isinstance(v, _NOT_NUMBERS) for v in items.flat):
+            raise TypeError
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be numbers, got {x!r}") from None
 
 
-def _tolerance(tol: float) -> float:
-    # a tolerance argument, checked: a number, not a bool, finite and
-    # positive (the chained comparison is False for NaN too)
-    if isinstance(tol, (bool, np.bool_)):
+def _tolerance(tol) -> float:
+    # a tolerance argument, checked and returned as a float: a real number,
+    # not a bool, finite and positive as a float, so that an integer past the
+    # float range counts as inf (the chained comparison is False for NaN too)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
         raise DomainError(f"tol must be a number, got {tol!r}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and positive, got {tol}")
-    return tol
+    value = math.inf if tol > sys.float_info.max else float(tol)
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {value}")
+    return value
 
 
 def _step(theta: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
-"""The public surface of qdyn: every exported name has a caller."""
+"""The public surface of qdyn: every exported name, and every public method
+and property of an exported class, has a caller."""
 
+import inspect
 import io
 import tokenize
 from pathlib import Path
@@ -16,21 +18,39 @@ ROOT = Path(__file__).resolve().parents[1]
 EXEMPT = {"nonhyperbolic_condition"}
 
 
-def called_names(path: Path) -> set[str]:
-    """The NAME tokens of a file, less the name each def or class line
-    defines; comments and docstrings hold no NAME tokens."""
-    names, previous = set(), None
+def names(path: Path, follows) -> set[str]:
+    """The NAME tokens of a file whose previous token passes `follows`;
+    comments and docstrings hold no NAME tokens."""
+    found, previous = set(), None
     for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
-        if tok.type == tokenize.NAME and previous not in ("def", "class"):
-            names.add(tok.string)
+        if tok.type == tokenize.NAME and follows(previous):
+            found.add(tok.string)
         previous = tok.string
-    return names
+    return found
+
+
+CALLERS = [p for p in (ROOT / "src" / "qdyn").glob("*.py") if p.name != "__init__.py"]
+CALLERS.append(ROOT / "tests" / "test_acceptance.py")
 
 
 def test_every_public_name_has_a_caller():
-    callers = [p for p in (ROOT / "src" / "qdyn").glob("*.py") if p.name != "__init__.py"]
-    used = set().union(*map(called_names, callers + [ROOT / "tests" / "test_acceptance.py"]))
+    # every NAME token but the name each def or class line defines
+    used = set().union(*(names(p, lambda previous: previous not in ("def", "class")) for p in CALLERS))
     assert sorted(set(qdyn.__all__) - used - EXEMPT) == []
+
+
+def public_members(cls: type) -> set[str]:
+    # the public methods and properties a class defines itself
+    kinds = (property, classmethod, staticmethod)
+    return {k for k, v in vars(cls).items() if not k.startswith("_") and (inspect.isfunction(v) or isinstance(v, kinds))}
+
+
+def test_every_public_member_of_an_exported_class_has_a_caller():
+    # matched as an attribute, a NAME token right after ".", so that a local
+    # variable of the same name is no caller
+    used = set().union(*(names(p, lambda previous: previous == ".") for p in CALLERS))
+    classes = [getattr(qdyn, name) for name in qdyn.__all__ if inspect.isclass(getattr(qdyn, name))]
+    assert sorted(f"{cls.__name__}.{m}" for cls in classes for m in public_members(cls) - used) == []
 
 
 def returned_or_qdyn_error(fn, *args):

@@ -429,6 +429,31 @@ class TestConfigFile:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"budget": "10"}', "budget must be an integer, got '10'"),
+            ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+            ('{"tau_unit": null}', "tol must be a number, got None"),
+            ('{"bisect_tol": "1e-3"}', "tol must be a number, got '1e-3'"),
+            ('{"theta": [1, "2"]}', "rates must be numbers, got [1, '2']"),
+            ('{"theta": "1,1"}', "rates must be numbers, got '1,1'"),
+        ],
+    )
+    def test_wrong_kind_fails_with_the_library_message(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", "--theta", "1,1", "--x0", "0.1,0.1", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_integer_tolerance_prints_as_float(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"bisect_tol": 1}')
+        code, out, _ = run_cli(capsys, "basin", "--theta", "0.4,0.6", "--x1-range", "0:1:2", "--format", "json",
+                               "--config", str(cfg))
+        assert code == 0
+        assert '\n  "tol": 1.0,\n' in out
+
     def test_typed_values_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"theta": [1, 1], "budget": 5, "tau_unit": 1, "format": "json"}))
@@ -676,18 +701,20 @@ class TestUsage:
         assert "overflow" in logged.stderr
 
     @pytest.mark.parametrize(
-        "argv, lines",
+        "argv, head",
         [
             # 256 JSON records, far more than the pipe holds: qdyn is still
             # writing when the reader closes after one line
-            (("fixed-points", "--theta", ",".join(["1"] * 8)), 1),
+            (("fixed-points", "--theta", ",".join(["1"] * 8)), ["{\n"]),
+            # 8,193 CSV lines, two stacks of rows, cut after the header
+            (("fixed-points", "--theta", ",".join(["1"] * 13), "--format", "csv"), ["mask,support,feasible,"]),
             # a few lines that qdyn writes only after the reader has closed
-            (("classify", "--theta", "1,1", "--support", "1,0"), 0),
+            (("classify", "--theta", "1,1", "--support", "1,0"), []),
         ],
-        ids=["mid-write", "before-write"],
+        ids=["mid-write", "mid-write-csv", "before-write"],
     )
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_closed_reader_ends_the_run_quietly(self, argv, lines, unbuffered):
+    def test_closed_reader_ends_the_run_quietly(self, argv, head, unbuffered):
         env = {k: v for k, v in os.environ.items() if k not in ("QDYN_LOG", "PYTHONUNBUFFERED")}
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
         if unbuffered:
@@ -695,8 +722,8 @@ class TestUsage:
         proc = subprocess.Popen(
             [sys.executable, "-m", "qdyn.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
         )
-        for _ in range(lines):
-            assert proc.stdout.readline() == "{\n"
+        for start in head:
+            assert proc.stdout.readline().startswith(start)
         proc.stdout.close()
         assert proc.wait() == 0
         assert proc.stderr.read() == ""

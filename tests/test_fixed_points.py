@@ -20,12 +20,11 @@ from helpers import explicit_coefficient_matrix, newton_fixed_point_search
 class TestSupportMask:
     def test_mask_roundtrip(self):
         m = SupportMask(3, 5)
-        assert m.indices() == (0, 2)
         assert m.bits() == (1, 0, 1)
         assert m.mask_int == 5
 
     def test_from_bits(self):
-        assert SupportMask.from_bits([0, 1, 1]).indices() == (1, 2)
+        assert SupportMask.from_bits([0, 1, 1]).mask_int == 6
 
     def test_rejects_out_of_range(self):
         for mask in (-1, 4, 1 << 5):
@@ -47,9 +46,8 @@ class TestSupportMask:
 
     @staticmethod
     def check_views(support, row):
-        n = support.n
         assert support.bits() == tuple(row)
-        assert support.indices() == tuple(k for k in range(n) if row[k])
+        assert support.mask_int == sum(b << k for k, b in enumerate(row))
         assert SupportMask.from_bits(support.bits()) == support
 
 
@@ -99,7 +97,7 @@ class TestFixedPointForSupport:
             rates = Rates(0.05 + 2.95 * rng.random(n))
             mask = int(rng.integers(1, 1 << n))
             support = SupportMask(n, mask)
-            idx = list(support.indices())
+            idx = np.flatnonzero(support.bits())
             fp = fixed_point_for_support(rates, support)
             if len(idx) >= 2:
                 sub = interior_fixed_point(Rates(rates.values[idx]))

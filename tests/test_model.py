@@ -177,13 +177,25 @@ UNIT = Rates([1.0, 1.0])
         ("state", lambda: jacobian(Rates([1, 0.5]), np.array([[0.5, 0.5], [1, 0]], dtype=bool))),
         ("point", lambda: eigenvalue_two_residual(Rates([1, 0.5]), [True, 0.0])),
         ("point", lambda: spectrum_at(Rates([1, 0.5]), [[2.0, 0.0], [np.True_, 0.0]])),
+        ("rates", lambda: Rates(["1", "2"])),
+        ("rates", lambda: Rates(np.array(["1", "2"]))),
+        ("rates", lambda: Rates([b"1", 2])),
+        ("rates", lambda: Rates("ab")),
+        ("rates", lambda: Rates([None, 1])),
+        ("rates", lambda: Rates([1, {}])),
+        ("rates", lambda: Rates([10**400, 1])),
+        ("state", lambda: as_state(["0.1", "0.2"])),
+        ("x1 grid", lambda: basin_boundary(Rates([0.4, 0.6]), ["1.0"])),
     ],
     ids=["rates", "rates-numpy-bool", "as_state", "apply", "iterate", "classify_fate", "classify_fate-rows",
          "basin_boundary", "basin_boundary-numpy-bool", "jacobian", "jacobian-bool-rows", "eigenvalue_two_residual",
-         "spectrum_at-rows"],
+         "spectrum_at-rows", "rates-strings", "rates-string-array", "rates-bytes", "rates-string", "rates-none",
+         "rates-dict", "rates-past-float-range", "as_state-strings", "basin_boundary-strings"],
 )
-def test_a_bool_among_numbers_is_refused(name, call):
-    # numpy converts a list that mixes bools and numbers to floats, True to 1.0
+def test_an_item_that_is_no_number_is_refused(name, call):
+    # numpy converts a list that mixes bools and numbers to floats, True to
+    # 1.0, a numeric string to its number and None to NaN; float() refuses a
+    # dict or a non-numeric string and cannot hold 10**400
     with pytest.raises(DomainError, match=f"{name} must be numbers, got "):
         call()
 

@@ -1,5 +1,6 @@
-"""Runs of scripts/code_lines.py."""
+"""Runs of scripts/code_lines.py and of the README's Python examples."""
 
+import re
 import runpy
 import subprocess
 import sys
@@ -26,3 +27,12 @@ def test_code_lines_totals_the_package():
     assert [name for name, _ in rows] == sorted(p.name for p in (ROOT / "src" / "qdyn").glob("*.py")) + ["total", "__all__"]
     assert int(rows[-2][1]) == sum(int(count) for _, count in rows[:-2])
     assert int(rows[-1][1]) == len(qdyn.__all__)
+
+
+def test_readme_python_examples_run(capsys):
+    examples = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(examples) == 2  # the quick start and the planar fate grid
+    for source in examples:
+        exec(compile(source, "README.md", "exec"), {})
+    # the quick start's four fixed points, then the fate its comment states
+    assert capsys.readouterr().out.splitlines()[-1] == "FateOutcome.TO_ORIGIN"

@@ -109,10 +109,16 @@ class TestClassify:
         with pytest.raises(DomainError, match="tol must be finite and positive, got inf"):
             classify([0.5, 2.0], tol=float("inf"))
 
-    @pytest.mark.parametrize("tol", [True, np.True_])
-    def test_rejects_boolean_tolerance(self, tol):
+    @pytest.mark.parametrize("tol", [True, np.True_, "1e-3", None])
+    def test_rejects_tolerance_that_is_no_number(self, tol):
         # True would pass as tol = 1 and call the spectrum nonhyperbolic
         with pytest.raises(DomainError, match="tol must be a number, got "):
+            classify([0.5, 2.0], tol=tol)
+
+    @pytest.mark.parametrize("tol", [10**400, 10**5000], ids=["401-digits", "past-int-repr-limit"])
+    def test_rejects_integer_tolerance_past_the_float_range(self, tol):
+        # as a float it is inf; 10**5000 has more digits than str() of an int may
+        with pytest.raises(DomainError, match="tol must be finite and positive, got inf"):
             classify([0.5, 2.0], tol=tol)
 
 
