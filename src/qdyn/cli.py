@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Subcommands: fixed-points, classify, simulate, basin, verify.  Each
-subparser declares the settings its command reads, as flags with their
+Subcommands: fixed-points, classify, simulate, basin, verify.  argv is
+parsed once: an argv that starts with a command by the parser of that
+command alone, and any other by the top-level parser, so help, usage and
+error texts are those of one top-level `parse_args`.  Each subparser
+declares the settings its command reads, as flags with their
 defaults, and its output formats, the first being the default.  Those
 flags' dests are the --config keys, and a config key overrides its flag;
 a setting passes the same check whichever way it comes.  The CLI checks
@@ -312,6 +315,7 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="dimension (2..12)")
     p.add_argument("--trials", type=int, default=100, help="number of rate draws")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
+    parser.commands = sub.choices  # each command's parser by name, for _parse
     return parser
 
 
@@ -338,10 +342,26 @@ def _setup_logging() -> None:
         logger.setLevel(level if isinstance(level, int) else logging.INFO)
 
 
+def _parse(argv: list[str]) -> Namespace:
+    """argv parsed as build_parser().parse_args(argv) parses it, in one pass:
+    an argv that starts with a command goes to that command's parser alone,
+    and what it leaves over is refused by the top-level parser's own error;
+    any other argv (none, -h, an unknown command or a flag first) goes to
+    the top-level parser, for its help and errors."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     _setup_logging()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -38,6 +38,7 @@ import enum
 import logging
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,15 +170,17 @@ def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
     inputs or rates) is logged and truncates the trajectory at the last
     finite state, as in the fate kernel.
 
-    The (max_steps + 1, n) array is allocated before the first step, so a
-    count whose array cannot exist fails at once, even for an orbit that
+    Each state is written in place, with `_step`'s arithmetic, into its row
+    of one (max_steps + 1, n) array, from the row before it; no state is
+    copied into the array.  The array is allocated before the first step, so
+    a count whose array cannot exist fails at once, even for an orbit that
     would stop early: past numpy's size limit with a DomainError, and below
     it, where the allocator refuses, with numpy's MemoryError.  The filled
     rows are returned as a copy, so an early stop does not keep the large
     buffer alive.
     """
     max_steps = _integer("max_steps", max_steps)
-    rows = np.iinfo(np.intp).max // (8 * rates.n)  # numpy's row cap for an (m, n) float64 array
+    rows = sys.maxsize // (8 * rates.n)  # numpy's row cap for an (m, n) float64 array: intp is ssize_t
     if not 0 <= max_steps < rows:
         raise DomainError(f"max_steps must be in [0, {rows - 1}], got {max_steps}")
     x = as_state(x0, rates.n)
@@ -185,12 +188,13 @@ def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
     states[0], used, norm = x, 1, x.max()  # the inf-norm: the map keeps the orthant
     with np.errstate(over="ignore", invalid="ignore"):
         while used <= max_steps and EPS_CONV <= norm <= R_ESCAPE:
-            x = _step(rates.values, x)
-            norm = x.max()  # nonfinite where some coordinate is
+            # the next state, written in place into the row past the last kept
+            # one; its norm is nonfinite where some coordinate is
+            norm = _step(rates.values, states[used - 1], out=states[used]).max()
             if not math.isfinite(norm):
                 log.warning("overflow step; orbit truncated at %d states", used)
                 break
-            states[used], used = x, used + 1
+            used += 1
     return states[:used].copy()
 
 

@@ -36,7 +36,7 @@ class Rates:
             raise DomainError(f"rates must be a 1-d vector, got shape {values.shape}")
         if values.size < 2:
             raise DomainError(f"n must be >= 2, got {values.size} rate(s)")
-        if not np.all((0.0 < values) & (values < np.inf)):  # False for NaN too
+        if not ((0.0 < values) & (values < np.inf)).all():  # False for NaN too
             raise DomainError("rates must be finite and strictly positive")
         # 4*n*sum(1/r_k) bounds every intermediate of the closed-form fixed
         # points; Python floats overflow to inf without a warning
@@ -62,9 +62,9 @@ def as_state(x, n: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"state must be a 1-d vector, got shape {arr.shape}")
     if n is not None and arr.size != n:
         raise DimensionMismatch(f"state has length {arr.size}, expected {n}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("state must be finite")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise DomainError("state must be componentwise nonnegative")
     return arr
 
@@ -74,14 +74,15 @@ def as_state(x, n: int | None = None) -> np.ndarray:
 _NOT_NUMBERS = (bool, np.bool_, str, bytes, type(None))
 
 
-def _numbers(x, name: str) -> np.ndarray:
-    # x as a float array; one of _NOT_NUMBERS anywhere in x, a bool or string
-    # array, or an item that float() refuses or cannot hold raises DomainError
+def _numbers(x, name: str, dtype: type = float) -> np.ndarray:
+    # x as a float array, or a complex one for dtype=complex; one of
+    # _NOT_NUMBERS anywhere in x, a bool or string array, or an item that
+    # dtype refuses or cannot hold raises DomainError
     try:
         items = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
         if items.dtype.kind in "bSU" or items.dtype == object and any(isinstance(v, _NOT_NUMBERS) for v in items.flat):
             raise TypeError
-        return np.asarray(x, dtype=float)
+        return np.asarray(x, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be numbers, got {x!r}") from None
 
@@ -98,9 +99,12 @@ def _tolerance(tol) -> float:
     return value
 
 
-def _step(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # x_k + 2*sum_{i != k} x_i == 2*sum(x) - x_k, for a state or for each row of a stack
-    return 0.5 * theta * x * (2.0 * x.sum(axis=-1, keepdims=True) - x)
+def _step(theta: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # x_k + 2*sum_{i != k} x_i == 2*sum(x) - x_k, for a state or for each row of
+    # a stack; written into `out` where given, which must not overlap x
+    out = np.multiply(0.5 * theta, x, out=out)
+    out *= 2.0 * x.sum(axis=-1, keepdims=True) - x
+    return out
 
 
 def apply(rates: Rates, x) -> np.ndarray:

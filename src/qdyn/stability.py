@@ -58,7 +58,7 @@ class StabilityClass:
 def sorted_spectrum(values) -> np.ndarray:
     """Sort eigenvalues by descending modulus, then ascending argument; a
     stack of spectra (one per row) is sorted row by row."""
-    v = np.atleast_1d(np.asarray(values, dtype=complex))
+    v = np.atleast_1d(_numbers(values, "eigenvalues", complex))
     order = np.lexsort((np.angle(v), -np.abs(v)), axis=-1)
     return np.take_along_axis(v, order, axis=-1)
 
@@ -96,7 +96,7 @@ def classify(eigenvalues, tol: float = TAU_UNIT):
     Anything within `tol`, finite and positive, of the circle is reported
     nonhyperbolic rather than guessed to a side.
     """
-    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    eigenvalues = _numbers(eigenvalues, "eigenvalues", complex)
     columns = _classes(np.atleast_2d(eigenvalues), _tolerance(tol))
     classes = [StabilityClass(*row) for row in zip(*(column.tolist() for column in columns))]
     return classes if eigenvalues.ndim > 1 else classes[0]

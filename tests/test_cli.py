@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from qdyn import (TAU_UNIT, DomainError, Rates, basin_boundary, classify, classify_fate, enumerate_fixed_points, jacobian,
                   spectrum_at)
 from qdyn import dynamics, stability
-from qdyn.cli import _in_stacks, _json_records, build_parser, main
+from qdyn.cli import _in_stacks, _json_records, _parse, build_parser, main
 from qdyn.dynamics import _fates
 from qdyn.fixed_points import _all_supports, _points
 from qdyn.stability import StabilityTag
@@ -768,6 +768,7 @@ class TestParserReuse:
             ["basin", "--theta", "0.4,0.6", "--x1-range", "0:6:4", "--tol", "1e-6"],
             ["verify", "--n", "2", "--trials", "1"],
             ["verify", "--n", "3", "--trials", "2", "--seed", "4", "--format", "json"],
+            [*simulate, "extra"],  # left over by the command's parser
         ]
         build_parser()
         before = build_parser.cache_info().misses
@@ -778,9 +779,59 @@ class TestParserReuse:
             build_parser.cache_clear()
             fresh.append(run_cli(capsys, *argv))
         assert shared == fresh
-        assert [code for code, _, _ in shared] == [2, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+        assert [code for code, _, _ in shared] == [2, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2]
         assert json.loads(shared[3][1])["fate"]["outcome"] == "to_origin"  # the config's json
         assert shared[4] == shared[1] and shared[4][1].startswith("step,x1,x2\n")  # and csv again
+        assert shared[-1][2].endswith("\nqdyn: error: unrecognized arguments: extra\n")
+
+
+class TestParse:
+    """`main` parses argv once, with the named command's parser alone; each
+    argv must parse as one top-level `parse_args` parses it: to the same
+    namespace, or to the same exit, help and error text."""
+
+    SIMULATE = ["simulate", "--theta", "1,1", "--x0", "0.1,0.1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["fixed-points", "--theta", "0.4,0.6", "--format", "csv"],
+        ["classify", "--theta", "1,1,1", "--support", "1,0,1", "--tol", "1e-6"],
+        [*SIMULATE, "--steps", "3", "--budget", "9"],
+        ["simulate", "--theta=1,1", "--x0", "0.1,0.1"],
+        ["simulate", "--thet", "1,1", "--x0", "0.1,0.1"],  # an abbreviated flag
+        ["basin", "--theta", "0.4,0.6", "--x1-range", "0:1:2", "--config", "cfg.json"],
+        ["verify", "--n", "3", "--trials", "2", "--seed", "4", "--format", "json"],
+    ])
+    def test_a_valid_argv_gives_the_same_namespace(self, argv):
+        assert _parse(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["-h"],
+        ["simulate", "-h"],
+        ["simul", "--theta", "1,1", "--x0", "0.1,0.1"],  # commands are not abbreviated
+        ["simulate", "--theta", "1,1"],  # --x0 missing
+        [*SIMULATE, "--steps", "x"],
+        ["--theta", "1,1", "simulate"],  # a flag before the command
+        [*SIMULATE, "extra"],
+        ["simulate", "--", "--x0"],
+    ])
+    def test_a_refused_argv_exits_alike(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "100")  # help text wraps at the terminal width
+        exits = []
+        for parse in (_parse, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            exits.append((exc.value.code, *capsys.readouterr()))
+        assert exits[0] == exits[1]
+        code, out, err = exits[0]
+        assert (code, bool(out), bool(err)) == ((0, True, False) if "-h" in argv else (2, False, True))
+
+    def test_a_command_argv_skips_the_top_level_pass(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a command's argv")
+
+        monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+        assert _parse([*self.SIMULATE, "--steps", "3"]).steps == 3
 
 
 class TestFormatsAgree:

@@ -121,6 +121,22 @@ class TestClassify:
         with pytest.raises(DomainError, match="tol must be finite and positive, got inf"):
             classify([0.5, 2.0], tol=tol)
 
+    @pytest.mark.parametrize("read, values", [(classify, ["2", "0.5"]), (classify, [True, 2.0]),
+                                              (classify, [None, 1.0]), (sorted_spectrum, ["2", "0.5"])],
+                             ids=["classify-strings", "classify-bool", "classify-none", "sorted-strings"])
+    def test_an_eigenvalue_that_is_no_number_is_refused(self, read, values):
+        # as complex, numpy reads "2" as 2, True as 1 and None as nan
+        with pytest.raises(DomainError, match="eigenvalues must be numbers, got "):
+            read(values)
+
+    def test_number_lists_and_stacks_are_read(self):
+        assert classify([2, 0.5 + 0.1j]).tag is StabilityTag.SADDLE
+        assert classify(np.float32([2.0, 3.0])).tag is StabilityTag.REPELLING
+        stack = np.array([[2.0, 0.5], [0.1, 0.2j]])
+        assert [c.tag for c in classify(stack)] == [StabilityTag.SADDLE, StabilityTag.ATTRACTING]
+        np.testing.assert_array_equal(sorted_spectrum(stack), [[2.0, 0.5], [0.2j, 0.1]])
+        np.testing.assert_array_equal(sorted_spectrum([1, -2]), [-2.0, 1.0])
+
 
 class TestRootLocation:
     def test_examples(self):
