@@ -44,7 +44,7 @@ import numpy as np
 from . import stability
 from .dynamics import DEFAULT_BISECT_TOL, DEFAULT_BUDGET, _budget, _trajectory_fate, basin_boundary, iterate
 from .errors import QdynError
-from .fixed_points import SupportMask, _all_supports, _points
+from .fixed_points import SupportMask, _all_supports, _points, _support_row
 from .model import Rates, _tolerance
 from .stability import TAU_UNIT, _classes, spectrum_at
 from .verify import _seed, verification_sweep
@@ -199,7 +199,7 @@ def cmd_classify(args: Namespace) -> tuple[int, Iterable[str]]:
     if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
         raise QdynError(f"--support expects {rates.n} bits (0 or 1), got {args.support!r}")
     support = SupportMask.from_bits([b == "1" for b in bits])
-    return _points_output(args, rates, [support.mask_int], np.array([support.bits()]))
+    return _points_output(args, rates, [support.mask_int], _support_row(rates, support))
 
 
 def cmd_simulate(args: Namespace) -> tuple[int, dict | Iterable[str]]:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .fixed_points import _points
+from .fixed_points import _mask, _points
 from .model import Rates, _numbers, _step, _tolerance, as_state
 
 log = logging.getLogger("qdyn.dynamics")
@@ -170,10 +170,8 @@ def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
     inputs or rates) is logged and truncates the trajectory at the last
     finite state, as in the fate kernel.
 
-    Each state is written in place, with `_step`'s arithmetic, into its row
-    of one (max_steps + 1, n) array, from the row before it; no state is
-    copied into the array.  The array is allocated before the first step, so
-    a count whose array cannot exist fails at once, even for an orbit that
+    The (max_steps + 1, n) array is allocated before the first step, so a
+    count whose array cannot exist fails at once, even for an orbit that
     would stop early: past numpy's size limit with a DomainError, and below
     it, where the allocator refuses, with numpy's MemoryError.  The filled
     rows are returned as a copy, so an early stop does not keep the large
@@ -188,13 +186,12 @@ def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
     states[0], used, norm = x, 1, x.max()  # the inf-norm: the map keeps the orthant
     with np.errstate(over="ignore", invalid="ignore"):
         while used <= max_steps and EPS_CONV <= norm <= R_ESCAPE:
-            # the next state, written in place into the row past the last kept
-            # one; its norm is nonfinite where some coordinate is
-            norm = _step(rates.values, states[used - 1], out=states[used]).max()
+            x = _step(rates.values, x)
+            norm = x.max()  # nonfinite where some coordinate is
             if not math.isfinite(norm):
                 log.warning("overflow step; orbit truncated at %d states", used)
                 break
-            used += 1
+            states[used], used = x, used + 1
     return states[:used].copy()
 
 
@@ -362,11 +359,6 @@ def _rules(theta: np.ndarray, x: np.ndarray, lhs: np.ndarray, norm: np.ndarray, 
         support = np.zeros((k, rows, n), dtype=bool)
         support[near], fired[:, 1][near] = _candidate(theta, x.transpose(0, 2, 1)[near], norm[near])
     return fired, support
-
-
-def _mask(bits: np.ndarray) -> int:
-    # a support's mask as a Python int, exact for any n
-    return sum(1 << i for i in np.flatnonzero(bits).tolist())
 
 
 def _step_block(half: np.ndarray, states: np.ndarray, lhs: np.ndarray) -> None:

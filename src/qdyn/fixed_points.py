@@ -37,7 +37,7 @@ class SupportMask:
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "SupportMask":
-        return cls(len(bits), sum(1 << k for k, b in enumerate(bits) if b))
+        return cls(len(bits), _mask(bits))
 
     @classmethod
     def full(cls, n: int) -> "SupportMask":
@@ -64,6 +64,11 @@ def _all_supports(rates: Rates) -> np.ndarray:
     if rates.n > MAX_ENUM_DIM:
         raise DomainError(f"n={rates.n} exceeds the enumeration cap ({MAX_ENUM_DIM})")
     return _support_bits(np.arange(1 << rates.n), rates.n)
+
+
+def _mask(bits: Sequence[int]) -> int:
+    # a support's mask as a Python int, exact for any n: bit k is set iff bits[k] is
+    return sum(1 << k for k in np.flatnonzero(bits).tolist())
 
 
 def _support_bits(masks: Sequence[int], n: int) -> np.ndarray:

@@ -99,12 +99,9 @@ def _tolerance(tol) -> float:
     return value
 
 
-def _step(theta: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # x_k + 2*sum_{i != k} x_i == 2*sum(x) - x_k, for a state or for each row of
-    # a stack; written into `out` where given, which must not overlap x
-    out = np.multiply(0.5 * theta, x, out=out)
-    out *= 2.0 * x.sum(axis=-1, keepdims=True) - x
-    return out
+def _step(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # x_k + 2*sum_{i != k} x_i == 2*sum(x) - x_k, for a state or for each row of a stack
+    return 0.5 * theta * x * (2.0 * x.sum(axis=-1, keepdims=True) - x)
 
 
 def apply(rates: Rates, x) -> np.ndarray:

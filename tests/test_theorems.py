@@ -34,6 +34,21 @@
   the plane a strictly positive interior point therefore is a saddle, with
   no spectrum solved to confirm it, and the basin boundary leaves it along
   (1, -r2/r1) (`TestStableTangent` in `tests/test_dynamics.py`).
+- Infeasible points (a claim with one step of its proof open): at a point
+  on S with b >= 1 negative coordinates and sum s, the spectrum is real,
+  and the eigenvalues above 1, less the r_k s above 1 off S, number
+  b + 1.  So at least two lie outside the unit circle and the point is
+  never attracting.  Sketch: with d_k = 2 - r_k s and u_k = r_k x_k =
+  2 (r_k s - 1), the eigenvalues of J_SS away from the poles d_k are the
+  roots of the secular equation f(lam) = 1 + sum_S u_k / (d_k - lam).  A
+  negative x_k has u_k < 0 and d_k in (1, 2); the other p = m - b have
+  u_k >= 0 and d_k <= 1, and s > 0 forces p >= 1.  Between consecutive
+  poles whose weights have the same sign f runs from one infinity to the
+  other, which gives p - 1 real roots at or below 1 and b - 1 in (1, 2);
+  lam = 2 lies to the right of every pole.  That makes m - 1 real roots,
+  so the last one is real too, since complex roots come in pairs.  Open:
+  that the last root lies above 1, which makes b + 1 support eigenvalues
+  above 1.  `TestInfeasiblePoints` checks the claim on seeded tables.
 - Water-filling: with x = t u and sum u = 1, the direction u moves by the
   replicator map of the payoff matrix A = 2 r 1^T - diag(r).  On sum z = 0,
   z^T A z = -sum r_k z_k^2 < 0, so the game is strictly stable and has one
@@ -292,6 +307,38 @@ class TestSpectralStructure:
                 inside = int(on.sum()) - 1 + int(np.sum(rs[~on] < 1.0))
                 tag = StabilityTag.SADDLE if inside else StabilityTag.REPELLING
                 assert classify(spectrum) == StabilityClass(tag, inside, n - inside, 0)
+
+
+INFEASIBLE_FAMILIES = {
+    "uniform": lambda rng, n: rng.uniform(0.05, 3.0, n),
+    "log-uniform": lambda rng, n: 10.0 ** rng.uniform(-2.0, 2.0, n),
+    "near-equal": lambda rng, n: rng.uniform(1.0, 1.5, n),
+}
+
+
+class TestInfeasiblePoints:
+    # "Above 1" counts real parts, not moduli: where some d_k = 2 - r_k s
+    # lies below -1, the support block has negative roots below -1, and a
+    # count of moduli misses b + 1 on about half of the points.
+    BAND = 1e-9
+
+    @pytest.mark.parametrize("family", INFEASIBLE_FAMILIES)
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_real_spectrum_with_b_plus_1_support_eigenvalues_above_1(self, family, n):
+        rng = np.random.default_rng([n, list(INFEASIBLE_FAMILIES).index(family)])
+        for _ in range(6 if n <= 9 else 2):
+            theta = INFEASIBLE_FAMILIES[family](rng, n)
+            rates = Rates(theta)
+            bits = _all_supports(rates)
+            coords, _, feasible = _points(theta, bits)
+            bits, coords = bits[~feasible], coords[~feasible]
+            spectra = spectrum_at(rates, coords)
+            assert np.all(np.abs(spectra.imag) <= self.BAND * np.maximum(1.0, np.abs(spectra)))
+            negative = np.sum(coords < 0.0, axis=1)
+            off_above = np.sum((bits == 0) & (theta * coords.sum(axis=1, keepdims=True) > 1.0 + self.BAND), axis=1)
+            above = np.sum(spectra.real > 1.0 + self.BAND, axis=1)
+            assert np.array_equal(above - off_above, negative + 1)
+            assert StabilityTag.ATTRACTING not in {c.tag for c in classify(spectra)}
 
 
 @st.composite
