@@ -578,6 +578,16 @@ class TestFateKernel:
             assert all(e is FateEvidence.FIXED_POINT_PROXIMITY for e in _EVIDENCE[oracle[0]]) and set(oracle[1]) == {0}
             assert kernel_result(_fates(rates, x[keep], DEFAULT_BUDGET)) == kernel_result(oracle), rates.values
 
+    def test_a_point_inside_the_radius_of_0_can_be_missed(self):
+        # at rates (1e-300, 1e300) the axis point (0, 2e-300) lies inside
+        # the radius of the origin.  From (5e-12, 5e-12), within the radius
+        # of that point and above EPS_CONV, both coordinates are below
+        # 2 PROXIMITY_RTOL, so the kernel has no candidate and the orbit
+        # escapes at step 1, where the table stops it at once.
+        rates, x = Rates([1e-300, 1e300]), np.array([[5e-12, 5e-12]])
+        assert kernel_result(table_fates(rates, x, 1))[:2] == ([1], [0])  # proximity, at the start
+        assert kernel_result(_fates(rates, x, 1))[:2] == ([4], [1])  # the escape norm, a step later
+
     def test_candidate_points_are_the_enumeration_rows(self):
         # the candidate is `_points` on its support, whose sums over the
         # gathered reciprocals do not depend on the rows solved with it
@@ -614,21 +624,22 @@ class TestFateKernel:
                 missed += 1
         assert missed > 0
 
-    @pytest.mark.parametrize("theta, start, mask, outcome, steps", [
-        ((1e12, 1e12), (2e-12, 0.0), 1, FateOutcome.UNDETERMINED, 50),  # the start is the axis point
-        ((1e11, 3.0), (2e-11, 0.0), 1, FateOutcome.TO_ORIGIN, 50),  # the start is the axis point
-        ((1e-300, 1e300), (5e-12, 5e-12), 2, FateOutcome.TO_INFINITY, 1),  # within the radius of (0, 2e-300)
+    @pytest.mark.parametrize("theta, start, mask, rule, outcome, steps", [
+        ((1e12, 1e12), (2e-12, 0.0), 1, 5, FateOutcome.UNDETERMINED, 50),  # the start is the axis point
+        ((1e11, 3.0), (2e-11, 0.0), 1, 2, FateOutcome.TO_ORIGIN, 50),  # strict MBAR1; the start is the axis point
+        ((1e-300, 1e300), (5e-12, 5e-12), 2, 4, FateOutcome.TO_INFINITY, 1),  # the escape norm, not an overflow
     ])
-    def test_a_point_with_only_tiny_coordinates_can_be_missed(self, theta, start, mask, outcome, steps):
+    def test_a_point_with_only_tiny_coordinates_can_be_missed(self, theta, start, mask, rule, outcome, steps):
         # no coordinate of the start is above 2 PROXIMITY_RTOL, so the kernel
         # has no candidate and steps on, where the table stops the start at
-        # once by proximity; a fix of the miss has to change this test.  At
-        # rates (1e-300, 1e300) the axis point (0, 2e-300) lies inside the
-        # radius of the origin, and the start, above EPS_CONV, inside its own.
+        # once by proximity; a fix of the miss has to change this test.  The
+        # kernel's rule code is checked as well as the report, which gives
+        # the escape norm and an overflow the same outcome and evidence.
         rates, x = Rates(theta), np.array([start])
         assert np.all(x <= 2.0 * PROXIMITY_RTOL)
-        rule, steps_used, _, masks = table_fates(rates, x, 50)
-        assert (rule.tolist(), steps_used, masks) == ([1], [0], [mask])
+        codes, steps_used, _, masks = kernel_result(table_fates(rates, x, 50))
+        assert (codes, steps_used, masks) == ([1], [0], [mask])
+        assert kernel_result(_fates(rates, x, 50))[:2] == ([rule], [steps])
         report = classify_fate(rates, start, 50)
         assert (report.outcome, report.steps_used, report.fixed_point_index) == (outcome, steps, None)
 

@@ -320,12 +320,16 @@ class TestInfeasiblePoints:
     # "Above 1" counts real parts, not moduli: where some d_k = 2 - r_k s
     # lies below -1, the support block has negative roots below -1, and a
     # count of moduli misses b + 1 on about half of the points.
+    # Every case draws some infeasible points.  Near-equal rates start at
+    # n = 3: at n = 2 the pair's point is (4/r_j - 2/r_k)/3 in coordinate k,
+    # positive while the rates are within a factor 2, so it has none.
     BAND = 1e-9
 
-    @pytest.mark.parametrize("family", INFEASIBLE_FAMILIES)
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("family, n", [(family, n) for n in range(2, 13) for family in INFEASIBLE_FAMILIES
+                                           if (family, n) != ("near-equal", 2)])
     def test_real_spectrum_with_b_plus_1_support_eigenvalues_above_1(self, family, n):
         rng = np.random.default_rng([n, list(INFEASIBLE_FAMILIES).index(family)])
+        checked = 0
         for _ in range(6 if n <= 9 else 2):
             theta = INFEASIBLE_FAMILIES[family](rng, n)
             rates = Rates(theta)
@@ -339,6 +343,8 @@ class TestInfeasiblePoints:
             above = np.sum(spectra.real > 1.0 + self.BAND, axis=1)
             assert np.array_equal(above - off_above, negative + 1)
             assert StabilityTag.ATTRACTING not in {c.tag for c in classify(spectra)}
+            checked += len(coords)
+        assert checked > 0
 
 
 @st.composite
