@@ -74,8 +74,8 @@ def _parse_range(text: str) -> np.ndarray:
 
 # the settings as flag dests and --config keys, each with the library check
 # that owns its rule, the value's kind and its range, and returns the checked
-# value; the CLI's own rules are only unknown keys, checked in _settings, and
-# the command's formats, checked in _setting, and str passes a format on
+# value; the CLI's own rules are only unknown keys and the command's formats,
+# both checked in _settings, and str passes a format on
 _SETTINGS = {"theta": Rates, "seed": _seed, "tau_unit": _tolerance, "bisect_tol": _tolerance, "budget": _budget,
              "format": str}
 
@@ -98,18 +98,11 @@ def _settings(args: Namespace) -> None:
             raise QdynError(f"unknown config keys: {unknown}")
         settings.update(overrides)
     for key, value in settings.items():
-        setattr(args, key, _setting(key, value, args))
+        if key == "format" and value not in args.formats:
+            raise QdynError(f"{args.command} prints {' or '.join(args.formats)}, not {value!r}")
+        setattr(args, key, _SETTINGS[key](value))  # the owner's checked value: theta as Rates
     if getattr(args, "theta", 0) is None:  # a command with --theta needs rates, from it or --config
         raise QdynError("--theta is required for this command")
-
-
-def _setting(key: str, value, args: Namespace):
-    """One setting, from a flag or a config key: a format must be one the
-    command prints, then the owner's check runs, whose result it returns:
-    theta as Rates."""
-    if key == "format" and value not in args.formats:
-        raise QdynError(f"{args.command} prints {' or '.join(args.formats)}, not {value!r}")
-    return _SETTINGS[key](value)
 
 
 @functools.cache
@@ -279,7 +272,7 @@ def build_parser() -> ArgumentParser:
 
     def add_command(name, handler, help, formats, theta=True) -> ArgumentParser:
         # the flags every command takes; a command prints two formats, which
-        # _setting checks, and formats[0] is the default
+        # _settings checks, and formats[0] is the default
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler, formats=formats)
         if theta:
@@ -326,20 +319,22 @@ class _StderrHandler(logging.StreamHandler):
     stream = property(lambda self: sys.stderr, lambda self, value: None)
 
 
+@functools.cache
+def _stderr_handler() -> _StderrHandler:
+    """The one stderr handler, built on the first call and then shared."""
+    handler = _StderrHandler()
+    handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
+    return handler
+
+
 def _setup_logging() -> None:
-    """Set the qdyn logger from QDYN_LOG on every call: one stderr handler
-    at that level, or none and the level unset when QDYN_LOG is unset."""
-    logger = logging.getLogger("qdyn")
-    for handler in [h for h in logger.handlers if isinstance(h, _StderrHandler)]:
-        logger.removeHandler(handler)
-    logger.setLevel(logging.NOTSET)
-    level_name = os.environ.get("QDYN_LOG", "").upper()
-    if level_name:
-        level = getattr(logging, level_name, logging.INFO)
-        handler = _StderrHandler()
-        handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
-        logger.addHandler(handler)
-        logger.setLevel(level if isinstance(level, int) else logging.INFO)
+    """Set the qdyn logger from QDYN_LOG on every call: the stderr handler
+    at that level (INFO for a name that is no level), or no handler and the
+    level unset when QDYN_LOG is unset."""
+    logger, level_name = logging.getLogger("qdyn"), os.environ.get("QDYN_LOG", "").upper()
+    level = getattr(logging, level_name, logging.INFO) if level_name else logging.NOTSET
+    logger.setLevel(level if isinstance(level, int) else logging.INFO)
+    (logger.addHandler if level_name else logger.removeHandler)(_stderr_handler())
 
 
 def _parse(argv: list[str]) -> Namespace:

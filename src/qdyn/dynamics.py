@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .fixed_points import _mask, _points
-from .model import Rates, _numbers, _step, _tolerance, as_state
+from .model import Rates, _lhs, _numbers, _step, _tolerance, as_state
 
 log = logging.getLogger("qdyn.dynamics")
 
@@ -128,7 +128,7 @@ def _in_region(theta: np.ndarray, x: np.ndarray, mbar1) -> np.ndarray:
     # lhs_k = x_k + 2*sum_{i != k} x_i, bound_k = 2/r_k; a sum past the
     # float range is inf, which lies above every bound
     with np.errstate(over="ignore"):
-        lhs = 2.0 * x.sum(axis=-1, keepdims=True) - x
+        lhs = _lhs(x)
     bound = 2.0 / theta
     return np.where(mbar1, np.all(lhs <= bound, axis=-1), np.all(lhs >= bound, axis=-1))
 
@@ -236,14 +236,14 @@ def _trajectory_fate(rates: Rates, trajectory: np.ndarray, budget: int) -> FateR
     off the trajectory wherever a stopping rule fires inside it.
 
     The trajectory is checked as one block of the kernel's: its states are
-    `_step`'s, as the kernel's are, its lhs, 2 sum(x) - x, and its norms,
-    the row maxima, are the kernel's bit for bit, and the budget rule sits
-    at state `budget` when the trajectory reaches it.  Only a trajectory
-    that ends before any rule fires, at its step cap or at an overflowing
-    step, has its start classified by `classify_fate`."""
-    budget = _budget(budget)
+    `_step`'s, as the kernel's are, its lhs, `_lhs`'s, and its norms, the
+    row maxima, are the kernel's bit for bit, and the budget rule sits at
+    state `budget` when the trajectory reaches it.  Only a trajectory that
+    ends before any rule fires, at its step cap or at an overflowing step,
+    has its start classified by `classify_fate`.  `budget` comes checked by
+    `_budget`, as the CLI's settings check it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = 2.0 * trajectory.sum(axis=1, keepdims=True) - trajectory
+        lhs = _lhs(trajectory)
         fired, support = _rules(rates.values, trajectory[:, :, None], lhs[:, :, None],
                                 trajectory.max(axis=1)[:, None], 0, budget)
     first = int(fired.argmax())  # state, rule: flattened, the first True is the first stop
@@ -391,6 +391,9 @@ def _candidate(theta: np.ndarray, x: np.ndarray, norm: np.ndarray) -> tuple[np.n
     return bits, bits.any(axis=1) & feasible & (np.abs(coords - x).max(axis=1) <= radius)
 
 
+_SECTIONS = 16  # equal parts a searching bracket is cut into per round
+
+
 def basin_boundary(rates: Rates, x1_grid, tol: float = DEFAULT_BISECT_TOL, budget: int = DEFAULT_BUDGET) -> list[BoundarySample]:
     """Locate the basin boundary on vertical lines x1 = const (n = 2), each
     to a bracket at most tol wide, tol finite and positive.
@@ -434,34 +437,17 @@ def basin_boundary(rates: Rates, x1_grid, tol: float = DEFAULT_BISECT_TOL, budge
     if rates.n != 2:
         raise DimensionMismatch(f"basin boundary requires n = 2, got n = {rates.n}")
     tol = _tolerance(tol)
-    grid = np.atleast_1d(_numbers(x1_grid, "x1 grid"))
-    if grid.ndim != 1:
-        raise DimensionMismatch(f"x1 grid must be 1-d, got shape {grid.shape}")
-    if np.any(grid < 0.0) or not np.all(np.isfinite(grid)):
+    x1 = np.atleast_1d(_numbers(x1_grid, "x1 grid"))
+    if x1.ndim != 1:
+        raise DimensionMismatch(f"x1 grid must be 1-d, got shape {x1.shape}")
+    if np.any(x1 < 0.0) or not np.all(np.isfinite(x1)):
         raise DomainError("x1 grid must be finite and nonnegative")
-    return _section_search(rates, grid, tol, budget)
-
-
-_SECTIONS = 16  # equal parts a searching bracket is cut into per round
-
-
-def _section_search(rates: Rates, x1: np.ndarray, tol: float, budget: int) -> list[BoundarySample]:
-    """The samples on the vertical lines x1 (a 1-d array), searched together
-    with one fate-kernel call per round.
-
-    Fates are tracked as rule codes.  The bracket ends settle at state 0,
-    so their call checks one state in its first block.  Each round of cuts
-    lies 16 times closer to the boundary, which is the stable manifold of
-    a saddle with the eigenvalue 2, so its slowest fate stops about
-    log2(16) = 4 steps after the last round's; its call's first block has
-    the last round's most steps plus 5 states, as a stop at state j takes
-    j + 1 states."""
     r1, r2 = rates.values
     with np.errstate(over="ignore"):
         a, b = 0.5 * (2.0 / r1 - x1), 2.0 / r2 - 2.0 * x1
         low, high = np.maximum(np.minimum(a, b) - 0.25 * tol, 0.0), np.maximum(np.maximum(a, b) + 0.25 * tol, 0.0)
     ends = np.column_stack((np.repeat(x1, 2), np.column_stack((low, high)).ravel()))
-    rule, steps = _fates(rates, ends, budget, 1)[:2]
+    rule, steps = _fates(rates, ends, budget, 1)[:2]  # fates as rule codes; the ends settle at state 0
     low_rule, high_rule = rule.reshape(-1, 2).T
     for at in np.flatnonzero(_ESCAPES[low_rule]):
         log.debug("x1=%g: escapes already at x2=%g", x1[at], low[at])
@@ -482,6 +468,9 @@ def _section_search(rates: Rates, x1: np.ndarray, tol: float, budget: int) -> li
             cuts = np.where(inner, lo + (hi - lo) / k * cut, hi)
         codes = np.tile(high_rule[at, None], _SECTIONS)  # an escaping code where a column holds hi
         starts = np.column_stack((np.repeat(x1[at], inner.sum(axis=1)), cuts[inner]))
+        # cuts 16 times closer to the boundary, the stable manifold of a saddle
+        # with the eigenvalue 2, leave it about log2(16) = 4 steps after the
+        # last round's slowest fate, and a stop at state j takes j + 1 states
         codes[inner], steps = _fates(rates, starts, budget, max(steps) + 5)[:2]
         points, codes = np.column_stack((lo, cuts)), np.column_stack((low_rule[at], codes))
         first = _ESCAPES[codes].argmax(axis=1)

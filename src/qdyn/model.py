@@ -99,9 +99,13 @@ def _tolerance(tol) -> float:
     return value
 
 
-def _step(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _lhs(x: np.ndarray) -> np.ndarray:
     # x_k + 2*sum_{i != k} x_i == 2*sum(x) - x_k, for a state or for each row of a stack
-    return 0.5 * theta * x * (2.0 * x.sum(axis=-1, keepdims=True) - x)
+    return 2.0 * x.sum(axis=-1, keepdims=True) - x
+
+
+def _step(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return 0.5 * theta * x * _lhs(x)
 
 
 def apply(rates: Rates, x) -> np.ndarray:

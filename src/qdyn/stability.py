@@ -1,13 +1,14 @@
 """Jacobian spectra at fixed points and their classification.
 
 Eigenvalues come from a dense nonsymmetric solver (LAPACK's balancing +
-Hessenberg + shifted-QR path via numpy).  Every Jacobian solved here is
-built here: a table of fixed points, given as coordinate rows, gets its
-Jacobians in stacks of at most _STACK_ROWS rows, each built only when it is
-reached; each stack gets its spectra from one stacked solver call, sorted
-row by row into canonical order, and its eigenvalue-2 residuals from one
-stacked determinant.  A table that fits one stack costs one Jacobian build
-and one solver call; a single point is the one-row case.
+Hessenberg + shifted-QR path via numpy).  A table of fixed points, given
+as coordinate rows, gets its Jacobians in stacks of at most _STACK_ROWS
+rows, each built only when it is reached; each stack gets its spectra from
+one stacked solver call, sorted row by row into canonical order, and its
+eigenvalue-2 residuals from one stacked determinant.  A table that fits
+one stack costs one Jacobian build and one solver call; a single point is
+the one-row case.  The verification sweep builds its own Jacobian stacks
+and solves them with the same two calls, `_eigvals` and `_eig2_residuals`.
 
 Every fixed point except the origin has the eigenvalue 2, so the origin is
 the only attractor; the test suite proves this for every support size m
@@ -66,7 +67,7 @@ def sorted_spectrum(values) -> np.ndarray:
 def _stacks(rates: Rates, point):
     """The Jacobian stacks at `point`: one per _STACK_ROWS coordinate rows
     (one for a single point), each built only when the caller reaches it."""
-    x = point.coords if isinstance(point, FixedPoint) else _numbers(point, "point")
+    x = np.atleast_1d(point.coords if isinstance(point, FixedPoint) else _numbers(point, "point"))
     cuts = range(_STACK_ROWS, len(x) if x.ndim > 1 else 0, _STACK_ROWS)  # a single point is never cut
     return (jacobian(rates, rows) for rows in np.split(x, cuts))
 
@@ -94,9 +95,13 @@ def classify(eigenvalues, tol: float = TAU_UNIT):
     stack of spectra (one per row) gets a list with one class per row.
 
     Anything within `tol`, finite and positive, of the circle is reported
-    nonhyperbolic rather than guessed to a side.
+    nonhyperbolic rather than guessed to a side; an infinite eigenvalue
+    counts as outside, and a NaN one, which lies on no side, is a
+    DomainError.
     """
     eigenvalues = _numbers(eigenvalues, "eigenvalues", complex)
+    if np.isnan(eigenvalues).any():
+        raise DomainError("eigenvalues must not be NaN: a NaN lies on no side of the unit circle")
     columns = _classes(np.atleast_2d(eigenvalues), _tolerance(tol))
     classes = [StabilityClass(*row) for row in zip(*(column.tolist() for column in columns))]
     return classes if eigenvalues.ndim > 1 else classes[0]

@@ -651,6 +651,19 @@ class TestUsage:
         assert run_cli(capsys, *argv)[2] == ""
         assert logger.level == logging.NOTSET
 
+    @pytest.mark.parametrize("name", ["error", "loud", "basic_format"])
+    def test_log_env_level_rules(self, capsys, monkeypatch, name):
+        # ERROR shows neither the overflow warnings nor the debug line; a name
+        # that is no level, or a logging attribute that is no level, means INFO
+        logger = logging.getLogger("qdyn")
+        monkeypatch.setattr(logger, "handlers", list(logger.handlers))
+        monkeypatch.setenv("QDYN_LOG", name)
+        err = run_cli(capsys, "simulate", "--theta", "1e-10,1e300", "--x0", "0,2e4")[2]
+        err += run_cli(capsys, "basin", "--theta", "0.8,0.2", "--x1-range", "3:3:1")[2]
+        warning = "qdyn.dynamics WARNING overflow step; orbit truncated at 1 states\n"
+        assert err == ("" if name == "error" else warning * 2)
+        assert logger.level == (logging.ERROR if name == "error" else logging.INFO)
+
     def test_zero_budget_rejected(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--theta", "1,1", "--x0", "0.1,0.1", "--budget", "0")
         assert code == 2

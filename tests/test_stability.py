@@ -89,6 +89,8 @@ class TestClassify:
     def test_counts(self):
         cls = classify([2.0, 1.0, 0.5])
         assert (cls.inside, cls.outside, cls.on_unit) == (1, 1, 1)
+        cls = classify([np.inf, 0.5])  # an infinite eigenvalue lies outside
+        assert (cls.inside, cls.outside, cls.on_unit) == (1, 1, 0)
 
     def test_band_width_honored(self):
         assert classify([2.0, 1.0 + 5e-10]).tag is StabilityTag.NONHYPERBOLIC
@@ -128,6 +130,13 @@ class TestClassify:
         # as complex, numpy reads "2" as 2, True as 1 and None as nan
         with pytest.raises(DomainError, match="eigenvalues must be numbers, got "):
             read(values)
+
+    @pytest.mark.parametrize("values", [[np.nan, 0.5], [[0.5, complex(1, np.nan)]], [complex(np.nan, 0.0), 2.0]],
+                             ids=["real", "stack-imaginary-part", "real-part"])
+    def test_a_nan_eigenvalue_is_refused(self, values):
+        # a NaN modulus lies on no side of the unit circle, so no count may take it
+        with pytest.raises(DomainError, match="eigenvalues must not be NaN"):
+            classify(values)
 
     def test_number_lists_and_stacks_are_read(self):
         assert classify([2, 0.5 + 0.1j]).tag is StabilityTag.SADDLE
@@ -298,6 +307,13 @@ class TestStackedSpectra:
             assert np.array_equal(spectrum_at(rates, point), spectra[7])
             assert eigenvalue_two_residual(rates, point) == residuals[6]
         assert stacks == [0, 0, "point", "point", "point", "point"]
+
+    @pytest.mark.parametrize("point", [1.0, np.float64(2.0), np.array(2.0)], ids=["float", "numpy-scalar", "0-d"])
+    def test_a_bare_number_is_a_state_of_length_one(self, rates_04_06, point):
+        match = r"state has shape \(1,\), expected \(2,\) or \(k, 2\)"
+        for read in (spectrum_at, eigenvalue_two_residual):
+            with pytest.raises(DimensionMismatch, match=match):
+                read(rates_04_06, point)
 
     def test_jacobian_rejects_other_shapes(self, rates_04_06):
         for x in (np.zeros((2, 2, 2)), np.zeros((3, 3))):
