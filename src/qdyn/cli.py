@@ -42,12 +42,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import stability
-from .dynamics import DEFAULT_BISECT_TOL, DEFAULT_BUDGET, _budget, _trajectory_fate, basin_boundary, iterate
+from .dynamics import DEFAULT_BISECT_TOL, DEFAULT_BUDGET, _trajectory_fate, basin_boundary, iterate
 from .errors import QdynError
 from .fixed_points import SupportMask, _all_supports, _points, _support_row
-from .model import Rates, _tolerance
+from .model import Rates, _integer, _seed, _tolerance
 from .stability import TAU_UNIT, _classes, spectrum_at
-from .verify import _seed, verification_sweep
+from .verify import verification_sweep
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -76,8 +76,8 @@ def _parse_range(text: str) -> np.ndarray:
 # that owns its rule, the value's kind and its range, and returns the checked
 # value; the CLI's own rules are only unknown keys and the command's formats,
 # both checked in _settings, and str passes a format on
-_SETTINGS = {"theta": Rates, "seed": _seed, "tau_unit": _tolerance, "bisect_tol": _tolerance, "budget": _budget,
-             "format": str}
+_SETTINGS = {"theta": Rates, "seed": _seed, "tau_unit": _tolerance, "bisect_tol": _tolerance,
+             "budget": functools.partial(_integer, "budget", low=1), "format": str}
 
 
 def _settings(args: Namespace) -> None:
@@ -138,13 +138,12 @@ def _json_records(masks, bits, coords, feasible, residual, spectra, tags, *count
     return "".join(text.ravel().tolist())
 
 
-def _column(values: list, depth: int, sep: str) -> list[str]:
-    """Each CSV row's text of one column, encoded by json's C encoder in one
-    call; depth is the list nesting of a value (0 or 1), sep joins the items
-    of a list value, and nonfinite numbers are spelled inf, -inf and nan, as
-    repr spells them.  Items are split at ", ", which no number and no class
-    tag holds."""
-    text = json.dumps(values)[depth + 1 : -depth - 1].replace("]" * depth + ", " + "[" * depth, "\0")
+def _column(rows: list, sep: str) -> list[str]:
+    """Each CSV row's text of one column of lists, encoded by json's C
+    encoder in one call; sep joins the items of a row, and nonfinite numbers
+    are spelled inf, -inf and nan, as repr spells them.  Items are split at
+    ", ", which no number and no class tag holds."""
+    text = json.dumps(rows)[2:-2].replace("], [", "\0")
     return text.replace("Infinity", "inf").replace("NaN", "nan").replace(", ", sep).split("\0")
 
 
@@ -153,13 +152,15 @@ def _csv_rows(masks, bits, coords, feasible, residual, spectra, tags, *counts) -
     # the coordinates and the eigenvalues' parts, are one column of rows
     numbers = np.column_stack([residual, coords, spectra.view(float)])
     return "\n".join(map(
-        "{},{},{},{},{}".format, masks, _column(bits.tolist(), 1, ""), _column(feasible.tolist(), 0, ","),
-        _column(numbers.tolist(), 1, ","), [tag.value for tag in tags]))
+        "{},{},{},{},{}".format, masks, _column(bits.tolist(), ""), _cells(feasible.tolist()),
+        _column(numbers.tolist(), ","), [tag.value for tag in tags]))
 
 
-def _points_output(args: Namespace, rates: Rates, masks: Sequence[int], bits: np.ndarray) -> tuple[int, Iterable[str]]:
-    # the fixed-point table, computed whole so that every error comes before the
-    # first byte, then rendered one Jacobian stack of records at a time
+def _points_output(args: Namespace, masks: Sequence[int], bits: np.ndarray) -> tuple[int, Iterable[str]]:
+    # the fixed-point table at args.theta, computed whole so that every error
+    # comes before the first byte, then rendered one Jacobian stack of records
+    # at a time
+    rates = args.theta
     coords, residual, feasible = _points(rates.values, bits)
     spectra = spectrum_at(rates, coords)
     columns = masks, bits, coords, feasible, residual, spectra, *_classes(spectra, args.tau_unit)
@@ -182,8 +183,7 @@ def _in_stacks(columns: tuple, render, head: str, sep: str, *tail: str) -> Itera
 
 
 def cmd_fixed_points(args: Namespace) -> tuple[int, Iterable[str]]:
-    rates = args.theta
-    return _points_output(args, rates, range(1 << rates.n), _all_supports(rates))
+    return _points_output(args, range(1 << args.theta.n), _all_supports(args.theta.n))
 
 
 def cmd_classify(args: Namespace) -> tuple[int, Iterable[str]]:
@@ -192,7 +192,7 @@ def cmd_classify(args: Namespace) -> tuple[int, Iterable[str]]:
     if len(bits) != rates.n or any(b not in ("0", "1") for b in bits):
         raise QdynError(f"--support expects {rates.n} bits (0 or 1), got {args.support!r}")
     support = SupportMask.from_bits([b == "1" for b in bits])
-    return _points_output(args, rates, [support.mask_int], _support_row(rates, support))
+    return _points_output(args, [support.mask_int], _support_row(rates, support))
 
 
 def cmd_simulate(args: Namespace) -> tuple[int, dict | Iterable[str]]:
@@ -215,14 +215,14 @@ def cmd_simulate(args: Namespace) -> tuple[int, dict | Iterable[str]]:
         "fixed_point_index={fixed_point_index} final={final}"
     ).format(**fate, final=",".join(map(repr, fate["final_state"])))
     header = ",".join(["step", *(f"x{k + 1}" for k in range(rates.n))])
-    return 0, [header, *map("{},{}".format, range(len(trajectory)), _column(trajectory, 1, ",")), trailer]
+    return 0, [header, *map("{},{}".format, range(len(trajectory)), _column(trajectory, ",")), trailer]
 
 
 def cmd_basin(args: Namespace) -> tuple[int, dict | Iterable[str]]:
     rates = args.theta
     samples = basin_boundary(rates, _parse_range(args.x1_range), tol=args.bisect_tol, budget=args.budget)
     rows = [[s.x1, s.x2_low, s.x2_high, s.width, s.flagged] for s in samples]
-    output = ["x1,x2_low,x2_high,width,flagged", *_column(rows, 1, ",")] if args.format == "csv" else {
+    output = ["x1,x2_low,x2_high,width,flagged", *_column(rows, ",")] if args.format == "csv" else {
         "theta": rates.values.tolist(),
         "tol": args.bisect_tol,
         "samples": [asdict(s) for s in samples],
@@ -250,14 +250,6 @@ def _verify_lines(summary) -> Iterable[str]:
             yield f"  offending theta: {theta}"
     verdict = "all checks passed" if summary.passed else "FAILURES above"
     yield f"verified {summary.trials} draws at n={summary.n}, seed={summary.seed}: {verdict}"
-
-
-def _emit(output: dict | Iterable[str]) -> None:
-    """Print a handler's output: a JSON payload as json.dumps(indent=2), and
-    otherwise each of its texts on a line of its own (CSV rows, text lines,
-    the records of one stack of a fixed-point table)."""
-    for text in [json.dumps(output, indent=2)] if isinstance(output, dict) else output:
-        print(text)
 
 
 @functools.cache
@@ -363,7 +355,10 @@ def main(argv=None) -> int:
         _settings(args)
         code, output = args.handler(args)
         try:
-            _emit(output)
+            # a JSON payload as json.dumps(indent=2), and otherwise each text on
+            # a line of its own (CSV rows, text lines, a stack of records)
+            for text in [json.dumps(output, indent=2)] if isinstance(output, dict) else output:
+                print(text)
             sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
         except BrokenPipeError:
             # the reader closed early: stop writing, and send what stdout

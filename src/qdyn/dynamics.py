@@ -37,7 +37,6 @@ from __future__ import annotations
 import enum
 import logging
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -45,7 +44,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .fixed_points import _mask, _points
-from .model import Rates, _lhs, _numbers, _step, _tolerance, as_state
+from .model import Rates, _integer, _lhs, _numbers, _step, _tolerance, as_state
 
 log = logging.getLogger("qdyn.dynamics")
 
@@ -143,25 +142,6 @@ def _state_rows(rates: Rates, x) -> tuple[np.ndarray, bool]:
     return as_state(arr.ravel()).reshape(arr.shape), True
 
 
-def _integer(name: str, value) -> int:
-    # an integer-valued argument as a Python int: numpy integers pass, floats
-    # do not, and neither does a bool, an int subclass in Python
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _budget(budget) -> int:
-    # an iteration budget, checked: an integer >= 1
-    budget = _integer("budget", budget)
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
-    return budget
-
-
 def iterate(rates: Rates, x0, max_steps: int) -> np.ndarray:
     """Trajectory [x0, H(x0), ...] as an array of shape (steps+1, n).
 
@@ -240,8 +220,8 @@ def _trajectory_fate(rates: Rates, trajectory: np.ndarray, budget: int) -> FateR
     row maxima, are the kernel's bit for bit, and the budget rule sits at
     state `budget` when the trajectory reaches it.  Only a trajectory that
     ends before any rule fires, at its step cap or at an overflowing step,
-    has its start classified by `classify_fate`.  `budget` comes checked by
-    `_budget`, as the CLI's settings check it."""
+    has its start classified by `classify_fate`.  `budget` comes checked,
+    as the CLI's settings check it: an integer >= 1."""
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = _lhs(trajectory)
         fired, support = _rules(rates.values, trajectory[:, :, None], lhs[:, :, None],
@@ -293,7 +273,7 @@ def _fates(rates: Rates, x: np.ndarray, budget: int, first: int = _FIRST_BLOCK) 
     points reached (a list of ints, None where none was).  The rules are
     `_rules`'; the kernel adds only the overflow rule.
     """
-    budget = _budget(budget)
+    budget = _integer("budget", budget, 1)
     theta, half = rates.values, (0.5 * rates.values)[:, None]
     rule, steps_used = np.empty(len(x), dtype=int), np.empty(len(x), dtype=int)
     final, mask, rows = np.empty_like(x), [None] * len(x), np.arange(len(x))

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .model import Rates, _step
+from .model import Rates, _integer, _step
 
 MAX_ENUM_DIM = 20  # enumeration is 2^n points; hard cap
 
@@ -29,7 +29,13 @@ class SupportMask:
     mask_int: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.mask_int < 1 << self.n:
+        # exact ints pass without a call, since the enumeration builds 2^n
+        # masks; other fields are checked and stored as Python ints.  The
+        # range test builds no 2^n: a mask in range has no bit at n or above.
+        if type(self.n) is not int or type(self.mask_int) is not int or self.n < 0:
+            object.__setattr__(self, "n", _integer("n", self.n, 0))
+            object.__setattr__(self, "mask_int", _integer("mask_int", self.mask_int))
+        if self.mask_int < 0 or self.mask_int >> self.n:
             raise DimensionMismatch(f"mask {self.mask_int} out of range for n={self.n}")
 
     def bits(self) -> tuple[int, ...]:
@@ -58,28 +64,22 @@ class FixedPoint:
         return self.support.mask_int == 0
 
 
-def _all_supports(rates: Rates) -> np.ndarray:
-    # Support bits of every mask 0 .. 2^n - 1 (row index == mask), under the
-    # enumeration cap.
-    if rates.n > MAX_ENUM_DIM:
-        raise DomainError(f"n={rates.n} exceeds the enumeration cap ({MAX_ENUM_DIM})")
-    return _support_bits(np.arange(1 << rates.n), rates.n)
+def _all_supports(n: int) -> np.ndarray:
+    # One int8 row of support bits per mask 0 .. 2^n - 1 (row index == mask):
+    # 1 where the coordinate is in the support, else 0, under the enumeration
+    # cap, filled one column at a time, so no 2^n x n int64 table is ever held
+    if n > MAX_ENUM_DIM:
+        raise DomainError(f"n={n} exceeds the enumeration cap ({MAX_ENUM_DIM})")
+    masks = np.arange(1 << n)
+    bits = np.empty((masks.size, n), dtype=np.int8)
+    for k in range(n):
+        bits[:, k] = (masks >> k) & 1
+    return bits
 
 
 def _mask(bits: Sequence[int]) -> int:
     # a support's mask as a Python int, exact for any n: bit k is set iff bits[k] is
     return sum(1 << k for k in np.flatnonzero(bits).tolist())
-
-
-def _support_bits(masks: Sequence[int], n: int) -> np.ndarray:
-    # One int8 row per mask: 1 where the coordinate is in the support, else 0
-    # (int64 masks: the enumeration cap keeps them far below 2^63), filled
-    # one column at a time, so no 2^n x n int64 table is ever held.
-    masks = np.asarray(masks, dtype=np.int64)
-    bits = np.empty((masks.size, n), dtype=np.int8)
-    for k in range(n):
-        bits[:, k] = (masks >> k) & 1
-    return bits
 
 
 def _points(theta: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,7 +135,7 @@ def interior_fixed_point(rates: Rates) -> FixedPoint:
 
 def enumerate_fixed_points(rates: Rates) -> list[FixedPoint]:
     """All 2^n algebraic fixed points, ordered by support mask ascending."""
-    coords, residual, feasible = _points(rates.values, _all_supports(rates))
+    coords, residual, feasible = _points(rates.values, _all_supports(rates.n))
     return [
         FixedPoint(x, SupportMask(rates.n, mask), ok, res)
         for mask, (x, ok, res) in enumerate(zip(coords, feasible.tolist(), residual.tolist()))

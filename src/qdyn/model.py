@@ -8,14 +8,16 @@ x_k >= 0, to
 where the per-coordinate rates r_k are strictly positive.  The map is
 homogeneous of degree two and preserves the nonnegative orthant.  States are
 plain 1-d float arrays; `as_state` enforces the domain at the library
-boundary.  All values here are immutable after construction and safe to
-share across threads.
+boundary.  The package's other argument rules (numbers, tolerances,
+integers and seeds) are here too, one owner each.  All values here are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -97,6 +99,29 @@ def _tolerance(tol) -> float:
     if not 0.0 < value < math.inf:
         raise DomainError(f"tol must be finite and positive, got {value}")
     return value
+
+
+def _integer(name: str, value, low: int | None = None) -> int:
+    # an integer-valued argument as a Python int, at least `low` where one is
+    # given: numpy integers pass, floats do not, and neither does a bool, an
+    # int subclass in Python
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _seed(seed) -> int:
+    # a generator seed, checked: an integer Philox key, which is 128-bit
+    seed = _integer("seed", seed)
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed must be in [0, 2^128), got {seed}")
+    return seed
 
 
 def _lhs(x: np.ndarray) -> np.ndarray:

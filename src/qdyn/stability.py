@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EigenSolverError
+from .errors import DimensionMismatch, DomainError, EigenSolverError
 from .fixed_points import FixedPoint, SupportMask, _support_row
 from .model import Rates, _numbers, _tolerance, jacobian
 
@@ -92,7 +92,8 @@ def _eigvals(stack: np.ndarray) -> np.ndarray:
 
 def classify(eigenvalues, tol: float = TAU_UNIT):
     """Classify a spectrum by counting moduli against the unit circle; a
-    stack of spectra (one per row) gets a list with one class per row.
+    stack of spectra (one per row) gets a list with one class per row, and
+    anything of more dimensions is a DimensionMismatch.
 
     Anything within `tol`, finite and positive, of the circle is reported
     nonhyperbolic rather than guessed to a side; an infinite eigenvalue
@@ -100,6 +101,8 @@ def classify(eigenvalues, tol: float = TAU_UNIT):
     DomainError.
     """
     eigenvalues = _numbers(eigenvalues, "eigenvalues", complex)
+    if eigenvalues.ndim > 2:
+        raise DimensionMismatch(f"eigenvalues must be a spectrum or a stack of them, got shape {eigenvalues.shape}")
     if np.isnan(eigenvalues).any():
         raise DomainError("eigenvalues must not be NaN: a NaN lies on no side of the unit circle")
     columns = _classes(np.atleast_2d(eigenvalues), _tolerance(tol))

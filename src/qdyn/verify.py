@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import RegionKind, _in_region, _integer, _is_mbar1
+from .dynamics import RegionKind, _in_region, _is_mbar1
 from .errors import DomainError
-from .fixed_points import _points, _support_bits
-from .model import Rates, _jacobian, _step
+from .fixed_points import _all_supports, _points
+from .model import Rates, _integer, _jacobian, _seed, _step
 from .stability import _STACK_ROWS, TAU_UNIT, StabilityTag, _classes, _eig2_residuals, _eigvals
 
 RATE_LOW = 0.05
@@ -73,14 +73,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_seed(seed)))
 
 
-def _seed(seed) -> int:
-    # a generator seed, checked: an integer Philox key, which is 128-bit
-    seed = _integer("seed", seed)
-    if not 0 <= seed < 2**128:
-        raise DomainError(f"seed must be in [0, 2^128), got {seed}")
-    return seed
-
-
 def sample_rates(rng: np.random.Generator, n: int) -> Rates:
     """Uniform draw from (RATE_LOW, RATE_HIGH]^n."""
     return Rates(_rate_values(rng.random(n)))
@@ -125,7 +117,7 @@ def _check_draws(theta: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     k, n = theta.shape
     size = 1 << n
     # the draws' tables one after the other, each its 2^n points by mask
-    bits = np.tile(_support_bits(np.arange(size), n), (k, 1))
+    bits = np.tile(_all_supports(n), (k, 1))
     rate_rows = np.repeat(theta, size, axis=0)
     coords, residuals = _points(rate_rows, bits)[:2]
     # a zero inside a support repeats the point of a smaller support, so the
@@ -158,11 +150,10 @@ def verification_sweep(n: int, trials: int, seed: int) -> VerificationSummary:
     dimension 2 <= n <= 12, in chunks of _STACK_ROWS // 2^n draws whose
     fixed points are one Jacobian stack.  n, trials and seed must be
     integers (numpy integers too)."""
-    n, trials = _integer("n", n), _integer("trials", trials)
+    n = _integer("n", n)
     if not 2 <= n <= 12:
         raise DomainError(f"verify requires 2 <= n <= 12, got n = {n}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = _integer("trials", trials, 1)
     rng = make_rng(seed)
     tols = np.array(list(CHECK_TOLERANCES.values()))
     worst, failures = np.zeros(len(tols)), [[] for _ in tols]

@@ -108,7 +108,7 @@ def feasible_nonzero_points(rates: Rates) -> tuple[list[int], np.ndarray]:
     """Masks and coordinates (one row each) of the feasible nonzero fixed
     points, mask-ascending: the rows of the full enumeration whose
     coordinates are all nonnegative, without the origin."""
-    coords = _points(rates.values, _all_supports(rates))[0]
+    coords = _points(rates.values, _all_supports(rates.n))[0]
     keep = np.all(coords >= 0.0, axis=1)
     keep[0] = False
     return np.flatnonzero(keep).tolist(), coords[keep]
@@ -188,7 +188,7 @@ def check_one_trial(rates: Rates, rng: np.random.Generator) -> dict[str, float]:
     """Worst-case metric per check name (a key of CHECK_TOLERANCES) for a
     single rate draw, through the public per-draw calls; the sweep's checks
     before they were made in chunks of draws."""
-    bits = _all_supports(rates)
+    bits = _all_supports(rates.n)
     coords, residuals = _points(rates.values, bits)[:2]
     count_err = float(np.count_nonzero(np.any((coords != 0.0) != (bits == 1), axis=1)))
     residual = float(np.max(residuals / np.maximum(1.0, np.max(np.abs(coords), axis=1))))

@@ -119,7 +119,7 @@ class TestFixedPointsCommand:
         # the first 4096 supports leave out the 1e-300 rate and solve; the
         # second stack's Jacobians overflow, r1 x13 = 1e300 * 2e300
         rates = Rates([1e300, *[1.0] * 11, 1e-300])
-        coords, _, _ = _points(rates.values, _all_supports(rates))
+        coords, _, _ = _points(rates.values, _all_supports(rates.n))
         assert np.isfinite(jacobian(rates, coords[:4096])).all()
         code, out, err = run_cli(capsys, "fixed-points", "--theta", "1e300,1,1,1,1,1,1,1,1,1,1,1,1e-300", "--format", fmt)
         assert code == 2
@@ -552,6 +552,24 @@ class TestSettingsPath:
             with pytest.raises(DomainError) as raised:
                 library_call()
             assert f"error: {raised.value}\n" == err
+
+
+class TestCountRules:
+    """A budget and a trials count below 1 fail with one message, whether the
+    library or the CLI is given them; numpy counts are accepted
+    (test_budget_accepts_numpy_integers, test_numpy_integers_are_integers)."""
+
+    def test_budget_below_one(self, capsys, tmp_path):
+        with pytest.raises(DomainError, match=r"^budget must be >= 1, got 0$"):
+            classify_fate(Rates([1, 1]), [0.1, 0.1], 0)
+        argv = ("simulate", "--theta", "1,1", "--x0", "0.1,0.1")
+        for extra in (("--budget", "0"), ("--config", write_config(tmp_path, {"budget": 0}))):
+            assert run_cli(capsys, *argv, *extra) == (2, "", "error: budget must be >= 1, got 0\n")
+
+    def test_trials_below_one(self, capsys):
+        with pytest.raises(DomainError, match=r"^trials must be >= 1, got 0$"):
+            verification_sweep(2, 0, 0)
+        assert run_cli(capsys, "verify", "--n", "3", "--trials", "0") == (2, "", "error: trials must be >= 1, got 0\n")
 
 
 class TestUsage:

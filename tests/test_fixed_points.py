@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from qdyn import (
     fixed_point_for_support,
     interior_fixed_point,
 )
-from qdyn.fixed_points import _points, _support_bits
+from qdyn.fixed_points import _all_supports, _points
 from qdyn.model import _step
 from helpers import explicit_coefficient_matrix, newton_fixed_point_search
 
@@ -31,10 +33,34 @@ class TestSupportMask:
             with pytest.raises(DimensionMismatch, match=f"mask {mask} out of range for n=2"):
                 SupportMask(2, mask)
 
+    @pytest.mark.parametrize(
+        "n, mask, message",
+        [(3, 5.0, "mask_int must be an integer, got 5.0"), (3, "5", "mask_int must be an integer, got '5'"),
+         (True, 1, "n must be an integer, got True"), (3, np.True_, "mask_int must be an integer, got "),
+         (None, 0, "n must be an integer, got None"), (2.0, 1, "n must be an integer, got 2.0"),
+         (-1, 0, "n must be >= 0, got -1"), (np.int64(-1), 0, "n must be >= 0, got -1")],
+    )
+    def test_fields_are_integers(self, n, mask, message):
+        # a float mask was kept and broke bits(); a negative n, None and a
+        # bool failed with Python's errors or were kept
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            SupportMask(n, mask)
+
+    def test_numpy_fields_are_stored_as_python_ints(self):
+        # numpy's shift wraps at 64 bits, so np.int64(70) refused every mask of 2^64 or more
+        support = SupportMask(np.int64(70), 2**70 - 1)
+        assert type(support.n) is int and support.bits().count(1) == 70
+        support = SupportMask(np.uint8(3), np.int64(5))
+        assert support == SupportMask(3, 5) and type(support.mask_int) is int and support.bits() == (1, 0, 1)
+        # the range test builds no 2^n: 1 << 2**64 raised MemoryError
+        assert SupportMask(2**64, 1).mask_int == 1
+        with pytest.raises(DimensionMismatch, match="out of range for n=70"):
+            SupportMask(np.int64(70), 2**70)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_views_of_every_mask_agree(self, n):
         # the int form's views against the bit table the enumeration solves on
-        table = _support_bits(np.arange(1 << n), n).tolist()
+        table = _all_supports(n).tolist()
         for mask, row in enumerate(table):
             self.check_views(SupportMask(n, mask), row)
 
@@ -181,7 +207,7 @@ class TestPointTable:
         rng = np.random.default_rng(40 + n)
         rates = Rates(0.05 + 2.95 * rng.random(n))
         masks = rng.permutation(1 << n)
-        coords, residual = _points(rates.values, _support_bits(masks, n))[:2]
+        coords, residual = _points(rates.values, _all_supports(n)[masks])[:2]
         for row, mask in enumerate(masks.tolist()):
             idx = [k for k in range(n) if mask >> k & 1]
             expected = np.zeros(n)
@@ -194,10 +220,10 @@ class TestPointTable:
     def test_support_bits_are_int8_rows_of_the_masks(self, n):
         # one int8 column per coordinate, the rows of the broadcast int64 shift
         masks = np.random.default_rng(n).permutation(1 << n)
-        bits = _support_bits(masks, n)
+        bits = _all_supports(n)[masks]
         assert bits.dtype == np.int8 and bits.shape == (1 << n, n)
         assert np.array_equal(bits, (masks.reshape(-1, 1).astype(np.int64) >> np.arange(n)) & 1)
-        assert _support_bits([], n).shape == (0, n)
+        assert _all_supports(n)[[]].shape == (0, n)
 
     def test_table_is_readonly(self, rates_ones3):
         coords = _points(rates_ones3.values, np.array([[1, 0, 0], [1, 1, 1]]))[0]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,13 @@ class TestClassify:
         # a NaN modulus lies on no side of the unit circle, so no count may take it
         with pytest.raises(DomainError, match="eigenvalues must not be NaN"):
             classify(values)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (1, 1, 2), (1, 1, 1, 2)])
+    def test_a_stack_of_stacks_is_refused(self, shape):
+        # a class counts the moduli of one spectrum, given alone or as a row
+        # of a stack; deeper nesting made classes whose fields were lists
+        with pytest.raises(DimensionMismatch, match=re.escape(f"got shape {shape}")):
+            classify(np.full(shape, 0.5))
 
     def test_number_lists_and_stacks_are_read(self):
         assert classify([2, 0.5 + 0.1j]).tag is StabilityTag.SADDLE

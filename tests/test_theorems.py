@@ -220,7 +220,7 @@ class TestScalingConjugacy:
     def test_table_jacobians_and_spectra_scale_exactly(self, theta, k):
         c = 2.0**k
         rates, scaled = Rates(theta), Rates(theta / c)
-        bits = _all_supports(rates)
+        bits = _all_supports(rates.n)
         coords, residual = _points(rates.values, bits)[:2]
         coords_c, residual_c = _points(scaled.values, bits)[:2]
         assert np.array_equal(coords_c, c * coords)
@@ -333,7 +333,7 @@ class TestInfeasiblePoints:
         for _ in range(6 if n <= 9 else 2):
             theta = INFEASIBLE_FAMILIES[family](rng, n)
             rates = Rates(theta)
-            bits = _all_supports(rates)
+            bits = _all_supports(rates.n)
             coords, _, feasible = _points(theta, bits)
             bits, coords = bits[~feasible], coords[~feasible]
             spectra = spectrum_at(rates, coords)
@@ -396,7 +396,7 @@ class TestPermutationEquivariance:
     @settings(PROPERTY, max_examples=300)
     def test_planar_swap_mirrors_table_and_fates_bit_for_bit(self, theta):
         rates, swapped = Rates(theta), Rates(theta[::-1])
-        bits = _all_supports(rates)
+        bits = _all_supports(rates.n)
         coords, residual = _points(rates.values, bits)[:2]
         coords_s, residual_s = _points(swapped.values, bits)[:2]
         assert np.array_equal(coords_s[self.SWAP], coords[:, ::-1])
@@ -418,7 +418,7 @@ class TestPermutationEquivariance:
         theta, perm = case
         n = theta.size
         rates, permuted = Rates(theta), Rates(theta[perm])
-        bits = _all_supports(rates)
+        bits = _all_supports(rates.n)
         coords = _points(rates.values, bits)[0]
         # coordinate k of the permuted system is coordinate perm[k] here, so
         # the point of mask m is the point of the mask whose bit k is bit
@@ -497,7 +497,7 @@ class TestWaterFilling:
         rng = np.random.default_rng([n, list(RATE_FAMILIES).index(family)])
         for _ in range(40):
             theta = RATE_FAMILIES[family](rng, n)
-            bits = _all_supports(Rates(theta))
+            bits = _all_supports(Rates(theta).n)
             coords = _points(theta, bits)[0]
             size = bits.sum(axis=1)
             s = 2.0 * (bits @ (1.0 / theta)) / (2 * size - 1)  # the origin's row reads -0.0
