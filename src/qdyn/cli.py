@@ -16,13 +16,17 @@ Handlers print nothing: each returns its exit code and the one output its
 format prints, a JSON payload or its text lines, and `main` prints it, on
 stdout, with shortest round-trip float formatting, so identical
 configurations give byte-identical runs.  Every CSV row, and the JSON of
-fixed-points and classify, is rendered from its table's columns by
-json's C encoder, byte-identical to json.dumps(payload, indent=2) and to
-a CSV of each float's repr: `_column` cuts a column's text into CSV
-cells, and a fixed-point record is the cells of its flat columns joined
-with the fixed text json.dumps puts around them at that n.  The
-fixed-point table is computed whole, so an error leaves stdout empty,
-and is then written one Jacobian stack of records at a time.
+fixed-points and classify, is rendered from its table's columns,
+byte-identical to json.dumps(payload, indent=2) and to a CSV of each
+float's repr.  `_column` cuts the text of one json encoder call per
+column into the CSV cells of simulate and basin.  A fixed-point table's
+cells come from `_cells`, where only masks, tags and the floats other
+than an exact +0.0 pass json's C encoder; bools, support bits, class
+counts and +0.0 are looked up as text.  A JSON record is its cells
+joined with the fixed text json.dumps puts around them at that n, and a
+CSV row its cells joined by commas.  The fixed-point table is computed
+whole, so an error leaves stdout empty, and is then written one Jacobian
+stack of records at a time.
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error.  QDYN_LOG sets diagnostic verbosity on stderr, never the numbers.
 """
@@ -106,7 +110,7 @@ def _settings(args: Namespace) -> None:
 
 
 @functools.cache
-def _separators(n: int) -> list[str]:
+def _separators(n: int) -> np.ndarray:
     """The fixed text of a fixed-points record at dimension n, as
     json.dumps(indent=2) prints it inside the payload: a record of zeros,
     split at its zeros, around and between its cells, which come in this
@@ -115,26 +119,42 @@ def _separators(n: int) -> list[str]:
     record = dict.fromkeys(["mask", "support", "coords", "feasible", "residual", "eigenvalues", "class", "inside",
                             "outside", "on_unit", "index"], 0)
     record.update(support=[0] * n, coords=[0] * n, eigenvalues=[[0, 0]] * n)
-    return json.dumps([[record]], indent=2)[6:-6].split("0")  # less the payload's "[\n  [\n" and "\n  ]\n]"
+    # less the payload's "[\n  [\n" and "\n  ]\n]"
+    return np.array(json.dumps([[record]], indent=2)[6:-6].split("0"), dtype=object)
 
 
-def _cells(values: list) -> list[str]:
-    # the JSON text of each item of a flat list, from one call of json's C
-    # encoder; no number, bool or class tag holds ", "
-    return json.dumps(values, check_circular=False)[1:-1].split(", ")
+def _cells(column, n: int) -> np.ndarray:
+    """The JSON text of each item of a fixed-point table column at dimension
+    n, flat, as an object array.  Bools, support bits and class counts come
+    from text tables, and an exact +0.0 is the shared "0.0"; the rest, masks,
+    tags and every other float (-0.0, nan and inf among them), from one call
+    of json's C encoder on a list, cut at the ", " that no item holds."""
+    if isinstance(column, list):
+        return np.array(json.dumps(column, check_circular=False)[1:-1].split(", "), dtype=object)
+    column = column.ravel()
+    if column.dtype == bool:
+        return np.array(["false", "true"], dtype=object)[column.view(np.uint8)]
+    if column.dtype != float:  # support bits and class counts, 0 to n
+        return np.array(list(map(str, range(n + 1))), dtype=object)[column]
+    text = np.empty(column.size, dtype=object)
+    text.fill("0.0")
+    if (encode := np.flatnonzero((column != 0.0) | np.signbit(column))).size:
+        text[encode] = _cells(column[encode].tolist(), n)
+    return text
 
 
 def _json_records(masks, bits, coords, feasible, residual, spectra, tags, *counts) -> str:
     # the records of a slice of the fixed-point table, as json.dumps(indent=2)
     # prints them in the payload: one join over a row of text per record, its
     # cells in the odd places and the fixed text around them in the even ones
-    masks, (rows, n) = list(masks), bits.shape
-    columns = (masks, bits.ravel().tolist(), coords.ravel().tolist(), feasible.tolist(), residual.tolist(),
-               spectra.view(float).ravel().tolist(), [tag.value for tag in tags], *(c.tolist() for c in counts), masks)
+    rows, n = bits.shape
+    masks = _cells(list(masks), n)  # and again as "index"
+    columns = bits, coords, feasible, residual, spectra.view(float), [tag.value for tag in tags], *counts
     text = np.empty((rows, 2 * len(_separators(n)) - 1), dtype=object)
     text[:, 0::2] = _separators(n)
     text[:-1, -1] += ",\n"  # between records, not after the slice's last
-    text[:, 1::2] = np.hstack([np.array(_cells(column), dtype=object).reshape(rows, -1) for column in columns])
+    text[:, 1::2] = np.hstack([cells.reshape(rows, -1) for cells in (
+        masks, *(_cells(column, n) for column in columns), masks)])
     return "".join(text.ravel().tolist())
 
 
@@ -148,12 +168,17 @@ def _column(rows: list, sep: str) -> list[str]:
 
 
 def _csv_rows(masks, bits, coords, feasible, residual, spectra, tags, *counts) -> str:
-    # the CSV rows of a slice of the fixed-point table; its floats, the residual,
-    # the coordinates and the eigenvalues' parts, are one column of rows
-    numbers = np.column_stack([residual, coords, spectra.view(float)])
-    return "\n".join(map(
-        "{},{},{},{},{}".format, masks, _column(bits.tolist(), ""), _cells(feasible.tolist()),
-        _column(numbers.tolist(), ","), [tag.value for tag in tags]))
+    # the CSV rows of a slice of the fixed-point table: the support is the
+    # text of its bits' bytes, and the floats of a row, the residual, the
+    # coordinates and the eigenvalues' parts, are their cells joined by ","
+    rows, n = bits.shape
+    support = [row.decode() for row in (bits.astype(np.uint8) + 48).view(f"S{n}").ravel().tolist()]
+    values = np.column_stack([residual, coords, spectra.view(float)])
+    numbers = _cells(values, n).reshape(rows, -1).tolist()
+    text = "\n".join(map("{},{},{},{},{}".format, masks, support, _cells(feasible, n).tolist(),
+                         map(",".join, numbers), [tag.value for tag in tags]))
+    # a nonfinite float spelled as repr spells it, not as json does
+    return text if np.isfinite(values).all() else text.replace("Infinity", "inf").replace("NaN", "nan")
 
 
 def _points_output(args: Namespace, masks: Sequence[int], bits: np.ndarray) -> tuple[int, Iterable[str]]:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from qdyn import (TAU_UNIT, DomainError, Rates, basin_boundary, classify, classify_fate, enumerate_fixed_points, jacobian,
                   spectrum_at)
 from qdyn import dynamics, stability
-from qdyn.cli import _in_stacks, _json_records, _parse, build_parser, main
+from qdyn.cli import _csv_rows, _in_stacks, _json_records, _parse, build_parser, main
 from qdyn.dynamics import _fates
 from qdyn.fixed_points import _all_supports, _points
 from qdyn.stability import StabilityTag
@@ -877,7 +877,8 @@ class TestFormatsAgree:
 
     @pytest.mark.parametrize(
         "argv",
-        [("fixed-points", "--theta", "0.4,0.6,0.9"), ("classify", "--theta", "1,1,1", "--support", "1,0,1")],
+        [("fixed-points", "--theta", "0.4,0.6,0.9"), ("classify", "--theta", "1,1,1", "--support", "1,0,1"),
+         ("classify", "--theta", ",".join(["1"] * 32), "--support", ",".join(["1"] + ["0"] * 31))],
     )
     def test_fixed_point_rows(self, capsys, argv):
         payload, text = self.both(capsys, argv)
@@ -999,6 +1000,14 @@ class TestJsonText:
         (rec,) = payload["fixed_points"]
         assert rec["support"] == [int(b) for b in bits]
 
+    def test_classify_counts_past_any_fixed_table(self):
+        # at the point (2, 0, ..., 0) on equal rates every eigenvalue is 2, so
+        # 32 is outside: a count no table sized for the enumerable n holds
+        text, payload = self.json_out("classify", "--theta", ",".join(["1"] * 32), "--support",
+                                      ",".join(["1"] + ["0"] * 31))
+        (rec,) = payload["fixed_points"]
+        assert [rec["class"], rec["inside"], rec["outside"], rec["on_unit"]] == ["repelling", 0, 32, 0]
+
     def test_nonfinite_spelling(self):
         # the 7 supports that join the 1e-100 rate to a 1e200 one have coordinates near
         # 1e100, and their residual, with a 1e200 rate times them squared, overflows
@@ -1018,12 +1027,12 @@ class TestJsonText:
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, -2.5e300, 1.0]
 
 
-def synthetic_table(rows: int, n: int, seed: int):
+def synthetic_table(rows: int, n: int, seed: int, floats=SPECIAL_FLOATS):
     """Fixed-point table columns no rate vector produces (nonreal eigenvalues,
-    nonfinite coordinates, masks past 2^31, every tag in turn) and the records
-    json.dumps should print for them."""
+    nonfinite coordinates, masks past 2^31, every tag in turn), every float
+    drawn from `floats`, and the records json.dumps should print for them."""
     rng = np.random.default_rng(seed)
-    pick = lambda *shape: rng.choice(SPECIAL_FLOATS, shape)
+    pick = lambda *shape: rng.choice(floats, shape)
     masks = [2**31 + 7 * row if row % 2 else 2**69 + row for row in range(rows)]
     bits = rng.integers(0, 2, (rows, n)).astype(np.int8)
     coords, residual, feasible = pick(rows, n), pick(rows), rng.integers(0, 2, rows).astype(bool)
@@ -1065,6 +1074,58 @@ class TestJsonRecords:
         assert {"-0.0", "nan", "inf", "-inf"} <= {repr(v) for v in values}
         assert {rec["class"] for rec in records} == {tag.value for tag in StabilityTag}
         assert min(rec["mask"] for rec in records) >= 2**31
+
+
+def csv_line(record: dict) -> str:
+    """A fixed-point record's CSV row, built cell by cell: str of each int,
+    the support bits with no separator, a lowercase bool, repr of each float
+    and the class tag."""
+    floats = [record["residual"], *record["coords"], *(part for eig in record["eigenvalues"] for part in eig)]
+    return ",".join([str(record["mask"]), "".join(map(str, record["support"])), str(record["feasible"]).lower(),
+                     *map(repr, floats), record["class"]])
+
+
+class TestCsvRows:
+    """The fixed-point CSV renderer, called on columns real tables never
+    hold, against rows built record by record."""
+
+    @pytest.mark.parametrize("rows, n", [(1, 1), (1, 3), (2, 2), (4, 5), (9, 3)])
+    def test_slice_is_built_cell_by_cell(self, rows, n):
+        columns, records = synthetic_table(rows, n, seed=rows * 10 + n)
+        assert _csv_rows(*columns) == "\n".join(map(csv_line, records))
+
+    def test_columns_hold_the_cases(self):
+        columns, records = synthetic_table(9, 3, seed=93)
+        cells = [cell for line in _csv_rows(*columns).split("\n") for cell in line.split(",")]
+        assert {"-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "-2.5e+300"} <= set(cells)
+        assert max(rec["mask"] for rec in records) >= 2**63
+
+
+# the floats of a table that has only exact zeros, and of one that has none
+ZERO_FLOATS, NONZERO_FLOATS = [0.0], [v for v in SPECIAL_FLOATS if v != 0.0]
+
+
+class TestZeroCells:
+    """Both fixed-point renderers on tables whose floats are all +0.0, and on
+    tables with no zero float, against json.dumps and rows built cell by cell."""
+
+    @pytest.mark.parametrize("floats", [ZERO_FLOATS, NONZERO_FLOATS], ids=["all_zero", "no_zero"])
+    @pytest.mark.parametrize("rows, n", [(1, 1), (3, 4)])
+    def test_renderers(self, floats, rows, n):
+        columns, records = synthetic_table(rows, n, seed=rows + n, floats=floats)
+        expected = json.dumps({"fixed_points": records}, indent=2)
+        assert _json_records(*columns) == expected[len('{\n  "fixed_points": [\n') : -len("\n  ]\n}")]
+        assert _csv_rows(*columns) == "\n".join(map(csv_line, records))
+
+    def test_zero_floats_skip_the_encoder(self, monkeypatch):
+        # an exact +0.0 never reaches json's encoder; -0.0 and every other float do
+        encoded, dumps = [], json.dumps
+        monkeypatch.setattr(json, "dumps", lambda items, **kw: encoded.append(items) or dumps(items, **kw))
+        columns, _ = synthetic_table(6, 3, seed=7)
+        columns[2][0, :2] = 0.0, -0.0  # coordinates with both zeros
+        _json_records(*columns), _csv_rows(*columns)
+        zeros = [repr(v) for items in encoded for v in items if isinstance(v, float) and v == 0.0]
+        assert zeros and set(zeros) == {"-0.0"}
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
